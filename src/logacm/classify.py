@@ -57,10 +57,6 @@ class Violation:
     witness: tuple | None = None
 
 
-def _subcanonical(x: VarietyModel, h) -> int | None:
-    return x.is_subcanonical(h)
-
-
 def _component_h0_normal(x: VarietyModel, comp) -> Iv:
     """h^0 of the normal bundle O_D(D) of a component."""
     if x.kind == KIND_PN and x.dim >= 3:
@@ -83,7 +79,7 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
     h = x.check_class(h)
     if not x.is_ample(h):
         raise NotAmple(f"{h} is not ample on {x.kind}")
-    e_sub = _subcanonical(x, h)
+    e_sub = x.is_subcanonical(h)
     sub = e_sub is not None
     cot_side = side == "cot" or sub
     tan_side = side == "tan" or sub
@@ -290,7 +286,7 @@ def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Eva
     verdict = _classify_expr(x, h, expr, cap, ev)
     verdict.certificates = pair.notes + verdict.certificates
 
-    if _subcanonical(x, h) is not None:
+    if x.is_subcanonical(h) is not None:
         other = pair.tangent_log if side == "cot" else pair.cotangent_log
         cross = _classify_expr(x, h, other, cap, ev)
         if {verdict.status, cross.status} == {YES, NO}:

@@ -1,13 +1,17 @@
 """Graded exact-sequence interval solver.
 
 Sheaf expressions form immutable trees whose leaves have exact backends.
-A term of a short exact sequence is evaluated by enumerating all
-connecting-map ranks admissible for the long exact sequence at the given
-twist, intersected with installed rank hints and value pins; the output
-interval is the exact min/max over the feasible set.  Serre duality is
-applied at expression level through a registry of dual partners, and
-vanishing outside finite twist windows is certified via Castelnuovo-Mumford
-regularity.
+An expression's identity is its structure: ``Expr.key`` hash-conses the
+node's structural tuple (its type, variety, classes, scalars and the keys
+of its children) into a small integer, so every rebuild of the same sheaf
+shares one cache entry in every evaluator.  A term of a short exact
+sequence is evaluated by enumerating all connecting-map ranks admissible
+for the long exact sequence at the given twist, intersected with installed
+rank hints and value pins; the output interval is the exact min/max over
+the feasible set.  Serre duality is applied at expression level: a Serre
+partner is data on the expression (``serre_pair``), part of its key, and
+read by every evaluator.  Vanishing outside finite twist windows is
+certified via Castelnuovo-Mumford regularity.
 """
 
 from __future__ import annotations
@@ -42,23 +46,74 @@ LEFT, MIDDLE, RIGHT = "left", "middle", "right"
 # enumeration budget before falling back to per-slot interval arithmetic
 _ENUM_BUDGET = 200_000
 
+# hash-cons table: structural tuple -> key; a key is never given to two
+# structures, so inserts take the lock (check-then-insert on a shared table)
+_KEYS: dict[tuple, int] = {}
+_KEYS_LOCK = threading.Lock()
 
-_UIDS = itertools.count()
+# stands for the Serre partner inside its partner's structural tuple
+_PARTNER = ("partner",)
+
+
+def _intern(shape: tuple) -> int:
+    k = _KEYS.get(shape)
+    if k is None:
+        with _KEYS_LOCK:
+            k = _KEYS.setdefault(shape, len(_KEYS))
+    return k
 
 
 class Expr:
-    """Base class; immutable after construction, identified by a serial
-    number that is never reused (id() reuse would poison the memo cache)."""
+    """Base class of sheaf expressions, immutable after construction
+    except for ``partner``, which ``serre_pair`` sets before the first key.
+
+    Two expressions with the same structure have the same ``key()``: the
+    key interns the tuple returned by ``_shape``, which covers every field
+    evaluation reads.  A Serre partner (``serre_pair``) is part of the
+    structure: the two sides of a pair are keyed jointly, by (own shape,
+    partner shape), because each side's value is met with the other's.
+    """
 
     variety: VarietyModel
     cdim: int  # top cohomological degree of the support
+    partner: Expr | None = None  # Serre partner, set once by serre_pair
+    _key: int | None = None
+
+    def _shape(self) -> tuple:
+        raise NotImplementedError
+
+    def _ref(self, child: Expr | None):
+        """A child's part of the shape; the partner appears as a marker, so
+        a pair whose sides refer to each other keys without recursion."""
+        if child is None:
+            return None
+        if child is self.partner:
+            return _PARTNER
+        return child.key()
 
     def key(self) -> int:
-        u = getattr(self, "_uid", None)
-        if u is None:
-            u = next(_UIDS)
-            self._uid = u
-        return u
+        k = self._key
+        if k is None:
+            shape = self._shape()
+            if self.partner is not None:
+                shape = (serre_pair, shape, self.partner._shape())
+            k = self._key = _intern(shape)
+        return k
+
+
+def serre_pair(a: Expr, b: Expr) -> None:
+    """Make a and b Serre-dual partners: h^i(a(t)) = h^{n-i}(b(K - t)).
+
+    Each side may contain the other only as a direct child.  Pairing again
+    with the same partner is a no-op; any other re-pairing, or pairing an
+    expression already keyed, would change a key in use and is refused.
+    """
+    if a.partner is b and b.partner is a:
+        return
+    if a.partner is not None or b.partner is not None or a._key is not None or b._key is not None:
+        raise InputError("an expression gets its Serre partner once, before it is keyed")
+    a.partner = b
+    b.partner = a
 
 
 class LineE(Expr):
@@ -66,6 +121,9 @@ class LineE(Expr):
         self.variety = x
         self.klass = x.check_class(klass)
         self.cdim = x.dim
+
+    def _shape(self):
+        return (LineE, self.variety, self.klass)
 
     def __repr__(self):
         return f"O{self.klass}"
@@ -90,6 +148,9 @@ class CurveE(Expr):
             return self.base_deg + self.variety.intersect(self.klass, twist)
         return self.base_deg + self.deg_h * twist[0]
 
+    def _shape(self):
+        return (CurveE, self.variety, self.genus, self.base_deg, self.klass, self.deg_h)
+
     def __repr__(self):
         return f"O_C(g={self.genus},d0={self.base_deg})"
 
@@ -102,6 +163,9 @@ class HyperE(Expr):
         self.d = d
         self.shift = shift
         self.cdim = x.dim - 1
+
+    def _shape(self):
+        return (HyperE, self.variety, self.d, self.shift)
 
     def __repr__(self):
         return f"O_D(deg {self.d};{self.shift:+d})"
@@ -120,6 +184,9 @@ class BottE(Expr):
         self.n = x.dim if amb_n is None else amb_n
         self.cdim = self.n
 
+    def _shape(self):
+        return (BottE, self.variety, self.p, self.shift, self.n)
+
     def __repr__(self):
         return f"Omega^{self.p}_P{self.n}({self.shift:+d})"
 
@@ -128,6 +195,9 @@ class TanPnE(Expr):
     def __init__(self, x: VarietyModel):
         self.variety = x
         self.cdim = x.dim
+
+    def _shape(self):
+        return (TanPnE, self.variety)
 
     def __repr__(self):
         return f"T_P{self.variety.dim}"
@@ -141,6 +211,9 @@ class SumE(Expr):
         self.variety = parts[0].variety
         self.parts = parts
         self.cdim = max(p.cdim for p in parts)
+
+    def _shape(self):
+        return (SumE,) + tuple(self._ref(p) for p in self.parts)
 
     def __repr__(self):
         return "(" + " + ".join(map(repr, self.parts)) + ")"
@@ -157,6 +230,9 @@ class TwistE(Expr):
         self.by = by
         self.cdim = inner.cdim
 
+    def _shape(self):
+        return (TwistE, self._ref(self.inner), self.by)
+
     def __repr__(self):
         return f"{self.inner!r}({self.by})"
 
@@ -168,6 +244,9 @@ class DualE(Expr):
         self.variety = inner.variety
         self.inner = inner
         self.cdim = inner.cdim
+
+    def _shape(self):
+        return (DualE, self._ref(self.inner))
 
     def __repr__(self):
         return f"({self.inner!r})^v"
@@ -182,6 +261,9 @@ class MeetE(Expr):
         self.parts = parts
         self.cdim = parts[0].cdim
 
+    def _shape(self):
+        return (MeetE,) + tuple(self._ref(p) for p in self.parts)
+
     def __repr__(self):
         return " == ".join(map(repr, self.parts))
 
@@ -192,6 +274,9 @@ class BlowupCotE(Expr):
     def __init__(self, x: VarietyModel):
         self.variety = x
         self.cdim = 2
+
+    def _shape(self):
+        return (BlowupCotE, self.variety)
 
     def __repr__(self):
         return f"Omega^1_Bl{self.variety.param}"
@@ -238,20 +323,38 @@ class SeqE(Expr):
 
     ``pins`` maps a twist class to a per-degree list of Iv constraints
     (None = unconstrained); they participate in the rank enumeration, so a
-    pinned slot can force connecting ranks at the same twist.
+    pinned slot can force connecting ranks at the same twist.  ``pin_rule``
+    adds constraints computed from the twist: a module-level function of
+    (variety, twist), so that it is part of the structure by identity.
     """
 
-    def __init__(self, seq: Seq, cdim: int, pins=None, pin_fn=None):
+    def __init__(self, seq: Seq, cdim: int, pins=None, pin_rule=None):
         self.variety = seq.variety
         self.seq = seq
         self.cdim = cdim
-        self.pins = dict(pins or {})
-        self.pin_fn = pin_fn
+        self.pins = {tuple(tw): tuple(con) for tw, con in (pins or {}).items()}
+        self.pin_rule = pin_rule
+
+    def _shape(self):
+        seq = self.seq
+        return (
+            SeqE,
+            seq.variety,
+            self._ref(seq.left),
+            self._ref(seq.middle),
+            self._ref(seq.right),
+            seq.hints,
+            seq.name,
+            seq.amb,
+            self.cdim,
+            tuple(sorted(self.pins.items())),
+            self.pin_rule,
+        )
 
     def constraints_at(self, twist):
         con = list(self.pins.get(tuple(twist), ())) or [None] * (self.cdim + 1)
-        if self.pin_fn is not None:
-            extra = self.pin_fn(tuple(twist))
+        if self.pin_rule is not None:
+            extra = self.pin_rule(self.variety, tuple(twist))
             if extra:
                 con = [c if e is None else (e if c is None else iv_meet(c, e)) for c, e in zip(con, extra)]
         return con
@@ -261,12 +364,19 @@ class SeqE(Expr):
 
 
 class Evaluator:
-    """Memoizing evaluator; cache writes are idempotent, reads concurrent-safe."""
+    """Memoizing evaluator; cache writes are idempotent, reads concurrent-safe.
+
+    Cache keys are (expression key, twist), so the cache is shared by every
+    rebuild of a structure.  ``partners`` and ``partner_names`` record the
+    Serre pairs registered here, once each; evaluation reads partners from
+    the expressions themselves, so every evaluator sees the same duality.
+    """
 
     def __init__(self):
         self.cache: dict = {}  # idempotent writes; safe to share across threads
-        self.partners: dict[int, Expr] = {}  # holds strong references
+        self.partners: dict[int, Expr] = {}  # expression key -> partner
         self.partner_names: list[tuple[str, str]] = []
+        self._lock = threading.Lock()  # guards the partner record
         self._local = threading.local()
 
     @property
@@ -281,12 +391,16 @@ class Evaluator:
             self._local.tainted = set()
         return self._local.tainted
 
-    # -- duality registry ---------------------------------------------------
+    # -- duality record -----------------------------------------------------
 
-    def register_dual(self, a: Expr, b: Expr, note: str = ""):
-        self.partners[a.key()] = b
-        self.partners[b.key()] = a
-        self.partner_names.append((repr(a), repr(b)))
+    def register_dual(self, a: Expr, b: Expr):
+        """Pair a and b (``serre_pair``) and record the pair here once."""
+        serre_pair(a, b)
+        with self._lock:
+            if a.key() not in self.partners:
+                self.partner_names.append((repr(a), repr(b)))
+            self.partners[a.key()] = b
+            self.partners[b.key()] = a
 
     def serre_dual_pairs(self) -> list[tuple[str, str]]:
         return list(self.partner_names)
@@ -308,7 +422,7 @@ class Evaluator:
         self._stack.append(key)
         try:
             v = self._raw(expr, twist)
-            partner = self.partners.get(expr.key())
+            partner = expr.partner
             if partner is not None:
                 k = expr.variety.canonical_class
                 w = self.cohom(partner, vsub(k, twist))

@@ -98,7 +98,3 @@ def meet_vecs(a: tuple[Iv, ...], b: tuple[Iv, ...], context: str = "") -> tuple[
 def transpose_vec(v: tuple[Iv, ...]) -> tuple[Iv, ...]:
     """Serre-dual reading of a dimension vector: degree i <-> n-i."""
     return tuple(reversed(v))
-
-
-def vec_exact(v: tuple[Iv, ...]) -> bool:
-    return all(x.exact for x in v)

@@ -47,7 +47,8 @@ from .varieties import (
 
 @lru_cache(maxsize=None)
 def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
-    """(Omega^1_X, TX) expressions, registered as Serre-dual partners."""
+    """(Omega^1_X, TX) expressions, paired as Serre-dual partners (and the
+    pair recorded on the default evaluator)."""
     ev = default_evaluator()
     k = x.kind
     if k == KIND_PN:
@@ -63,8 +64,7 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
             (0, 0): [iv(x.h0_tangent), None, None],
             x.canonical_class: [iv(0), iv(x.h11), iv(x.q)],
         }
-        pin_fn = _f1_pullback_pin(x) if e == 1 else None
-        tan = SeqE(seq, 2, pins=pins, pin_fn=pin_fn)
+        tan = SeqE(seq, 2, pins=pins, pin_rule=_f1_pullback_pin if e == 1 else None)
         cot = TwistE(tan, x.canonical_class)
     elif k == KIND_BLOWUP:
         cot = BlowupCotE(x)
@@ -81,19 +81,26 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
     return cot, tan
 
 
-def _f1_pullback_pin(x: VarietyModel):
+def _f1_pullback_pin(x: VarietyModel, tw):
     """Sections of Omega^1_{F_1} along pullbacks of O_{P^2}(s) are bounded
-    below by the Bott count (s-1)(s+1); keyed on the tangent expression."""
-    kan = x.canonical_class
+    below by the Bott count (s-1)(s+1); a pin rule of the tangent expression."""
+    rel = vsub(tw, x.canonical_class)  # tangent at tw is cotangent at tw - K
+    if rel[0] == rel[1] and rel[0] >= 2:
+        s = rel[0]
+        return [Iv(s * s - 1, None), None, None]
+    return None
 
-    def pin(tw):
-        rel = vsub(tw, kan)  # tangent at tw is cotangent at tw - K
-        if rel[0] == rel[1] and rel[0] >= 2:
-            s = rel[0]
-            return [Iv(s * s - 1, None), None, None]
-        return None
 
-    return pin
+def _effectivity_pin(x: VarietyModel, tw):
+    """h^0(Omega^1(t)) <= h^0(Omega^1) = q = 0 for t < 0, and
+    h^2(Omega^1(t)) = h^0(Omega^1(-t)) = 0 for t > 0 (rank-2 duality), on a
+    surface in P^3."""
+    t = tw[0]
+    if t < 0:
+        return [iv(0), None, None]
+    if t > 0:
+        return [None, None, iv(0)]
+    return None
 
 
 def _surface_p3_cotangent(x: VarietyModel) -> Expr:
@@ -111,18 +118,7 @@ def _surface_p3_cotangent(x: VarietyModel) -> Expr:
     restricted = SeqE(restrict, 2)
     conormal = Seq(x, LineE(x, (-d,)), restricted, None, name=f"conormal X{d}", amb=2)
     pins = {(0,): [iv(x.q), iv(x.h11), iv(x.q)]}
-
-    def effectivity_pins(tw):
-        # h^0(Omega^1(t)) <= h^0(Omega^1) = q = 0 for t < 0, and
-        # h^2(Omega^1(t)) = h^0(Omega^1(-t)) = 0 for t > 0 (rank-2 duality)
-        t = tw[0]
-        if t < 0:
-            return [iv(0), None, None]
-        if t > 0:
-            return [None, None, iv(0)]
-        return None
-
-    return SeqE(conormal, 2, pins=pins, pin_fn=effectivity_pins)
+    return SeqE(conormal, 2, pins=pins, pin_rule=_effectivity_pin)
 
 
 @dataclass

@@ -296,7 +296,6 @@ class Arrangement:
     components: tuple[Component, ...]
     span_rank: int
     snc: bool = True
-    pairwise_distinct: bool = True
     span_asserted: bool = True  # False: span_rank is a default, not data
 
     @property

@@ -3,6 +3,7 @@ import pytest
 import logacm as L
 from logacm.classify import NO, YES, f0_split_acm_oracle
 from logacm.errors import IntervalPresent, NotAmple, OutOfScope
+from logacm.exactseq import Evaluator
 from logacm.varieties import vneg
 
 
@@ -159,6 +160,19 @@ def test_search_p2_hyperplanes():
     res = L.search(x, (1,), class_bound=1, m_bound=4)
     statuses = {len(c): v.status for c, v, _ in res}
     assert statuses == {1: YES, 2: YES, 3: YES, 4: NO}
+
+
+def test_repeated_search_adds_no_entries():
+    """A rebuilt arrangement is the same structure, so the second pass is
+    answered from the first pass's cache and partner record."""
+    ev = Evaluator()
+    x = L.quadric_surface()
+    first = L.search(x, (1, 1), 4, 8, ev=ev)
+    sizes = (len(ev.cache), len(ev.partners), len(ev.serre_dual_pairs()))
+    assert sizes[2] * 2 == sizes[1]  # each pair recorded once
+    second = L.search(x, (1, 1), 4, 8, ev=ev)
+    assert (len(ev.cache), len(ev.partners), len(ev.serre_dual_pairs())) == sizes
+    assert [(c, v.status, v.witness) for c, v, _ in second] == [(c, v.status, v.witness) for c, v, _ in first]
 
 
 def test_search_deterministic():

@@ -1,7 +1,11 @@
+import os
+import sys
+import threading
+
 import pytest
 
 import logacm as L
-from logacm.errors import InconsistentHints, NotVeryAmple, WindowNotFound
+from logacm.errors import InconsistentHints, InputError, NotVeryAmple, WindowNotFound
 from logacm.exactseq import (
     Evaluator,
     LineE,
@@ -9,10 +13,13 @@ from logacm.exactseq import (
     Seq,
     SeqE,
     SumE,
+    TwistE,
     cm_regularity_certify,
+    serre_pair,
     vanishing_window,
 )
 from logacm.intervals import iv
+from logacm.logbundles import log_pair
 from logacm.linebundles import line_cohom
 from logacm.varieties import vadd, vscale, vsub
 
@@ -126,6 +133,75 @@ def test_serre_dual_pairs_registry():
     ev = L.default_evaluator()
     assert ev.partners[cot.key()] is tan
     assert ev.partners[tan.key()] is cot
+
+
+def test_structure_built_twice_has_one_key_and_cache_entry():
+    x = L.hirzebruch(1)
+    pins = {(0, 0): [iv(x.h0_tangent), None, None]}
+    a, b = eqy1_middle(x, pins), eqy1_middle(x, dict(pins))
+    assert a is not b and a.key() == b.key()
+    assert eqy1_middle(x).key() != a.key()  # the pins are part of the structure
+    ev = Evaluator()
+    ev.cohom(a, (1, 1))
+    entries = len(ev.cache)
+    assert ev.cohom(b, (1, 1)) == ev.cohom(a, (1, 1))
+    assert len(ev.cache) == entries
+
+    arr = L.arrangement(x, [L.component_from_class(x, c) for c in [(1, 0), (0, 1), (1, 1)]])
+    p, q = log_pair(x, arr, ev), log_pair(x, arr, ev)
+    assert p.cotangent_log is not q.cotangent_log
+    assert (p.cotangent_log.key(), p.tangent_log.key()) == (q.cotangent_log.key(), q.tangent_log.key())
+    assert len(ev.serre_dual_pairs()) == 1
+    with pytest.raises(InputError):  # a partner set after keying would change a key in use
+        serre_pair(a, b)
+
+
+def test_log_pair_sides_keyed_jointly():
+    """The span-rank hint sits on the residue side only; the tangent side is
+    keyed with its partner, so span ranks 19 and 20 do not share a key."""
+    x = L.surface_in_p3(4)
+    comps = [L.component_from_degree(x, 1, 0) for _ in range(20)]
+    p19, p20 = (log_pair(x, L.arrangement(x, comps, span_rank=r), Evaluator()) for r in (19, 20))
+    assert p19.tangent_log.key() != p20.tangent_log.key()
+    assert p19.cotangent_log.key() != p20.cotangent_log.key()
+
+
+def test_key_assignment_under_thread_contention():
+    """Threads key new structures at once, two threads per structure set:
+    a structure gets one key and distinct structures never share one."""
+    x = L.hirzebruch(2)
+    n_threads = 4 * (os.cpu_count() or 1) + 4
+    per_thread = 3000
+
+    def build(group, j):
+        line = LineE(x, (7919 + group, -7919 - j))  # classes no other test keys
+        return TwistE(SumE([line, line]), (1, 0)) if j % 2 else line
+
+    start = threading.Barrier(n_threads)
+    seen = [None] * n_threads
+
+    def work(i):
+        start.wait(timeout=30)
+        seen[i] = {(i // 2, j): build(i // 2, j).key() for j in range(per_thread)}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    keys = {}
+    for got in seen:
+        assert got is not None
+        for st, k in got.items():
+            assert keys.setdefault(st, k) == k
+    assert len(set(keys.values())) == len(keys)
+    assert all(build(*st).key() == k for st, k in keys.items())
 
 
 def test_duality_involution_on_lines(rng):

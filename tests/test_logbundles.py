@@ -2,7 +2,7 @@ import pytest
 
 import logacm as L
 from logacm.errors import InputError, NotRulingArrangement
-from logacm.exactseq import default_evaluator
+from logacm.exactseq import Evaluator, default_evaluator
 from logacm.intervals import pad_vec
 from logacm.linebundles import binom
 from logacm.logbundles import (
@@ -11,7 +11,9 @@ from logacm.logbundles import (
     quadric_ruling_splitting,
     ruling_counts,
 )
-from logacm.varieties import vscale
+from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, vneg, vscale
+
+from conftest import catalog_surfaces
 
 
 def ev():
@@ -184,3 +186,30 @@ def test_ledger_thm_reduction():
             assert rep.values[0] == rep.values[1] == binom(n + d - 2, n) - binom(n - 2, n)
     with pytest.raises(InputError):
         ledger_checks("nonsense")
+
+
+def _catalog_tables(ev, twists):
+    """h^*(Omega^1(tH)) and h^*(TX(tH)) on P^2..P^4, Q, F_0..F_3, Bl_1..Bl_4,
+    S_2..S_5 and the abelian surfaces with polarization square 2 and 4."""
+    tables = {}
+    for x in catalog_surfaces() + [L.projective_space(3), L.projective_space(4), L.surface_in_p3(5)]:
+        if x.kind == KIND_HIRZEBRUCH:
+            h = (1, x.param + 1)
+        elif x.kind == KIND_BLOWUP:
+            h = vneg(x.canonical_class)
+        else:
+            h = (1,) * x.lattice_rank
+        for side, expr in zip(("cot", "tan"), L.cotangent_tangent_pair(x)):
+            for t in twists:
+                tables[(x, side, t)] = ev.cohom(expr, vscale(t, h))
+    return tables
+
+
+def test_catalog_tables_do_not_depend_on_evaluator_or_order():
+    """Serre partners are data on the expressions, so a fresh evaluator sees
+    the same duality as the default one, in either twist order."""
+    twists = range(-4, 5)
+    default = _catalog_tables(default_evaluator(), twists)
+    assert len(default) == 324
+    assert _catalog_tables(Evaluator(), twists) == default
+    assert _catalog_tables(Evaluator(), twists[::-1]) == default

@@ -12,6 +12,14 @@ the feasible set.  Serre duality is applied at expression level: a Serre
 partner is data on the expression (``serre_pair``), part of its key, and
 read by every evaluator.  Vanishing outside finite twist windows is
 certified via Castelnuovo-Mumford regularity.
+
+Serre partners make evaluation cyclic.  A call that meets a (key, twist)
+already being evaluated on its thread contributes no information (a cut),
+and each frame keeps a low mark: the lowest depth any cut below it reached,
+as in Tarjan's lowlink.  A frame whose mark is not below its own depth is
+the root of every cycle it saw, and sees exactly the cuts it would see as
+the outermost call, so its value is cached; a frame inside a cycle rooted
+further down is not cached, and passes its mark to its parent.
 """
 
 from __future__ import annotations
@@ -363,6 +371,17 @@ class SeqE(Expr):
         return f"{self.seq.name}[{self.seq.unknown_slot}]"
 
 
+class _Frames:
+    """One thread's evaluation stack: the depth of each (key, twist) being
+    evaluated, and per frame the lowest depth a cycle cut below it reached."""
+
+    __slots__ = ("depth", "low")
+
+    def __init__(self):
+        self.depth: dict = {}
+        self.low: list[int] = []
+
+
 class Evaluator:
     """Memoizing evaluator; cache writes are idempotent, reads concurrent-safe.
 
@@ -380,16 +399,13 @@ class Evaluator:
         self._local = threading.local()
 
     @property
-    def _stack(self) -> list:
-        if not hasattr(self._local, "stack"):
-            self._local.stack = []
-        return self._local.stack
-
-    @property
-    def _tainted(self) -> set:
-        if not hasattr(self._local, "tainted"):
-            self._local.tainted = set()
-        return self._local.tainted
+    def _frames(self) -> _Frames:
+        """This thread's table of the (key, twist) pairs being evaluated."""
+        try:
+            return self._local.frames
+        except AttributeError:
+            frames = self._local.frames = _Frames()
+            return frames
 
     # -- duality record -----------------------------------------------------
 
@@ -411,15 +427,23 @@ class Evaluator:
         """Dimension intervals of expr twisted by O(twist), degrees 0..cdim."""
         twist = expr.variety.check_class(twist)
         key = (expr.key(), twist)
-        if key in self.cache:
-            return self.cache[key]
-        if key in self._stack:
-            # Serre-duality cycle: contribute no information here, and do not
-            # let anything computed on this stack be cached (it would freeze
-            # a degraded interval that a fresh evaluation can sharpen).
-            self._tainted.update(self._stack)
+        v = self.cache.get(key)
+        if v is not None:
+            return v
+        frames = self._frames
+        depth, low = frames.depth, frames.low
+        d = depth.get(key)
+        if d is not None:
+            # Serre-duality cycle: contribute no information here, and mark
+            # the asking frame as reaching depth d.  Frames above d hold
+            # degraded intervals that a fresh evaluation can sharpen, so they
+            # must not be cached; the frame at d is the cycle's root.
+            if d < low[-1]:
+                low[-1] = d
             return top_vec(expr.cdim + 1)
-        self._stack.append(key)
+        d = len(low)
+        depth[key] = d
+        low.append(d)
         try:
             v = self._raw(expr, twist)
             partner = expr.partner
@@ -428,13 +452,12 @@ class Evaluator:
                 w = self.cohom(partner, vsub(k, twist))
                 v = meet_vecs(v, transpose_vec(pad_vec(w, expr.cdim + 1)), f"{expr!r}@{twist}")
         finally:
-            self._stack.pop()
-        if key in self._tainted:
-            self._tainted.discard(key)
-            if not self._stack:
-                self.cache[key] = v  # outermost pass is a stable fixpoint
-        else:
-            self.cache[key] = v
+            del depth[key]
+            mark = low.pop()
+            if mark < d and mark < low[-1]:
+                low[-1] = mark  # inside a cycle rooted below: so is the parent
+        if mark >= d:
+            self.cache[key] = v  # root of every cycle it met: a stable fixpoint
         return v
 
     def _raw(self, expr: Expr, twist) -> tuple[Iv, ...]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import InconsistentHints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iv:
     lo: int
     hi: int | None  # None: no certified upper bound

@@ -91,11 +91,17 @@ def cohom_line_blowup(x: VarietyModel, l) -> tuple[int, ...]:
     """Exact cohomology on Bl_k P^2, k <= 4 general points.
 
     h^0 by Zariski-style reduction against the finite negative-curve list,
-    h^2 by Serre duality, h^1 from chi.
+    h^2 by Serre duality, h^1 from chi.  Memoized per (variety, class): the
+    reduction is the one backend that costs more than a memo entry.  The
+    class is validated, and made a hashable tuple, before the memo is read.
     """
     if x.kind != KIND_BLOWUP:
         raise InputError("cohom_line_blowup needs a BlowupP2 catalog entry")
-    l = x.check_class(l)
+    return _cohom_line_blowup(x, x.check_class(l))
+
+
+@lru_cache(maxsize=None)
+def _cohom_line_blowup(x: VarietyModel, l) -> tuple[int, ...]:
     h0 = _h0_blowup(x, l)
     h2 = _h0_blowup(x, vsub(x.canonical_class, l))
     h1 = h0 + h2 - x.riemann_roch_chi(l)

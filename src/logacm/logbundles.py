@@ -218,6 +218,7 @@ def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> 
             raise InputError(f"class {klass} is rigid; {copies} distinct members impossible")
 
     cot, tan = cotangent_tangent_pair(x)
+    ev.register_dual(cot, tan)  # record on the caller's evaluator too
     n = x.dim
 
     if arr.size == 0:

@@ -1,12 +1,15 @@
 import os
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
 import logacm as L
+from logacm.classify import YES, deficiency_concentrated_at_zero
 from logacm.errors import InconsistentHints, InputError, NotVeryAmple, WindowNotFound
 from logacm.exactseq import (
+    BlowupCotE,
     Evaluator,
     LineE,
     RankHint,
@@ -21,7 +24,7 @@ from logacm.exactseq import (
 from logacm.intervals import iv
 from logacm.logbundles import log_pair
 from logacm.linebundles import line_cohom
-from logacm.varieties import vadd, vscale, vsub
+from logacm.varieties import vadd, vneg, vscale, vsub
 
 from conftest import catalog_surfaces, random_class
 
@@ -148,10 +151,13 @@ def test_structure_built_twice_has_one_key_and_cache_entry():
     assert len(ev.cache) == entries
 
     arr = L.arrangement(x, [L.component_from_class(x, c) for c in [(1, 0), (0, 1), (1, 1)]])
-    p, q = log_pair(x, arr, ev), log_pair(x, arr, ev)
+    p = log_pair(x, arr, ev)
+    pairs = ev.serre_dual_pairs()
+    q = log_pair(x, arr, ev)
     assert p.cotangent_log is not q.cotangent_log
     assert (p.cotangent_log.key(), p.tangent_log.key()) == (q.cotangent_log.key(), q.tangent_log.key())
-    assert len(ev.serre_dual_pairs()) == 1
+    assert len(pairs) == 2  # the Omega^1/T pair and the log pair, once each
+    assert ev.serre_dual_pairs() == pairs
     with pytest.raises(InputError):  # a partner set after keying would change a key in use
         serre_pair(a, b)
 
@@ -202,6 +208,74 @@ def test_key_assignment_under_thread_contention():
             assert keys.setdefault(st, k) == k
     assert len(set(keys.values())) == len(keys)
     assert all(build(*st).key() == k for st, k in keys.items())
+
+
+def bl4_negative_curves(*which):
+    """Bl_4 P^2 with an arrangement of some of its ten negative curves."""
+    x = L.blowup_p2(4)
+    return x, L.arrangement(x, [L.component_from_class(x, x.negative_curves[i]) for i in which])
+
+
+def test_value_met_inside_a_cycle_is_cached_at_its_root():
+    """Omega^1 of Bl_4 at twist zero is first asked inside the log pair's
+    evaluation, not as the outermost call; it roots the Serre cycle through
+    its partner, so its value is cached there."""
+    x, arr = bl4_negative_curves(0, 4, 9)
+    ev = Evaluator()
+    pair = log_pair(x, arr, ev)
+    cot, _ = L.cotangent_tangent_pair(x)
+    assert isinstance(cot, BlowupCotE)
+    zero = (0,) * x.lattice_rank
+    ev.cohom(pair.cotangent_log, zero)
+    assert (cot.key(), zero) in ev.cache
+
+
+def test_cycle_members_are_not_recomputed_per_visit():
+    """A value computed inside a cycle rooted elsewhere is recomputed when it
+    is asked as a root of its own, and not again: the Bl_4 cotangent rule
+    runs at most twice per twist over a whole deficiency verdict."""
+    x, arr = bl4_negative_curves(0, 4, 9)
+    ev = Evaluator()
+    runs = Counter()
+    rule = ev._blowup_cotangent
+
+    def counted(variety, twist):
+        runs[twist] += 1
+        return rule(variety, twist)
+
+    ev._blowup_cotangent = counted
+    assert deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, ev=ev).status == YES
+    assert runs and max(runs.values()) <= 2
+
+
+def test_frames_released_when_evaluation_raises():
+    """An error raised several frames deep leaves no frame behind: a later
+    call sees no stale cycle cut and agrees with a fresh evaluator."""
+    x, arr = bl4_negative_curves(0, 4, 9)
+    h = vneg(x.canonical_class)
+    ev = Evaluator()
+    pair = log_pair(x, arr, ev)
+    rule = ev._blowup_cotangent
+    depth_at_raise = []
+
+    def failing(variety, twist):
+        depth = len(ev._frames.low)
+        if depth >= 3 and not depth_at_raise:
+            depth_at_raise.append(depth)
+            raise InconsistentHints("injected mid-evaluation")
+        return rule(variety, twist)
+
+    ev._blowup_cotangent = failing
+    with pytest.raises(InconsistentHints):
+        for t in range(-3, 4):
+            ev.cohom(pair.tangent_log, vscale(t, h))
+    assert depth_at_raise
+    assert ev._frames.depth == {} and ev._frames.low == []
+    del ev._blowup_cotangent
+    fresh = Evaluator()
+    for side in (pair.cotangent_log, pair.tangent_log):
+        for t in range(-3, 4):
+            assert ev.cohom(side, vscale(t, h)) == fresh.cohom(side, vscale(t, h))
 
 
 def test_duality_involution_on_lines(rng):

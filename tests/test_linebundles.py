@@ -1,9 +1,14 @@
+from itertools import product
+
 import pytest
 
 import logacm as L
+from logacm.errors import InputError
 from logacm.linebundles import (
+    _cohom_line_blowup,
     binom,
     cohom_hypersurface_section,
+    cohom_line_blowup,
     cohom_line_surface_p3,
     cohom_tangent_Pn,
     line_cohom,
@@ -168,3 +173,27 @@ def test_chi_consistency_randomized(rng):
             l = random_class(rng, x)
             v = line_cohom(x, l)
             assert v[0] - v[1] + v[2] == x.riemann_roch_chi(l), (x.kind, l)
+
+
+def test_line_memo_matches_backend_on_blowups():
+    """The memoized blow-up backend returns the value of the reduction itself,
+    which obeys Riemann-Roch, for every class in a box on Bl_1..Bl_4
+    (|coordinates| <= 5 on Bl_1 and Bl_2; the boxes shrink with the lattice
+    rank, since Bl_4 at <= 5 has 161,051 classes)."""
+    reduction = _cohom_line_blowup.__wrapped__
+    for k, bound in ((1, 5), (2, 5), (3, 3), (4, 2)):
+        x = L.blowup_p2(k)
+        for l in product(range(-bound, bound + 1), repeat=k + 1):
+            v = line_cohom(x, l)
+            assert v == reduction(x, l), (k, l)
+            assert v[0] - v[1] + v[2] == x.riemann_roch_chi(l), (k, l)
+
+
+def test_line_memo_validates_before_lookup():
+    x = L.blowup_p2(2)
+    assert line_cohom(x, [1, 0, 0]) == cohom_line_blowup(x, [1, 0, 0]) == line_cohom(x, (1, 0, 0))
+    for wrong in [(1, 0), [1, 0, 0, 0]]:  # share leading values with a cached class
+        with pytest.raises(InputError):
+            line_cohom(x, wrong)
+        with pytest.raises(InputError):
+            cohom_line_blowup(x, wrong)

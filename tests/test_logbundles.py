@@ -1,11 +1,15 @@
+from itertools import combinations
+
 import pytest
 
 import logacm as L
+from logacm.classify import is_acm
 from logacm.errors import InputError, NotRulingArrangement
 from logacm.exactseq import Evaluator, default_evaluator
 from logacm.intervals import pad_vec
 from logacm.linebundles import binom
 from logacm.logbundles import (
+    cotangent_tangent_pair,
     ledger_checks,
     log_pair,
     quadric_ruling_splitting,
@@ -205,11 +209,65 @@ def _catalog_tables(ev, twists):
     return tables
 
 
+def _log_arrangements():
+    """(X, H, D): every one- and two-curve sub-arrangement of the negative
+    curves on Bl_1..Bl_4 with H = -K, the quadric ruling arrangements with
+    (a, b) <= (2, 2) with H = (1, 1), and fibre plus section on F_1."""
+    out = []
+    for k in range(1, 5):
+        x = L.blowup_p2(k)
+        for size in (1, 2):
+            for curves in combinations(x.negative_curves, size):
+                out.append((x, vneg(x.canonical_class), [L.component_from_class(x, c) for c in curves]))
+    q = L.quadric_surface()
+    for a in range(3):
+        for b in range(3):
+            if a + b:
+                comps = [L.component_from_class(q, (1, 0))] * a + [L.component_from_class(q, (0, 1))] * b
+                out.append((q, (1, 1), comps))
+    f1 = L.hirzebruch(1)
+    out.append((f1, (1, 2), [L.component_from_class(f1, (0, 1)), L.component_from_class(f1, (1, 0))]))
+    return [(x, h, L.arrangement(x, comps)) for x, h, comps in out]
+
+
+def _log_tables(ev, twists):
+    tables = {}
+    for n, (x, h, arr) in enumerate(_log_arrangements()):
+        pair = log_pair(x, arr, ev)
+        for side, expr in (("cot", pair.cotangent_log), ("tan", pair.tangent_log)):
+            for t in twists:
+                tables[(n, side, t)] = ev.cohom(expr, vscale(t, h))
+    return tables
+
+
 def test_catalog_tables_do_not_depend_on_evaluator_or_order():
     """Serre partners are data on the expressions, so a fresh evaluator sees
-    the same duality as the default one, in either twist order."""
-    twists = range(-4, 5)
-    default = _catalog_tables(default_evaluator(), twists)
-    assert len(default) == 324
-    assert _catalog_tables(Evaluator(), twists) == default
-    assert _catalog_tables(Evaluator(), twists[::-1]) == default
+    the same duality as the default one, in either twist order; and a value
+    cached at a cycle root, wherever the root sits on the stack, is the value
+    an outermost call computes, so log-pair tables agree as well."""
+    twists, log_twists = range(-4, 5), range(-3, 4)
+
+    def tables(ev, order):
+        return _catalog_tables(ev, twists[::order]), _log_tables(ev, log_twists[::order])
+
+    default = tables(default_evaluator(), 1)
+    assert len(default[0]) == 324 and len(default[1]) == 92 * 2 * 7
+    assert tables(Evaluator(), 1) == default
+    assert tables(Evaluator(), -1) == default
+
+
+def test_log_pair_records_both_serre_pairs_on_its_evaluator():
+    """The caller's evaluator lists the Omega^1/T pair it applies as well as
+    the log pair, and a repeated verdict adds neither again."""
+    x = L.quadric_surface()
+    arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
+    ev = Evaluator()
+    first = is_acm(x, (1, 1), arr, ev=ev)
+    cot, tan = cotangent_tangent_pair(x)
+    pairs = ev.serre_dual_pairs()
+    assert len(pairs) == 2 and (repr(cot), repr(tan)) in pairs
+    assert ev.partners[cot.key()] is tan and ev.partners[tan.key()] is cot
+    partners = {k: p.key() for k, p in ev.partners.items()}
+    assert is_acm(x, (1, 1), arr, ev=ev) == first
+    assert ev.serre_dual_pairs() == pairs
+    assert {k: p.key() for k, p in ev.partners.items()} == partners

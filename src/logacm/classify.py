@@ -15,8 +15,8 @@ from itertools import combinations_with_replacement
 from .errors import EngineError, InputError, IntervalPresent, NotAmple, NotVeryAmple, OutOfScope, WindowNotFound
 from .exactseq import Evaluator, Expr, default_evaluator, vanishing_window
 from .intervals import Iv, iv, pad_vec
-from .linebundles import cohom_line_curve, cohom_line_quadric, line_cohom
-from .logbundles import cotangent_tangent_pair, log_pair
+from .linebundles import cohom_hypersurface_section, cohom_line_curve, cohom_line_quadric, line_cohom
+from .logbundles import cotangent_tangent_pair, log_pair, repeated_rigid_class
 from .varieties import (
     KIND_BLOWUP,
     KIND_HIRZEBRUCH,
@@ -60,8 +60,6 @@ class Violation:
 def _component_h0_normal(x: VarietyModel, comp) -> Iv:
     """h^0 of the normal bundle O_D(D) of a component."""
     if x.kind == KIND_PN and x.dim >= 3:
-        from .linebundles import cohom_hypersurface_section
-
         d = comp.klass[0]
         return iv(cohom_hypersurface_section(x.dim, d, d)[0])
     h0, _ = cohom_line_curve(comp.genus, comp.normal_degree(x))
@@ -164,8 +162,6 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
         n = x.dim
         bad = [c for c in arr.components if c.klass[0] >= 2]
         if bad:
-            from .linebundles import cohom_hypersurface_section
-
             lo = sum(cohom_hypersurface_section(n, c.klass[0], 1 - n)[n - 1] for c in bad)
             violations.append(
                 Violation(
@@ -255,13 +251,6 @@ def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> V
     return Verdict(YES, None, certs)
 
 
-def _filters_to_verdict(violations, skipped) -> Verdict | None:
-    if not violations:
-        return None
-    witness = next((w.witness for w in violations if w.witness is not None), None)
-    return Verdict(NO, witness, [f"{w.rule}: {w.detail}" for w in violations] + skipped)
-
-
 def is_acm(x: VarietyModel, h, arr: Arrangement, cap: int = 8, ev: Evaluator | None = None) -> Verdict:
     """Is Omega^1(log D) without intermediate cohomology in every H-twist?"""
     return _classify(x, h, arr, "cot", cap, ev)
@@ -274,13 +263,15 @@ def is_tacm(x: VarietyModel, h, arr: Arrangement, cap: int = 8, ev: Evaluator | 
 
 def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator | None) -> Verdict:
     ev = ev or default_evaluator()
-    h = x.check_class(h)
-    if not x.is_ample(h):
-        raise NotAmple(f"{h} is not ample on {x.kind}")
     violations, skipped = necessary_conditions(x, h, arr, side, ev)
-    early = _filters_to_verdict(violations, skipped)
-    if early is not None:
-        return early
+    if violations:
+        witness = next((w.witness for w in violations if w.witness is not None), None)
+        return Verdict(NO, witness, [f"{w.rule}: {w.detail}" for w in violations] + skipped)
+    return _classify_filtered(x, h, arr, side, cap, ev)
+
+
+def _classify_filtered(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> Verdict:
+    """The verdict of an arrangement that passed ``necessary_conditions``."""
     pair = log_pair(x, arr, ev)
     expr = pair.cotangent_log if side == "cot" else pair.tangent_log
     verdict = _classify_expr(x, h, expr, cap, ev)
@@ -439,13 +430,7 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
     results = []
     for m in range(1, m_bound + 1):
         for combo in combinations_with_replacement(cands, m):
-            mult_ok = True
-            for c in set(combo):
-                copies = combo.count(c)
-                if copies > 1 and line_cohom(x, c)[0] < 2:
-                    mult_ok = False  # rigid class: a unique divisor cannot repeat
-                    break
-            if not mult_ok:
+            if repeated_rigid_class(x, combo) is not None:
                 continue
             comps = [component_from_class(x, c) for c in combo]
             arr = arrangement(x, comps)
@@ -453,7 +438,7 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
             if violations:
                 results.append((combo, Verdict(NO, violations[0].witness, [violations[0].rule]), violations[0].rule))
                 continue
-            verdict = _classify(x, h, arr, side, cap, ev)
+            verdict = _classify_filtered(x, h, arr, side, cap, ev)
             first = verdict.certificates[0] if verdict.status == NO and verdict.certificates else ""
             results.append((combo, verdict, first))
     return results

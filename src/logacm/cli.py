@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,7 +25,7 @@ from .classify import (
     search,
 )
 from .errors import EngineError, InputError, IntervalPresent, WindowNotFound
-from .exactseq import default_evaluator
+from .exactseq import LineE, default_evaluator
 from .intervals import pad_vec
 from .logbundles import cotangent_tangent_pair, ledger_checks, log_pair
 from .varieties import (
@@ -42,6 +40,7 @@ from .varieties import (
     projective_space,
     quadric_surface,
     surface_in_p3,
+    vscale,
 )
 
 _VARIETY_KEYS = {"kind", "n", "e", "points", "degree", "polarization_square"}
@@ -62,6 +61,8 @@ _SPEC_KEYS = {
 }
 _ARR_KEYS = {"components", "span_rank", "snc"}
 _SHEAVES = ("line", "cotangent", "tangent", "log_cotangent", "log_tangent")
+# libyaml's loader when PyYAML was built with it; both give the same mappings
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -153,7 +154,7 @@ def build_arrangement(x: VarietyModel, spec: ProblemSpec) -> Arrangement:
 
 def load_problem(path: Path) -> ProblemSpec:
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise InputError(f"{path}: bad YAML ({exc})")
     return ProblemSpec.from_dict(data or {})
@@ -184,8 +185,6 @@ def _banner(out, args):
 
 
 def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):
-    from .exactseq import LineE
-
     name = spec.sheaf or "log_cotangent"
     if name == "line":
         if spec.line_class is None:
@@ -199,6 +198,13 @@ def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):
     return pair.cotangent_log if name == "log_cotangent" else pair.tangent_log
 
 
+def _twist_rows(x: VarietyModel, expr, h, spec: ProblemSpec, args):
+    """(t, padded cohomology vector of expr(tH)) over the requested window."""
+    lo, hi = (args.window if args.window else spec.window)
+    ev = default_evaluator()
+    return [(t, pad_vec(ev.cohom(expr, vscale(t, h)), x.dim + 1)) for t in range(int(lo), int(hi) + 1)]
+
+
 def cmd_cohom(spec: ProblemSpec, args, out) -> int:
     x = build_variety(spec)
     arr = build_arrangement(x, spec)
@@ -206,14 +212,7 @@ def cmd_cohom(spec: ProblemSpec, args, out) -> int:
     if spec.polarization is None:
         raise InputError("cohom needs a polarization to generate twists")
     h = _as_class(x, spec.polarization)
-    lo, hi = (args.window if args.window else spec.window)
-    ev = default_evaluator()
-    rows = []
-    from .varieties import vscale
-
-    for t in range(int(lo), int(hi) + 1):
-        v = pad_vec(ev.cohom(expr, vscale(t, h)), x.dim + 1)
-        rows.append([str(t)] + [str(c) for c in v])
+    rows = [[str(t)] + [str(c) for c in v] for t, v in _twist_rows(x, expr, h, spec, args)]
     render_table(["t"] + [f"h{i}" for i in range(x.dim + 1)], rows, _fmt(spec, args), out)
     return 0
 
@@ -268,18 +267,10 @@ def cmd_deficiency(spec: ProblemSpec, args, out) -> int:
         table = deficiency_table(x, h, arr, spec.degree, cap=args.cap or spec.cap, side=spec.side)
     except WindowNotFound as exc:
         # fall back to an uncertified scan over the requested window
-        from .exactseq import default_evaluator
-        from .varieties import vscale
-
         out.write(f"window: not certified ({exc}); scanning without tail certificates\n")
-        lo, hi = (args.window if args.window else spec.window)
         pair = log_pair(x, arr)
         expr = pair.cotangent_log if spec.side == "cot" else pair.tangent_log
-        ev = default_evaluator()
-        rows = []
-        for t in range(int(lo), int(hi) + 1):
-            v = pad_vec(ev.cohom(expr, vscale(t, h)), x.dim + 1)
-            rows.append([str(t), str(v[spec.degree])])
+        rows = [[str(t), str(v[spec.degree])] for t, v in _twist_rows(x, expr, h, spec, args)]
         render_table(["t", f"h{spec.degree}"], rows, _fmt(spec, args), out)
         return 0
     rows = [[str(t), str(v)] for t, v in sorted(table.entries.items())]
@@ -324,12 +315,7 @@ def _classify_file(path: Path, cap: int):
 
 def cmd_classify_dir(directory: Path, args, out) -> int:
     files = sorted(p for p in directory.iterdir() if p.suffix in (".yaml", ".yml"))
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        rows = [_classify_file(p, args.cap or 8) for p in files]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda p: _classify_file(p, args.cap or 8), files))
+    rows = [_classify_file(p, args.cap or 8) for p in files]
     render_table(["file", "verdict", "witness", "first_certificate"], rows, "csv", out)
     return 0
 
@@ -352,7 +338,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, nargs=2, default=None, metavar=("LO", "HI"))
         p.add_argument("--cap", type=int, default=None)
         p.add_argument("--format", choices=("csv", "md"), default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--no-header", action="store_true")
     return parser
 
@@ -368,10 +353,7 @@ def main(argv=None) -> int:
         spec = load_problem(path)
         _banner(out, args)
         return COMMANDS[args.command](spec, args, out)
-    except (InputError, OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:
+    except (EngineError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 
-from .errors import InconsistentHints, InputError, NotVeryAmple, WindowNotFound
+from .errors import InconsistentHints, InputError, WindowNotFound
 from .intervals import (
     Iv,
     add_vecs,

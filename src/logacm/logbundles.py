@@ -8,8 +8,11 @@ P^n and ruling arrangements on the quadric.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 
 from .errors import InputError, NotRulingArrangement
 from .exactseq import (
@@ -28,9 +31,10 @@ from .exactseq import (
     TanPnE,
     TwistE,
     default_evaluator,
+    serre_pair,
 )
 from .intervals import Iv, iv
-from .linebundles import binom, cohom_line_Pn
+from .linebundles import binom, cohom_line_Pn, line_cohom
 from .varieties import (
     KIND_ABELIAN,
     KIND_BLOWUP,
@@ -40,6 +44,7 @@ from .varieties import (
     KIND_SURFACE_P3,
     Arrangement,
     VarietyModel,
+    quadric_surface,
     vneg,
     vsub,
 )
@@ -47,9 +52,7 @@ from .varieties import (
 
 @lru_cache(maxsize=None)
 def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
-    """(Omega^1_X, TX) expressions, paired as Serre-dual partners (and the
-    pair recorded on the default evaluator)."""
-    ev = default_evaluator()
+    """(Omega^1_X, TX) expressions, paired as Serre-dual partners."""
     k = x.kind
     if k == KIND_PN:
         cot = BottE(x, 1)
@@ -77,7 +80,7 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
         tan = cot
     else:
         raise InputError(f"no cotangent model for kind {k}")
-    ev.register_dual(cot, tan)
+    serre_pair(cot, tan)
     return cot, tan
 
 
@@ -169,8 +172,6 @@ def _ruling_split(x: VarietyModel, a: int, b: int) -> Expr:
 
 def quadric_ruling_splitting(a: int, b: int) -> Expr:
     """Split form of Omega^1_Q(log D) for a+b ruling lines."""
-    from .varieties import quadric_surface
-
     return _ruling_split(quadric_surface(), a, b)
 
 
@@ -195,6 +196,15 @@ def steiner_model(x: VarietyModel, m: int) -> Expr:
     return SeqE(seq, n)
 
 
+def repeated_rigid_class(x: VarietyModel, classes) -> tuple | None:
+    """(class, copies) for the first class listed more than once although it
+    has a single section, hence a unique divisor; None if there is none."""
+    for klass, copies in Counter(classes).items():
+        if copies > 1 and line_cohom(x, klass)[0] < 2:
+            return klass, copies
+    return None
+
+
 def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> LogPair:
     """Residue and log-tangent sequence models for (X, D)."""
     ev = ev or default_evaluator()
@@ -207,29 +217,20 @@ def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> 
         if c.genus < 0:
             raise InputError("component genus must be nonnegative")
 
-    from collections import Counter
-
-    counts = Counter(c.klass for c in arr.components if c.klass is not None)
-    for klass, copies in counts.items():
-        from .linebundles import line_cohom
-
-        # a class with a single section has a unique divisor
-        if copies > 1 and line_cohom(x, klass)[0] < 2:
-            raise InputError(f"class {klass} is rigid; {copies} distinct members impossible")
+    rigid = repeated_rigid_class(x, [c.klass for c in arr.components if c.klass is not None])
+    if rigid is not None:
+        raise InputError(f"class {rigid[0]} is rigid; {rigid[1]} distinct members impossible")
 
     cot, tan = cotangent_tangent_pair(x)
-    ev.register_dual(cot, tan)  # record on the caller's evaluator too
+    ev.register_dual(cot, tan)  # record the Omega^1/T pair on the caller's evaluator
     n = x.dim
 
     if arr.size == 0:
-        pair = LogPair(x, arr, cot, tan, ["trivial arrangement: log sheaf is Omega^1"])
-        return pair
+        return LogPair(x, arr, cot, tan, ["trivial arrangement: log sheaf is Omega^1"])
 
     if arr.span_asserted:
         span_hint = iv(arr.span_rank)
     else:
-        from .intervals import Iv
-
         span_hint = Iv(1, min(arr.size, x.h11))  # span not pinned by the input
         notes.append("span rank not asserted: coboundary rank left as an interval")
     residue = Seq(
@@ -275,35 +276,36 @@ class LedgerReport:
     lines: list
 
 
+# contradiction chains on a complete intersection X in P^N: (N, defining degrees)
+_CI_LEDGERS = {"cubic_surface": (3, (3,)), "dp4": (4, (2, 2))}
+
+
+def _ci_ledger(name: str, N: int, degrees: tuple) -> LedgerReport:
+    """h^0(TX(1)) from the restricted Euler and normal bundle sequences
+    against chi(TX(1)) through an elliptic curve section C."""
+
+    def h0(t):  # O_X(t), from the Koszul resolution of X
+        faces = (s for r in range(len(degrees) + 1) for s in combinations(degrees, r))
+        return sum((-1) ** len(s) * binom(t - sum(s) + N, N) for s in faces)
+
+    h_amb = (N + 1) * h0(2) - h0(1)  # restricted Euler sequence
+    normal = Counter(degrees)  # the normal bundle is the sum of the O_X(d)
+    h_sections = h_amb - sum(c * h0(d + 1) for d, c in normal.items())
+    quotient = " - ".join((f"{c}*" if c > 1 else "") + str(h0(d + 1)) for d, c in normal.items())
+    chi_route = (N + 3 - sum(degrees)) * prod(degrees)  # deg det(TX(1)) on C, as -K = (N + 1 - sum d)H
+    lines = [
+        f"h^0(TP^{N}(1)|_X) = {N + 1}*{h0(2)} - {h0(1)} = {h_amb}",
+        f"h^0(TX(1)) = {h_amb} - {quotient} = {h_sections}",
+        f"chi(TX(1)) = chi(TX) + deg TX(1)|_C = 0 + {chi_route}",
+    ]
+    return LedgerReport(name, (h_amb, h_sections, chi_route), h_sections != chi_route, lines)
+
+
 def ledger_checks(name: str, n: int | None = None, d: int | None = None) -> LedgerReport:
     """Recompute the fixed contradiction/reduction chains from line-bundle
     primitives and restriction sequences."""
-    if name == "cubic_surface":
-        def h0(t):  # O_X(t) for the cubic X in P^3
-            return binom(t + 3, 3) - binom(t, 3)
-
-        h_amb = 4 * h0(2) - h0(1)  # restricted Euler sequence
-        h_sections = h_amb - h0(4)  # quotient by the twisted normal bundle O_X(4)
-        chi_route = (6 - 3) * 3  # deg det(TX(1)) on an elliptic hyperplane section
-        lines = [
-            f"h^0(TP^3(1)|_X) = 4*{h0(2)} - {h0(1)} = {h_amb}",
-            f"h^0(TX(1)) = {h_amb} - {h0(4)} = {h_sections}",
-            f"chi(TX(1)) = chi(TX) + deg TX(1)|_C = 0 + {chi_route}",
-        ]
-        return LedgerReport(name, (h_amb, h_sections, chi_route), h_sections != chi_route, lines)
-    if name == "dp4":
-        def h0(t):  # Koszul resolution of the (2,2) complete intersection in P^4
-            return binom(t + 4, 4) - 2 * binom(t + 2, 4) + binom(t, 4)
-
-        h_amb = 5 * h0(2) - h0(1)
-        h_sections = h_amb - 2 * h0(3)
-        chi_route = 3 * 4  # deg det(TX(1)) = 3H on C, H^2 = 4
-        lines = [
-            f"h^0(TP^4(1)|_X) = 5*{h0(2)} - {h0(1)} = {h_amb}",
-            f"h^0(TX(1)) = {h_amb} - 2*{h0(3)} = {h_sections}",
-            f"chi(TX(1)) = chi(TX) + deg TX(1)|_C = 0 + {chi_route}",
-        ]
-        return LedgerReport(name, (h_amb, h_sections, chi_route), h_sections != chi_route, lines)
+    if name in _CI_LEDGERS:
+        return _ci_ledger(name, *_CI_LEDGERS[name])
     if name == "thm_pn_reduction":
         if n is None or d is None:
             raise InputError("thm_pn_reduction needs n and d")

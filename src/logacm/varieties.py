@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InputError, NonGeneralConfig
+from .errors import InputError, NonGeneralConfig, NotVeryAmple
 
 Cls = tuple[int, ...]
 
@@ -163,8 +163,6 @@ class VarietyModel:
 
     def very_ample_multiple(self, l) -> int:
         """Smallest nu with nu*L very ample under the catalog rule, or raise."""
-        from .errors import NotVeryAmple
-
         l = self.check_class(l)
         k = self.kind
         if k == KIND_PN and l[0] >= 1:

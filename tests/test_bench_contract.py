@@ -1,6 +1,8 @@
-"""The benchmark's tracer (``bench/tracing.py``) wraps engine entry points
-by name, so renaming one breaks traced benchmark runs.  This checks the
-tracer still installs against the current sources."""
+"""The benchmark reaches into the engine by name: its tracer
+(``bench/tracing.py``) wraps entry points, and ``make_reference.reset_session``
+clears the default evaluator's cache and Serre-partner record and the
+``cotangent_tangent_pair`` cache.  Renaming any of them breaks the benchmark.
+This checks both still work against the current sources."""
 
 import os
 import subprocess
@@ -11,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_tracer_installs_on_current_sources():
-    code = "import tracing; tracing.install(tracing.Tracer())"
+    # reset first: the tracer replaces cotangent_tangent_pair by a plain wrapper
+    code = "import make_reference, tracing; make_reference.reset_session(); tracing.install(tracing.Tracer())"
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")] + sys.path)
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -175,6 +175,21 @@ def test_repeated_search_adds_no_entries():
     assert [(c, v.status, v.witness) for c, v, _ in second] == [(c, v.status, v.witness) for c, v, _ in first]
 
 
+def test_search_filters_each_candidate_once(monkeypatch):
+    import logacm.classify as C
+
+    filtered = []
+    real = C.necessary_conditions
+
+    def counted(x, h, arr, *args, **kwargs):
+        filtered.append(tuple(c.klass for c in arr.components))
+        return real(x, h, arr, *args, **kwargs)
+
+    monkeypatch.setattr(C, "necessary_conditions", counted)
+    results = C.search(L.quadric_surface(), (1, 1), 4, 8, ev=Evaluator())
+    assert filtered == [combo for combo, _, _ in results]
+
+
 def test_search_deterministic():
     x = L.quadric_surface()
     r1 = [(c, v.status) for c, v, _ in L.search(x, (1, 1), 2, 4)]

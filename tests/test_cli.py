@@ -1,7 +1,12 @@
-import pytest
+from pathlib import Path
 
-from logacm.cli import ProblemSpec, main
+import pytest
+import yaml
+
+from logacm.cli import ProblemSpec, load_problem, main
 from logacm.errors import InputError
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def write(tmp_path, name, text):
@@ -133,6 +138,41 @@ def test_ledger_output(tmp_path, capsys):
     assert "contradiction: yes" in out
 
 
+def test_ledger_golden(capsys):
+    code, out = run(capsys, "ledger", str(PROBLEMS / "ledger_cubic.yaml"), "--no-header")
+    assert code == 0
+    assert out == (
+        "chain: cubic_surface\n"
+        "  h^0(TP^3(1)|_X) = 4*10 - 4 = 36\n"
+        "  h^0(TX(1)) = 36 - 31 = 5\n"
+        "  chi(TX(1)) = chi(TX) + deg TX(1)|_C = 0 + 9\n"
+        "values: (36, 5, 9)\n"
+        "contradiction: yes\n"
+    )
+    code, out = run(capsys, "ledger", str(PROBLEMS / "ledger_dp4.yaml"), "--no-header")
+    assert code == 0
+    assert out == (
+        "chain: dp4\n"
+        "  h^0(TP^4(1)|_X) = 5*13 - 5 = 60\n"
+        "  h^0(TX(1)) = 60 - 2*25 = 10\n"
+        "  chi(TX(1)) = chi(TX) + deg TX(1)|_C = 0 + 12\n"
+        "values: (60, 10, 12)\n"
+        "contradiction: yes\n"
+    )
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_pure_loaders_agree_on_problems():
+    paths = sorted(PROBLEMS.glob("*.yaml"))
+    assert paths
+    for p in paths:
+        text = p.read_text()
+        fast = ProblemSpec.from_dict(yaml.load(text, Loader=yaml.CSafeLoader) or {})
+        pure = ProblemSpec.from_dict(yaml.load(text, Loader=yaml.SafeLoader) or {})
+        assert fast == pure, p.name
+        assert load_problem(p) == pure, p.name
+
+
 def test_directory_mode_deterministic(tmp_path, capsys):
     write(
         tmp_path,
@@ -147,9 +187,12 @@ def test_directory_mode_deterministic(tmp_path, capsys):
         "arrangement: {components: [[1,0],[0,1]]}\n",
     )
     code1, out1 = run(capsys, "classify", str(tmp_path), "--no-header")
-    code2, out2 = run(capsys, "classify", str(tmp_path), "--no-header", "--jobs", "2")
+    code2, out2 = run(capsys, "classify", str(tmp_path), "--no-header")
     assert code1 == code2 == 0
     assert out1 == out2
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2  # no such flag
     lines = out1.splitlines()
     assert lines[0].startswith("file,")
     assert lines[1].startswith("a.yaml,Yes")

@@ -128,12 +128,19 @@ def test_inconsistent_hint_raises():
         ev.cohom(SeqE(seq, 2), (0, 0))
 
 
-def test_serre_dual_pairs_registry():
+def test_serre_dual_pairs_registry(monkeypatch):
+    import logacm.exactseq as E
+
     x = L.hirzebruch(2)
+    monkeypatch.setattr(E, "_DEFAULT", Evaluator())
+    cot, tan = L.cotangent_tangent_pair.__wrapped__(x)  # the uncached body
+    assert cot.partner is tan and tan.partner is cot
+    assert E.default_evaluator().partners == {}  # pairing alone records nothing
+
+    ev = Evaluator()
     cot, tan = L.cotangent_tangent_pair(x)
-    pairs = L.serre_dual_pairs()
-    assert (repr(cot), repr(tan)) in pairs or (repr(tan), repr(cot)) in pairs
-    ev = L.default_evaluator()
+    log_pair(x, L.arrangement(x, []), ev)
+    assert ev.serre_dual_pairs() == [(repr(cot), repr(tan))]
     assert ev.partners[cot.key()] is tan
     assert ev.partners[tan.key()] is cot
 

@@ -265,9 +265,16 @@ def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Eva
     ev = ev or default_evaluator()
     violations, skipped = necessary_conditions(x, h, arr, side, ev)
     if violations:
-        witness = next((w.witness for w in violations if w.witness is not None), None)
-        return Verdict(NO, witness, [f"{w.rule}: {w.detail}" for w in violations] + skipped)
+        return _filtered_verdict(violations, skipped)
     return _classify_filtered(x, h, arr, side, cap, ev)
+
+
+def _filtered_verdict(violations: list[Violation], skipped: list[str]) -> Verdict:
+    """The No verdict of an arrangement that fails ``necessary_conditions``:
+    the first witness any violation carries, every rule with its detail,
+    then the skipped-slot log."""
+    witness = next((w.witness for w in violations if w.witness is not None), None)
+    return Verdict(NO, witness, [f"{w.rule}: {w.detail}" for w in violations] + skipped)
 
 
 def _classify_filtered(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> Verdict:
@@ -436,7 +443,7 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
             arr = arrangement(x, comps)
             violations, skipped = necessary_conditions(x, h, arr, side, ev)
             if violations:
-                results.append((combo, Verdict(NO, violations[0].witness, [violations[0].rule]), violations[0].rule))
+                results.append((combo, _filtered_verdict(violations, skipped), violations[0].rule))
                 continue
             verdict = _classify_filtered(x, h, arr, side, cap, ev)
             first = verdict.certificates[0] if verdict.status == NO and verdict.certificates else ""

@@ -5,13 +5,18 @@ An expression's identity is its structure: ``Expr.key`` hash-conses the
 node's structural tuple (its type, variety, classes, scalars and the keys
 of its children) into a small integer, so every rebuild of the same sheaf
 shares one cache entry in every evaluator.  A term of a short exact
-sequence is evaluated by enumerating all connecting-map ranks admissible
-for the long exact sequence at the given twist, intersected with installed
-rank hints and value pins; the output interval is the exact min/max over
-the feasible set.  Serre duality is applied at expression level: a Serre
-partner is data on the expression (``serre_pair``), part of its key, and
-read by every evaluator.  Vanishing outside finite twist windows is
-certified via Castelnuovo-Mumford regularity.
+sequence is evaluated from the long exact sequence at the given twist:
+degree i couples only the connecting ranks rho_{i-1}, rho_i and the flank
+values at degree i, so the constraints (rank boxes, installed rank hints,
+value pins) form a path, and a forward and a backward pass over it give
+each degree's exact min/max over the feasible set.  The constraint matrix
+is totally unimodular, so every reachable rank set is an integer interval
+and the passes carry intervals; the cost does not depend on the rank
+ranges.  A flank without an upper bound falls to per-slot interval
+arithmetic (``_solve_coarse``).  Serre duality is applied at expression
+level: a Serre partner is data on the expression (``serre_pair``), part of
+its key, and read by every evaluator.  Vanishing outside finite twist
+windows is certified via Castelnuovo-Mumford regularity.
 
 Serre partners make evaluation cyclic.  A call that meets a (key, twist)
 already being evaluated on its thread contributes no information (a cut),
@@ -24,7 +29,6 @@ further down is not cached, and passes its mark to its parent.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -51,8 +55,7 @@ from .varieties import VarietyModel, vadd, vneg, vscale, vsub
 
 LEFT, MIDDLE, RIGHT = "left", "middle", "right"
 
-# enumeration budget before falling back to per-slot interval arithmetic
-_ENUM_BUDGET = 200_000
+_INF = float("inf")  # an open end of a rank box or sum range
 
 # hash-cons table: structural tuple -> key; a key is never given to two
 # structures, so inserts take the lock (check-then-insert on a shared table)
@@ -330,7 +333,7 @@ class SeqE(Expr):
     """The unknown term of a sequence, optionally pinned.
 
     ``pins`` maps a twist class to a per-degree list of Iv constraints
-    (None = unconstrained); they participate in the rank enumeration, so a
+    (None = unconstrained); they take part in the rank solve, so a
     pinned slot can force connecting ranks at the same twist.  ``pin_rule``
     adds constraints computed from the twist: a module-level function of
     (variety, twist), so that it is part of the structure by identity.
@@ -369,6 +372,19 @@ class SeqE(Expr):
 
     def __repr__(self):
         return f"{self.seq.name}[{self.seq.unknown_slot}]"
+
+
+def _project(x, y, pairs):
+    """Hull of the y' in y with x' + y' in s for some x' in x, where x' and
+    y' also lie in the boxes of one flank pair (x box, y box, s); None when
+    no pair admits any.  The sum range s is never empty."""
+    lo, hi = _INF, -_INF
+    for (bxlo, bxhi), (bylo, byhi), (slo, shi) in pairs:
+        xlo, xhi = max(x[0], bxlo), min(x[1], bxhi)
+        ylo, yhi = max(y[0], bylo, slo - xhi), min(y[1], byhi, shi - xlo)
+        if xlo <= xhi and ylo <= yhi:
+            lo, hi = min(lo, ylo), max(hi, yhi)
+    return (lo, hi) if lo <= hi else None
 
 
 class _Frames:
@@ -559,104 +575,76 @@ class Evaluator:
             rho_hi.append(bound)
         rho_lo = [hint_iv[i].lo if hint_iv[i] is not None else 0 for i in range(n)]
 
-        enum_ranges = []
-        finite = True
         for i in range(n):
             if rho_hi[i] is None:
-                finite = False
                 break
             if rho_lo[i] > rho_hi[i]:
                 raise InconsistentHints(f"{seq.name}@{twist}: hint at degree {i} outside admissible range")
-            enum_ranges.append(range(rho_lo[i], rho_hi[i] + 1))
-
-        var_slots = []  # (which, i, range) for non-degenerate known slots
-        if finite:
-            size = 1
-            for r in enum_ranges:
-                size *= len(r)
-            for name, vec in known.items():
-                for i, x in enumerate(vec):
-                    if not x.exact:
-                        if x.hi is None:
-                            finite = False
-                            break
-                        var_slots.append((name, i, range(x.lo, x.hi + 1)))
-                        size *= x.hi - x.lo + 1
-                if not finite:
-                    break
-            if finite and size > _ENUM_BUDGET:
-                finite = False
-
-        if not finite:
+        if any(x.hi is None for vec in known.values() for x in vec):
             return self._solve_coarse(node, n, slot, a, b, c, rho_lo, rho_hi, cons)
 
-        lows = [None] * (n + 1)
-        highs = [None] * (n + 1)
-        feasible = False
-        base = {name: [x.lo for x in vec] for name, vec in known.items()}
-        for choice in itertools.product(*(r for _, _, r in var_slots)):
-            vals = {name: list(v) for name, v in base.items()}
-            for (name, i, _), val in zip(var_slots, choice):
-                vals[name][i] = val
-            for rho in itertools.product(*enum_ranges):
-                out = self._apply_relation(slot, n, vals, rho)
-                if out is None:
-                    continue
-                ok = True
-                av = vals.get(LEFT, out if slot == LEFT else None)
-                cv = vals.get(RIGHT, out if slot == RIGHT else None)
-                for i in range(n):
-                    if rho[i] > cv[i] or rho[i] > av[i + 1]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for i, con in enumerate(cons):
-                    if con is not None and not (con.lo <= out[i] and (con.hi is None or out[i] <= con.hi)):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                feasible = True
-                for i, v in enumerate(out):
-                    lows[i] = v if lows[i] is None else min(lows[i], v)
-                    highs[i] = v if highs[i] is None else max(highs[i], v)
-        if not feasible:
-            raise InconsistentHints(f"{seq.name}@{twist}: no admissible rank assignment")
-        return tuple(Iv(lo, hi) for lo, hi in zip(lows, highs))[: node.cdim + 1]
+        # Degree i couples only rho_{i-1} and rho_i, so the constraints form a
+        # path: a forward pass keeps the rho_{i-1} consistent with degrees < i,
+        # a backward pass narrows them to those consistent with every degree.
+        # The system is totally unimodular, so each such set is an interval.
+        # reach[i] holds rho_{i-1}, with rho_{-1} = rho_n = 0.
+        p_vec, q_vec = {MIDDLE: (a, c), LEFT: (b, c), RIGHT: (b, a)}[slot]
+        rels = [
+            [
+                self._apply_relation(slot, p, q, cons[i])
+                for p in range(p_vec[i].lo, p_vec[i].hi + 1)
+                for q in range(q_vec[i].lo, q_vec[i].hi + 1)
+            ]
+            for i in range(n + 1)
+        ]
+        boxes = [(0, 0), *zip(rho_lo, rho_hi), (0, 0)]
+        reach = [(0, 0)]
+        for i, rel in enumerate(rels):
+            step = _project(reach[i], boxes[i + 1], [(prev, cur, s) for _, _, prev, cur, s in rel])
+            if step is None:
+                raise InconsistentHints(f"{seq.name}@{twist}: no admissible rank assignment")
+            reach.append(step)
+        for i in range(n, -1, -1):
+            reach[i] = _project(reach[i + 1], reach[i], [(cur, prev, s) for _, _, prev, cur, s in rels[i]])
+
+        # the unknown at degree i: base + sign * s over the sums s of a
+        # reachable rho_{i-1} and a reachable rho_i, per flank pair
+        out = []
+        for i, rel in enumerate(rels):
+            (x_lo, x_hi), (y_lo, y_hi) = reach[i], reach[i + 1]
+            lo, hi = _INF, -_INF
+            for base, sign, (plo, phi), (clo, chi), (slo, shi) in rel:
+                xlo, xhi, ylo, yhi = max(x_lo, plo), min(x_hi, phi), max(y_lo, clo), min(y_hi, chi)
+                slo, shi = max(slo, xlo + ylo), min(shi, xhi + yhi)
+                if xlo <= xhi and ylo <= yhi and slo <= shi:
+                    ends = (base + sign * slo, base + sign * shi)
+                    lo, hi = min(lo, *ends), max(hi, *ends)
+            out.append(Iv(lo, hi))
+        return tuple(out[: node.cdim + 1])
 
     @staticmethod
-    def _apply_relation(slot, n, vals, rho):
-        """Solve b_i = (a_i - rho_{i-1}) + (c_i - rho_i) for the unknown."""
-        def r(i):
-            return rho[i] if 0 <= i < n else 0
+    def _apply_relation(slot, p, q, con):
+        """The relation b_i = (a_i - rho_{i-1}) + (c_i - rho_i) at one degree.
 
-        out = []
+        p and q are the known flank values at the degree (a_i, c_i for an
+        unknown middle; b_i and the other flank otherwise).  The unknown is
+        base + sign * (rho_{i-1} + rho_i); returns (base, sign, rho_{i-1} box,
+        rho_i box, range of rho_{i-1} + rho_i keeping the unknown >= 0 and
+        inside the pin ``con``).  A rank is at most each flank it maps from
+        or to; a bound by the unknown left (right) term is a box on rho_i
+        (rho_{i-1}): rho_{i-1} <= a_i reads rho_i >= c_i - b_i.
+        """
+        lo = 0 if con is None else con.lo
+        hi = _INF if con is None or con.hi is None else con.hi
         if slot == MIDDLE:
-            av, cv = vals[LEFT], vals[RIGHT]
-            for i in range(n + 1):
-                v = av[i] - r(i - 1) + cv[i] - r(i)
-                if v < 0:
-                    return None
-                out.append(v)
-        elif slot == LEFT:
-            bv, cv = vals[MIDDLE], vals[RIGHT]
-            for i in range(n + 1):
-                v = bv[i] - cv[i] + r(i - 1) + r(i)
-                if v < 0:
-                    return None
-                out.append(v)
-        else:
-            av, bv = vals[LEFT], vals[MIDDLE]
-            for i in range(n + 1):
-                v = bv[i] - av[i] + r(i - 1) + r(i)
-                if v < 0:
-                    return None
-                out.append(v)
-        return out
+            return p + q, -1, (0, p), (0, q), (p + q - hi, p + q - lo)
+        base, tight = p - q, (max(0, q - p), q)
+        if slot == LEFT:
+            return base, 1, (0, _INF), tight, (lo - base, hi - base)
+        return base, 1, tight, (0, _INF), (lo - base, hi - base)
 
     def _solve_coarse(self, node, n, slot, a, b, c, rho_lo, rho_hi, cons):
-        """Sound per-slot interval arithmetic when enumeration is unbounded.
+        """Sound per-slot interval arithmetic when a flank is unbounded.
 
         Loses joint rank coupling but never narrows below the feasible set.
         """

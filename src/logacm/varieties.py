@@ -6,7 +6,7 @@ basis; all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +18,7 @@ Cls = tuple[int, ...]
 def cls(*coords) -> Cls:
     if len(coords) == 1 and isinstance(coords[0], (list, tuple)):
         coords = tuple(coords[0])
-    return tuple(int(c) for c in coords)
+    return tuple(map(int, coords))
 
 
 def vadd(x: Cls, y: Cls) -> Cls:
@@ -86,9 +86,14 @@ class VarietyModel:
     # kind parameters: n for P^n, e for F_e, k for Bl_k P^2, degree for
     # surfaces in P^3, half the polarization square for abelian surfaces
     param: int = 0
+    # (i, j, m_ij) for the nonzero entries of the intersection matrix; derived
+    # from it, so it takes no part in equality, hashing or repr
+    _pairing: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.intersection_matrix
+        pairing = tuple((i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v)
+        object.__setattr__(self, "_pairing", pairing)
         if self.dim == 2:
             if len(m) != self.lattice_rank or any(len(r) != self.lattice_rank for r in m):
                 raise InputError("intersection matrix shape mismatch")
@@ -111,8 +116,7 @@ class VarietyModel:
         if self.dim != 2:
             raise InputError("intersection pairing is defined for surfaces; use deg on P^n")
         x, y = self.check_class(x), self.check_class(y)
-        m = self.intersection_matrix
-        return sum(x[i] * m[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
+        return sum(x[i] * v * y[j] for i, j, v in self._pairing)
 
     def deg(self, x: Cls) -> int:
         """Degree of a rank-one class t*H (P^n, surfaces in P^3, abelian)."""

@@ -190,6 +190,21 @@ def test_search_filters_each_candidate_once(monkeypatch):
     assert filtered == [combo for combo, _, _ in results]
 
 
+def test_search_explains_filtered_candidates_as_is_acm():
+    """A candidate the filters reject gets the verdict ``is_acm`` gives the
+    same arrangement; the third element stays the first failing rule."""
+    x, h, ev = L.quadric_surface(), (1, 1), Evaluator()
+    checked = 0
+    for combo, verdict, first in L.search(x, h, 4, 2, ev=ev):
+        arr = L.arrangement(x, [L.component_from_class(x, c) for c in combo])
+        violations, _ = L.necessary_conditions(x, h, arr, ev=ev)
+        if violations:
+            assert verdict == L.is_acm(x, h, arr, ev=ev), combo
+            assert first == violations[0].rule
+            checked += 1
+    assert checked
+
+
 def test_search_deterministic():
     x = L.quadric_surface()
     r1 = [(c, v.status) for c, v, _ in L.search(x, (1, 1), 2, 4)]

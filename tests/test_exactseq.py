@@ -1,16 +1,23 @@
+import itertools
 import os
 import sys
 import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logacm as L
 from logacm.classify import YES, deficiency_concentrated_at_zero
 from logacm.errors import InconsistentHints, InputError, NotVeryAmple, WindowNotFound
 from logacm.exactseq import (
+    LEFT,
+    MIDDLE,
+    RIGHT,
     BlowupCotE,
     Evaluator,
+    Expr,
     LineE,
     RankHint,
     Seq,
@@ -21,7 +28,7 @@ from logacm.exactseq import (
     serre_pair,
     vanishing_window,
 )
-from logacm.intervals import iv
+from logacm.intervals import Iv, iv, iv_meet, pad_vec
 from logacm.logbundles import log_pair
 from logacm.linebundles import line_cohom
 from logacm.varieties import vadd, vneg, vscale, vsub
@@ -389,3 +396,148 @@ def test_split_tf0_interval_soundness():
         ]
         for g, s in zip(got, split):
             assert g.lo <= s <= (g.hi if g.hi is not None else s), (t, got, split)
+
+
+# -- the long-exact-sequence solve against brute force -----------------------
+
+
+class FixedE(Expr):
+    """A term with given cohomology intervals at every twist."""
+
+    def __init__(self, x, vec):
+        self.variety = x
+        self.vec = tuple(vec)
+        self.cdim = len(vec) - 1
+
+    def _shape(self):
+        return (FixedE, self.vec)
+
+
+class FixedEvaluator(Evaluator):
+    def _raw(self, expr, twist):
+        return expr.vec if isinstance(expr, FixedE) else super()._raw(expr, twist)
+
+
+def brute_force_solve(ev, node, twist):
+    """The unknown term of a bounded sequence by enumerating every rank
+    vector and every flank value: the min/max of b_i = (a_i - rho_{i-1}) +
+    (c_i - rho_i) over all assignments with 0 <= rho_i <= c_i, a_{i+1}, the
+    unknown >= 0, and the ranks and unknown inside the hints and pins."""
+    seq = node.seq
+    n = seq.amb
+    slot = seq.unknown_slot
+    known = {}
+    for name, term in ((LEFT, seq.left), (MIDDLE, seq.middle), (RIGHT, seq.right)):
+        if term is not None:
+            known[name] = pad_vec(ev.cohom(term, twist), n + 1)
+    pins = node.constraints_at(twist)
+    pins = pins + [None] * (n + 1 - len(pins))
+    cons = [p if i <= node.cdim else (iv(0) if p is None else iv_meet(p, iv(0))) for i, p in enumerate(pins)]
+    hints = [None] * n
+    for h in seq.hints:
+        if tuple(h.twist) == tuple(twist) and 0 <= h.degree < n:
+            hints[h.degree] = h.rank if hints[h.degree] is None else iv_meet(hints[h.degree], h.rank)
+    a, c = known.get(LEFT), known.get(RIGHT)
+    ranges = []
+    for i in range(n):
+        hi = min(x.hi for x in (c and c[i], a and a[i + 1], hints[i]) if x is not None and x.hi is not None)
+        lo = hints[i].lo if hints[i] is not None else 0
+        if lo > hi:
+            raise InconsistentHints("hint outside admissible range")
+        ranges.append(range(lo, hi + 1))
+    names = list(known)
+    flank_values = [
+        itertools.product(*(range(x.lo, x.hi + 1) for x in vec)) for vec in known.values()
+    ]
+    lows, highs = [None] * (n + 1), [None] * (n + 1)
+    for choice in itertools.product(*flank_values):
+        vals = dict(zip(names, choice))
+        for rho in itertools.product(*ranges):
+            r = (0, *rho, 0)  # r[i] = rho_{i-1}
+            out = []
+            for i in range(n + 1):
+                if slot == MIDDLE:
+                    out.append(vals[LEFT][i] - r[i] + vals[RIGHT][i] - r[i + 1])
+                elif slot == LEFT:
+                    out.append(vals[MIDDLE][i] - vals[RIGHT][i] + r[i] + r[i + 1])
+                else:
+                    out.append(vals[MIDDLE][i] - vals[LEFT][i] + r[i] + r[i + 1])
+            av = vals.get(LEFT, out)
+            cv = vals.get(RIGHT, out)
+            if any(v < 0 for v in out):
+                continue
+            if any(rho[i] > cv[i] or rho[i] > av[i + 1] for i in range(n)):
+                continue
+            if any(k is not None and not (k.lo <= v and (k.hi is None or v <= k.hi)) for k, v in zip(cons, out)):
+                continue
+            for i, v in enumerate(out):
+                lows[i] = v if lows[i] is None else min(lows[i], v)
+                highs[i] = v if highs[i] is None else max(highs[i], v)
+    if lows[0] is None:
+        raise InconsistentHints("no admissible rank assignment")
+    return tuple(Iv(lo, hi) for lo, hi in zip(lows, highs))[: node.cdim + 1]
+
+
+P2, TW = L.projective_space(2), (0,)
+
+
+@st.composite
+def bounded_sequences(draw):
+    """A sequence with bounded flanks (exact, at most two entries of width
+    1..2), random rank hints and pins; the unknown slot at a random place."""
+    n = draw(st.integers(1, 4))
+    slot = draw(st.sampled_from([LEFT, MIDDLE, RIGHT]))
+    flanks = [[[v, v] for v in draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))] for _ in range(2)]
+    for pos, width in draw(st.lists(st.tuples(st.integers(0, 2 * n + 1), st.integers(1, 2)), max_size=2)):
+        flanks[pos % 2][pos // 2][1] += width
+    terms = [FixedE(P2, [Iv(lo, hi) for lo, hi in f]) for f in flanks]
+    terms.insert([LEFT, MIDDLE, RIGHT].index(slot), None)
+    bound = st.one_of(st.none(), st.integers(0, 3))
+    hints = tuple(
+        RankHint(TW, d, Iv(lo, None if w is None else lo + w), "test")
+        for d, lo, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2), bound), max_size=2))
+    )
+    pins = [
+        None if p is None else Iv(p[0], None if p[1] is None else p[0] + p[1])
+        for p in draw(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 4), bound)), min_size=n + 1, max_size=n + 1))
+    ]
+    cdim = draw(st.integers(n - 1, n))
+    seq = Seq(P2, *terms, hints=hints, name="random")
+    return SeqE(seq, cdim, pins={TW: pins[: cdim + 1]} if draw(st.booleans()) else None)
+
+
+def solve_or_raise(solve, *args):
+    try:
+        return solve(*args)
+    except InconsistentHints:
+        return InconsistentHints
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bounded_sequences())
+def test_solve_matches_brute_force(node):
+    ev = FixedEvaluator()
+    assert solve_or_raise(ev._solve, node, TW) == solve_or_raise(brute_force_solve, ev, node, TW)
+
+
+def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
+    """Ranks range over 0..100,000 and a flank has three values, far beyond
+    any enumeration; pinning h^1 of the middle to 0 forces both ranks to
+    their top, so the exact answer is (0, 0, 0), with one relation per
+    degree and flank pair."""
+    big = 100_000
+    a = FixedE(P2, [iv(0), Iv(big, big + 2), iv(big)])
+    c = FixedE(P2, [iv(big), iv(big), iv(0)])
+    node = SeqE(Seq(P2, a, None, c, name="wide"), 2, pins={TW: [None, iv(0), None]})
+    calls = Counter()
+    relation = Evaluator._apply_relation
+
+    def counted(*args):
+        calls["relation"] += 1
+        return relation(*args)
+
+    monkeypatch.setattr(Evaluator, "_apply_relation", staticmethod(counted))
+    assert FixedEvaluator()._solve(node, TW) == (iv(0), iv(0), iv(0))
+    assert 0 < calls["relation"] <= 3 * 3  # (n + 1) degrees x at most 3 flank pairs
+    unpinned = SeqE(Seq(P2, a, None, c, name="wide"), 2)
+    assert FixedEvaluator()._solve(unpinned, TW) == (Iv(0, big), Iv(0, 2 * big + 2), Iv(0, big))

@@ -16,7 +16,7 @@ from .errors import EngineError, InputError, IntervalPresent, NotAmple, NotVeryA
 from .exactseq import Evaluator, Expr, default_evaluator, vanishing_window
 from .intervals import Iv, iv, pad_vec
 from .linebundles import cohom_hypersurface_section, cohom_line_curve, cohom_line_quadric, line_cohom
-from .logbundles import cotangent_tangent_pair, log_pair, repeated_rigid_class
+from .logbundles import check_side, cotangent_tangent_pair, log_pair, repeated_rigid_class
 from .varieties import (
     KIND_BLOWUP,
     KIND_HIRZEBRUCH,
@@ -73,6 +73,7 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
     the normal-bundle bound to the tangent side; on a subcanonical pair
     both rule groups fire for either verdict.
     """
+    check_side(side)
     ev = ev or default_evaluator()
     h = x.check_class(h)
     if not x.is_ample(h):
@@ -280,12 +281,11 @@ def _filtered_verdict(violations: list[Violation], skipped: list[str]) -> Verdic
 def _classify_filtered(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> Verdict:
     """The verdict of an arrangement that passed ``necessary_conditions``."""
     pair = log_pair(x, arr, ev)
-    expr = pair.cotangent_log if side == "cot" else pair.tangent_log
-    verdict = _classify_expr(x, h, expr, cap, ev)
+    verdict = _classify_expr(x, h, pair.for_side(side), cap, ev)
     verdict.certificates = pair.notes + verdict.certificates
 
     if x.is_subcanonical(h) is not None:
-        other = pair.tangent_log if side == "cot" else pair.cotangent_log
+        other = pair.for_side("tan" if side == "cot" else "cot")
         cross = _classify_expr(x, h, other, cap, ev)
         if {verdict.status, cross.status} == {YES, NO}:
             raise EngineError("subcanonical cross-check failed: aCM and T-aCM verdicts disagree")
@@ -300,8 +300,7 @@ def _classify_filtered(x: VarietyModel, h, arr: Arrangement, side: str, cap: int
 
 def _degree0(x: VarietyModel, arr: Arrangement, side: str, weak: bool, ev: Evaluator | None) -> Verdict:
     ev = ev or default_evaluator()
-    pair = log_pair(x, arr, ev)
-    expr = pair.cotangent_log if side == "cot" else pair.tangent_log
+    expr = log_pair(x, arr, ev).for_side(side)
     zero = (0,) * x.lattice_rank
     v = pad_vec(ev.cohom(expr, zero), x.dim + 1)
     degrees = [1] if weak else list(range(1, x.dim))
@@ -357,8 +356,7 @@ def deficiency_table(
     ev = ev or default_evaluator()
     if not 1 <= degree <= x.dim - 1:
         raise InputError(f"deficiency degree must be in 1..{x.dim - 1}")
-    pair = log_pair(x, arr, ev)
-    expr = pair.cotangent_log if side == "cot" else pair.tangent_log
+    expr = log_pair(x, arr, ev).for_side(side)
     window = vanishing_window(expr, h, cap=cap, ev=ev)
     entries = {}
     for t in window.residual(degree):
@@ -432,6 +430,7 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
     """Enumerate admissible component multisets, filter, classify survivors.
 
     Deterministic ordering by (size, sorted class tuples)."""
+    check_side(side)
     ev = ev or default_evaluator()
     cands = sorted(_candidate_classes(x, class_bound))
     results = []

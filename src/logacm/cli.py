@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -27,7 +27,7 @@ from .classify import (
 from .errors import EngineError, InputError, IntervalPresent, WindowNotFound
 from .exactseq import LineE, default_evaluator
 from .intervals import pad_vec
-from .logbundles import cotangent_tangent_pair, ledger_checks, log_pair
+from .logbundles import check_side, cotangent_tangent_pair, ledger_checks, log_pair
 from .varieties import (
     Arrangement,
     VarietyModel,
@@ -44,23 +44,10 @@ from .varieties import (
 )
 
 _VARIETY_KEYS = {"kind", "n", "e", "points", "degree", "polarization_square"}
-_SPEC_KEYS = {
-    "variety",
-    "polarization",
-    "arrangement",
-    "sheaf",
-    "line_class",
-    "window",
-    "cap",
-    "degree",
-    "side",
-    "class_bound",
-    "m_bound",
-    "ledger",
-    "format",
-}
 _ARR_KEYS = {"components", "span_rank", "snc"}
 _SHEAVES = ("line", "cotangent", "tangent", "log_cotangent", "log_tangent")
+_LOG_SIDES = {"log_cotangent": "cot", "log_tangent": "tan"}
+_FORMATS = ("csv", "md")
 # libyaml's loader when PyYAML was built with it; both give the same mappings
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -103,10 +90,16 @@ class ProblemSpec:
         sheaf = data.get("sheaf")
         if sheaf is not None and sheaf not in _SHEAVES:
             raise InputError(f"sheaf must be one of {_SHEAVES}")
-        return cls(**{k: v for k, v in data.items() if k in _SPEC_KEYS})
+        if data.get("format") not in (None, *_FORMATS):
+            raise InputError(f"format must be one of {_FORMATS}")
+        check_side(data.get("side", "cot"))
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+_SPEC_KEYS = frozenset(f.name for f in fields(ProblemSpec))
 
 
 def build_variety(spec: ProblemSpec) -> VarietyModel:
@@ -194,8 +187,7 @@ def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):
         return cotangent_tangent_pair(x)[0]
     if name == "tangent":
         return cotangent_tangent_pair(x)[1]
-    pair = log_pair(x, arr)
-    return pair.cotangent_log if name == "log_cotangent" else pair.tangent_log
+    return log_pair(x, arr).for_side(_LOG_SIDES[name])
 
 
 def _twist_rows(x: VarietyModel, expr, h, spec: ProblemSpec, args):
@@ -268,8 +260,7 @@ def cmd_deficiency(spec: ProblemSpec, args, out) -> int:
     except WindowNotFound as exc:
         # fall back to an uncertified scan over the requested window
         out.write(f"window: not certified ({exc}); scanning without tail certificates\n")
-        pair = log_pair(x, arr)
-        expr = pair.cotangent_log if spec.side == "cot" else pair.tangent_log
+        expr = log_pair(x, arr).for_side(spec.side)
         rows = [[str(t), str(v[spec.degree])] for t, v in _twist_rows(x, expr, h, spec, args)]
         render_table(["t", f"h{spec.degree}"], rows, _fmt(spec, args), out)
         return 0
@@ -337,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="problem document (YAML); for classify, a directory runs a suite")
         p.add_argument("--window", type=int, nargs=2, default=None, metavar=("LO", "HI"))
         p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "md"), default=None)
+        p.add_argument("--format", choices=_FORMATS, default=None)
         p.add_argument("--no-header", action="store_true")
     return parser
 

@@ -1,22 +1,23 @@
 """Graded exact-sequence interval solver.
 
 Sheaf expressions form immutable trees whose leaves have exact backends.
-An expression's identity is its structure: ``Expr.key`` hash-conses the
-node's structural tuple (its type, variety, classes, scalars and the keys
-of its children) into a small integer, so every rebuild of the same sheaf
-shares one cache entry in every evaluator.  A term of a short exact
-sequence is evaluated from the long exact sequence at the given twist:
-degree i couples only the connecting ranks rho_{i-1}, rho_i and the flank
-values at degree i, so the constraints (rank boxes, installed rank hints,
-value pins) form a path, and a forward and a backward pass over it give
-each degree's exact min/max over the feasible set.  The constraint matrix
-is totally unimodular, so every reachable rank set is an integer interval
-and the passes carry intervals; the cost does not depend on the rank
-ranges.  A flank without an upper bound falls to per-slot interval
-arithmetic (``_solve_coarse``).  Serre duality is applied at expression
-level: a Serre partner is data on the expression (``serre_pair``), part of
-its key, and read by every evaluator.  Vanishing outside finite twist
-windows is certified via Castelnuovo-Mumford regularity.
+Each node is a dataclass, and its fields are its structure: ``Expr.key``
+hash-conses the node type and field values (a child by its key) into a
+small integer, so every rebuild of the same sheaf shares one cache entry in
+every evaluator.  One node, ``SeqE``, holds a short exact sequence with its
+unknown term, rank hints and value pins.  The unknown is evaluated from the
+long exact sequence at the given twist: degree i couples only the
+connecting ranks rho_{i-1}, rho_i and the flank values at degree i, so the
+constraints (rank boxes, rank hints, value pins) form a path, and a forward
+and a backward pass over it give each degree's exact min/max over the
+feasible set.  The constraint matrix is totally unimodular, so every
+reachable rank set is an integer interval and the passes carry intervals;
+the cost does not depend on the rank ranges.  A flank without an upper
+bound falls to per-slot interval arithmetic (``_solve_coarse``).  Serre
+duality is applied at expression level: a Serre partner is data on the
+expression (``serre_pair``), part of its key, and read by every evaluator.
+Vanishing outside finite twist windows is certified via
+Castelnuovo-Mumford regularity.
 
 Serre partners make evaluation cyclic.  A call that meets a (key, twist)
 already being evaluated on its thread contributes no information (a cut),
@@ -30,7 +31,9 @@ further down is not cached, and passes its mark to its parent.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .errors import InconsistentHints, InputError, WindowNotFound
 from .intervals import (
@@ -48,7 +51,6 @@ from .linebundles import (
     cohom_bott,
     cohom_hypersurface_section,
     cohom_line_curve,
-    cohom_tangent_Pn,
     line_cohom,
 )
 from .varieties import VarietyModel, vadd, vneg, vscale, vsub
@@ -75,14 +77,19 @@ def _intern(shape: tuple) -> int:
 
 
 class Expr:
-    """Base class of sheaf expressions, immutable after construction
-    except for ``partner``, which ``serre_pair`` sets before the first key.
+    """Base class of sheaf expressions: every node is a dataclass whose
+    fields are what it was built from, and it is immutable after
+    construction except for ``partner``, which ``serre_pair`` sets before the
+    first key.  Attributes derived from the fields (``cdim``, and
+    ``variety`` on composite nodes) are set in ``__post_init__``.
 
-    Two expressions with the same structure have the same ``key()``: the
-    key interns the tuple returned by ``_shape``, which covers every field
-    evaluation reads.  A Serre partner (``serre_pair``) is part of the
-    structure: the two sides of a pair are keyed jointly, by (own shape,
-    partner shape), because each side's value is met with the other's.
+    The fields are the structure: ``key`` interns the node type and each
+    field value, so two nodes with the same fields have the same key.  A
+    child enters by its key, the Serre partner by a marker (a pair whose
+    sides refer to each other keys without recursion), and a dict by its
+    sorted items.  A Serre partner is part of the structure: the two sides
+    of a pair are keyed jointly, by (own shape, partner shape), because each
+    side's value is met with the other's.
     """
 
     variety: VarietyModel
@@ -91,24 +98,31 @@ class Expr:
     _key: int | None = None
 
     def _shape(self) -> tuple:
-        raise NotImplementedError
+        shape = [type(self)]
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, Expr):
+                value = self._ref(value)
+            elif type(value) is tuple and value and isinstance(value[0], Expr):
+                value = tuple(map(self._ref, value))
+            elif type(value) is dict:
+                value = tuple(sorted(value.items()))
+            shape.append(value)
+        return tuple(shape)
 
-    def _ref(self, child: Expr | None):
-        """A child's part of the shape; the partner appears as a marker, so
-        a pair whose sides refer to each other keys without recursion."""
-        if child is None:
-            return None
-        if child is self.partner:
-            return _PARTNER
-        return child.key()
+    def _ref(self, child: Expr):
+        return _PARTNER if child is self.partner else child.key()
 
     def key(self) -> int:
         k = self._key
         if k is None:
-            shape = self._shape()
-            if self.partner is not None:
-                shape = (serre_pair, shape, self.partner._shape())
-            k = self._key = _intern(shape)
+            shape, partner = self._shape(), self.partner
+            if partner is None:
+                k = self._key = _intern(shape)
+            else:  # key both sides from the two shapes
+                other = partner._shape()
+                k = self._key = _intern((serre_pair, shape, other))
+                partner._key = _intern((serre_pair, other, shape))
         return k
 
 
@@ -127,31 +141,35 @@ def serre_pair(a: Expr, b: Expr) -> None:
     b.partner = a
 
 
+@dataclass(eq=False)
 class LineE(Expr):
-    def __init__(self, x: VarietyModel, klass):
-        self.variety = x
-        self.klass = x.check_class(klass)
-        self.cdim = x.dim
+    variety: VarietyModel
+    klass: tuple
 
-    def _shape(self):
-        return (LineE, self.variety, self.klass)
+    def __post_init__(self):
+        self.klass = self.variety.check_class(self.klass)
+        self.cdim = self.variety.dim
 
     def __repr__(self):
         return f"O{self.klass}"
 
 
+@dataclass(eq=False)
 class CurveE(Expr):
     """Pushforward of a line bundle from a smooth curve on a surface.
 
     Degree at twist T is base_deg + D.T (lattice form) or base_deg +
     deg_h * t (rank-one form)."""
 
-    def __init__(self, x: VarietyModel, genus: int, base_deg: int, klass=None, deg_h=None):
-        self.variety = x
-        self.genus = genus
-        self.base_deg = base_deg
-        self.klass = x.check_class(klass) if klass is not None else None
-        self.deg_h = deg_h
+    variety: VarietyModel
+    genus: int
+    base_deg: int
+    klass: tuple | None = None
+    deg_h: int | None = None
+
+    def __post_init__(self):
+        if self.klass is not None:
+            self.klass = self.variety.check_class(self.klass)
         self.cdim = 1
 
     def degree_at(self, twist) -> int:
@@ -159,135 +177,117 @@ class CurveE(Expr):
             return self.base_deg + self.variety.intersect(self.klass, twist)
         return self.base_deg + self.deg_h * twist[0]
 
-    def _shape(self):
-        return (CurveE, self.variety, self.genus, self.base_deg, self.klass, self.deg_h)
-
     def __repr__(self):
         return f"O_C(g={self.genus},d0={self.base_deg})"
 
 
+@dataclass(eq=False)
 class HyperE(Expr):
     """Structure sheaf of a degree-d hypersurface in P^n, shifted by `shift`."""
 
-    def __init__(self, x: VarietyModel, d: int, shift: int = 0):
-        self.variety = x
-        self.d = d
-        self.shift = shift
-        self.cdim = x.dim - 1
+    variety: VarietyModel
+    d: int
+    shift: int = 0
 
-    def _shape(self):
-        return (HyperE, self.variety, self.d, self.shift)
+    def __post_init__(self):
+        self.cdim = self.variety.dim - 1
 
     def __repr__(self):
         return f"O_D(deg {self.d};{self.shift:+d})"
 
 
+@dataclass(eq=False)
 class BottE(Expr):
-    """Omega^p on P^n, twisted by `shift`.
+    """Omega^p on P^n, twisted by `shift`; n defaults to the variety's
+    dimension.
 
-    `amb_n` lets a rank-one surface chain drive P^3 sheaves by its integer
-    twist (ambient restriction sequences)."""
+    A larger `n` lets a rank-one surface chain drive P^3 sheaves by its
+    integer twist (ambient restriction sequences)."""
 
-    def __init__(self, x: VarietyModel, p: int, shift: int = 0, amb_n: int | None = None):
-        self.variety = x
-        self.p = p
-        self.shift = shift
-        self.n = x.dim if amb_n is None else amb_n
+    variety: VarietyModel
+    p: int
+    shift: int = 0
+    n: int | None = None
+
+    def __post_init__(self):
+        if self.n is None:
+            self.n = self.variety.dim
         self.cdim = self.n
-
-    def _shape(self):
-        return (BottE, self.variety, self.p, self.shift, self.n)
 
     def __repr__(self):
         return f"Omega^{self.p}_P{self.n}({self.shift:+d})"
 
 
-class TanPnE(Expr):
-    def __init__(self, x: VarietyModel):
-        self.variety = x
-        self.cdim = x.dim
-
-    def _shape(self):
-        return (TanPnE, self.variety)
-
-    def __repr__(self):
-        return f"T_P{self.variety.dim}"
-
-
+@dataclass(eq=False)
 class SumE(Expr):
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if not parts:
-            raise InputError("empty sum")
-        self.variety = parts[0].variety
-        self.parts = parts
-        self.cdim = max(p.cdim for p in parts)
+    parts: tuple
 
-    def _shape(self):
-        return (SumE,) + tuple(self._ref(p) for p in self.parts)
+    def __post_init__(self):
+        self.parts = tuple(self.parts)
+        if not self.parts:
+            raise InputError("empty sum")
+        self.variety = self.parts[0].variety
+        self.cdim = max(p.cdim for p in self.parts)
 
     def __repr__(self):
         return "(" + " + ".join(map(repr, self.parts)) + ")"
 
 
+@dataclass(eq=False)
 class TwistE(Expr):
-    def __init__(self, inner: Expr, by):
-        by = inner.variety.check_class(by)
-        if isinstance(inner, TwistE):  # normalize nested twists
-            by = vadd(by, inner.by)
-            inner = inner.inner
-        self.variety = inner.variety
-        self.inner = inner
-        self.by = by
-        self.cdim = inner.cdim
+    inner: Expr
+    by: tuple
 
-    def _shape(self):
-        return (TwistE, self._ref(self.inner), self.by)
+    def __post_init__(self):
+        by = self.inner.variety.check_class(self.by)
+        if isinstance(self.inner, TwistE):  # normalize nested twists
+            by = vadd(by, self.inner.by)
+            self.inner = self.inner.inner
+        self.by = by
+        self.variety = self.inner.variety
+        self.cdim = self.inner.cdim
 
     def __repr__(self):
         return f"{self.inner!r}({self.by})"
 
 
+@dataclass(eq=False)
 class DualE(Expr):
-    def __init__(self, inner: Expr):
-        if isinstance(inner, DualE):
-            raise InputError("normalize Dual(Dual(E)) to E before wrapping")
-        self.variety = inner.variety
-        self.inner = inner
-        self.cdim = inner.cdim
+    inner: Expr
 
-    def _shape(self):
-        return (DualE, self._ref(self.inner))
+    def __post_init__(self):
+        if isinstance(self.inner, DualE):
+            raise InputError("normalize Dual(Dual(E)) to E before wrapping")
+        self.variety = self.inner.variety
+        self.cdim = self.inner.cdim
 
     def __repr__(self):
         return f"({self.inner!r})^v"
 
 
+@dataclass(eq=False)
 class MeetE(Expr):
     """Several certified models of the same sheaf; evaluation intersects."""
 
-    def __init__(self, parts):
-        parts = tuple(parts)
-        self.variety = parts[0].variety
-        self.parts = parts
-        self.cdim = parts[0].cdim
+    parts: tuple
 
-    def _shape(self):
-        return (MeetE,) + tuple(self._ref(p) for p in self.parts)
+    def __post_init__(self):
+        self.parts = tuple(self.parts)
+        self.variety = self.parts[0].variety
+        self.cdim = self.parts[0].cdim
 
     def __repr__(self):
         return " == ".join(map(repr, self.parts))
 
 
+@dataclass(eq=False)
 class BlowupCotE(Expr):
     """Rule-based cotangent leaf on Bl_k P^2 (k <= 4)."""
 
-    def __init__(self, x: VarietyModel):
-        self.variety = x
-        self.cdim = 2
+    variety: VarietyModel
 
-    def _shape(self):
-        return (BlowupCotE, self.variety)
+    def __post_init__(self):
+        self.cdim = 2
 
     def __repr__(self):
         return f"Omega^1_Bl{self.variety.param}"
@@ -302,76 +302,70 @@ class RankHint:
 
 
 @dataclass(eq=False)
-class Seq:
-    """0 -> left -> middle -> right -> 0; exactly one slot is None."""
+class SeqE(Expr):
+    """The unknown term of 0 -> left -> middle -> right -> 0, where exactly
+    one of the three terms is None.
+
+    ``amb`` is the top degree of the long exact sequence (by default the
+    largest known term's).  ``hints`` bound connecting ranks at given
+    twists.  ``pins`` maps a twist class to a per-degree list of Iv
+    constraints on the unknown (None = unconstrained); they take part in the
+    rank solve, so a pinned slot can force connecting ranks at the same
+    twist.  ``pin_rule`` adds constraints computed from the twist: a
+    module-level function of (variety, twist), so that it is part of the
+    structure by identity.
+    """
 
     variety: VarietyModel
     left: Expr | None
     middle: Expr | None
     right: Expr | None
-    hints: tuple[RankHint, ...] = ()
+    cdim: int
     name: str = "seq"
-    amb: int | None = None  # ambient cohomological length - 1
+    amb: int | None = None
+    hints: tuple[RankHint, ...] = ()
+    pins: dict | None = None
+    pin_rule: Callable | None = None
 
     def __post_init__(self):
         terms = (self.left, self.middle, self.right)
         if sum(t is None for t in terms) != 1:
             raise InputError("a sequence has exactly one unknown slot")
+        self.unknown_slot = (LEFT, MIDDLE, RIGHT)[terms.index(None)]
         if self.amb is None:
             self.amb = max(t.cdim for t in terms if t is not None)
+        self.pins = {tuple(tw): tuple(con) for tw, con in (self.pins or {}).items()}
+        n = self.amb
+        # built once, read by every solve: the unknown vanishes above cdim
+        self._support = tuple(iv(0) if i > self.cdim else None for i in range(n + 1))
+        self._no_hints = (None,) * n
+        self._hints_at: dict[tuple, list[RankHint]] = {}
+        for h in self.hints:
+            if 0 <= h.degree < n:
+                self._hints_at.setdefault(tuple(h.twist), []).append(h)
 
-    @property
-    def unknown_slot(self) -> str:
-        if self.left is None:
-            return LEFT
-        if self.middle is None:
-            return MIDDLE
-        return RIGHT
-
-
-class SeqE(Expr):
-    """The unknown term of a sequence, optionally pinned.
-
-    ``pins`` maps a twist class to a per-degree list of Iv constraints
-    (None = unconstrained); they take part in the rank solve, so a
-    pinned slot can force connecting ranks at the same twist.  ``pin_rule``
-    adds constraints computed from the twist: a module-level function of
-    (variety, twist), so that it is part of the structure by identity.
-    """
-
-    def __init__(self, seq: Seq, cdim: int, pins=None, pin_rule=None):
-        self.variety = seq.variety
-        self.seq = seq
-        self.cdim = cdim
-        self.pins = {tuple(tw): tuple(con) for tw, con in (pins or {}).items()}
-        self.pin_rule = pin_rule
-
-    def _shape(self):
-        seq = self.seq
-        return (
-            SeqE,
-            seq.variety,
-            self._ref(seq.left),
-            self._ref(seq.middle),
-            self._ref(seq.right),
-            seq.hints,
-            seq.name,
-            seq.amb,
-            self.cdim,
-            tuple(sorted(self.pins.items())),
-            self.pin_rule,
-        )
-
-    def constraints_at(self, twist):
-        con = list(self.pins.get(tuple(twist), ())) or [None] * (self.cdim + 1)
-        if self.pin_rule is not None:
-            extra = self.pin_rule(self.variety, tuple(twist))
-            if extra:
-                con = [c if e is None else (e if c is None else iv_meet(c, e)) for c, e in zip(con, extra)]
-        return con
+    def constraints_at(self, twist) -> tuple[tuple, tuple]:
+        """(constraint on the unknown for each degree 0..amb, rank hint for
+        each connecting degree 0..amb-1) at twist; None = unconstrained."""
+        extra = self.pin_rule(self.variety, twist) if self.pin_rule is not None else None
+        cons = self._support
+        for given in (self.pins.get(twist), extra):
+            if given:
+                cons = tuple(
+                    c if g is None else (g if c is None else iv_meet(c, g))
+                    for c, g in zip_longest(cons, given[: len(cons)])
+                )
+        hints = self._hints_at.get(twist)
+        if hints is None:
+            return cons, self._no_hints
+        ranks = list(self._no_hints)
+        for h in hints:
+            cur = ranks[h.degree]
+            ranks[h.degree] = h.rank if cur is None else iv_meet(cur, h.rank)
+        return cons, tuple(ranks)
 
     def __repr__(self):
-        return f"{self.seq.name}[{self.seq.unknown_slot}]"
+        return f"{self.name}[{self.unknown_slot}]"
 
 
 def _project(x, y, pairs):
@@ -486,8 +480,6 @@ class Evaluator:
             return exact_vec(cohom_hypersurface_section(expr.variety.dim, expr.d, expr.shift + twist[0]))
         if isinstance(expr, BottE):
             return exact_vec(cohom_bott(expr.n, expr.p, expr.shift + twist[0]))
-        if isinstance(expr, TanPnE):
-            return exact_vec(cohom_tangent_Pn(expr.variety.dim, twist[0]))
         if isinstance(expr, SumE):
             total = (iv(0),) * (expr.cdim + 1)
             for p in expr.parts:
@@ -538,25 +530,13 @@ class Evaluator:
     # -- the long-exact-sequence solve --------------------------------------
 
     def _solve(self, node: SeqE, twist) -> tuple[Iv, ...]:
-        seq = node.seq
-        n = seq.amb
-        slot = seq.unknown_slot
+        n = node.amb
+        slot = node.unknown_slot
         known = {}
-        for name, term in ((LEFT, seq.left), (MIDDLE, seq.middle), (RIGHT, seq.right)):
+        for name, term in ((LEFT, node.left), (MIDDLE, node.middle), (RIGHT, node.right)):
             if term is not None:
                 known[name] = pad_vec(self.cohom(term, twist), n + 1)
-        pins = node.constraints_at(twist)
-        support = [iv(0) if i > node.cdim else None for i in range(n + 1)]
-        cons = [
-            p if s is None else (s if p is None else iv_meet(p, s))
-            for p, s in zip(pins + [None] * (n + 1 - len(pins)), support)
-        ]
-
-        hint_iv = [None] * n
-        for h in seq.hints:
-            if tuple(h.twist) == tuple(twist) and 0 <= h.degree < n:
-                cur = hint_iv[h.degree]
-                hint_iv[h.degree] = h.rank if cur is None else iv_meet(cur, h.rank)
+        cons, hint_iv = node.constraints_at(twist)
 
         a = known.get(LEFT)
         b = known.get(MIDDLE)
@@ -579,7 +559,7 @@ class Evaluator:
             if rho_hi[i] is None:
                 break
             if rho_lo[i] > rho_hi[i]:
-                raise InconsistentHints(f"{seq.name}@{twist}: hint at degree {i} outside admissible range")
+                raise InconsistentHints(f"{node.name}@{twist}: hint at degree {i} outside admissible range")
         if any(x.hi is None for vec in known.values() for x in vec):
             return self._solve_coarse(node, n, slot, a, b, c, rho_lo, rho_hi, cons)
 
@@ -602,7 +582,7 @@ class Evaluator:
         for i, rel in enumerate(rels):
             step = _project(reach[i], boxes[i + 1], [(prev, cur, s) for _, _, prev, cur, s in rel])
             if step is None:
-                raise InconsistentHints(f"{seq.name}@{twist}: no admissible rank assignment")
+                raise InconsistentHints(f"{node.name}@{twist}: no admissible rank assignment")
             reach.append(step)
         for i in range(n, -1, -1):
             reach[i] = _project(reach[i + 1], reach[i], [(cur, prev, s) for _, _, prev, cur, s in rels[i]])
@@ -765,7 +745,8 @@ def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -
     nu = x.very_ample_multiple(hh)
     n = x.dim
     upper = _one_sided_regularity(expr, hh, cap, nu, ev)
-    dual_side = TwistE(DualE(expr), x.canonical_class)
+    dual = expr.inner if isinstance(expr, DualE) else DualE(expr)  # E^vv = E
+    dual_side = TwistE(dual, x.canonical_class)
     lower_raw = _one_sided_regularity(dual_side, hh, cap, nu, ev)
     return WindowCert(
         {i: upper[i] for i in range(1, n)},

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .errors import InputError
+from .errors import EngineError, InputError
 from .intervals import Iv, iv
 from .varieties import (
     KIND_ABELIAN,
@@ -60,11 +60,6 @@ def cohom_bott(n: int, p: int, t: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def cohom_tangent_Pn(n: int, t: int) -> tuple[int, ...]:
-    """Serre dual of Bott: h^q(TP^n(t)) = h^{n-q}(Omega^1(-t-n-1))."""
-    return tuple(reversed(cohom_bott(n, 1, -t - n - 1)))
-
-
 def cohom_line_quadric(a: int, b: int) -> tuple[int, ...]:
     h0 = h0_p1(a) * h0_p1(b)
     h1 = h0_p1(a) * h1_p1(b) + h1_p1(a) * h0_p1(b)
@@ -105,7 +100,8 @@ def _cohom_line_blowup(x: VarietyModel, l) -> tuple[int, ...]:
     h0 = _h0_blowup(x, l)
     h2 = _h0_blowup(x, vsub(x.canonical_class, l))
     h1 = h0 + h2 - x.riemann_roch_chi(l)
-    assert h1 >= 0, f"blow-up cohomology broke RR at {l}"
+    if h1 < 0:
+        raise EngineError(f"blow-up cohomology broke Riemann-Roch at {l}")
     return (h0, h1, h2)
 
 

@@ -19,16 +19,15 @@ from .exactseq import (
     BlowupCotE,
     BottE,
     CurveE,
+    DualE,
     Evaluator,
     Expr,
     HyperE,
     LineE,
     MeetE,
     RankHint,
-    Seq,
     SeqE,
     SumE,
-    TanPnE,
     TwistE,
     default_evaluator,
     serre_pair,
@@ -56,18 +55,18 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
     k = x.kind
     if k == KIND_PN:
         cot = BottE(x, 1)
-        tan = TanPnE(x)
+        tan = DualE(cot)
     elif k == KIND_QUADRIC:
         cot = SumE([LineE(x, (-2, 0)), LineE(x, (0, -2))])
         tan = SumE([LineE(x, (2, 0)), LineE(x, (0, 2))])
     elif k == KIND_HIRZEBRUCH:
         e = x.param
-        seq = Seq(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), name=f"T_F{e}")
         pins = {
             (0, 0): [iv(x.h0_tangent), None, None],
             x.canonical_class: [iv(0), iv(x.h11), iv(x.q)],
         }
-        tan = SeqE(seq, 2, pins=pins, pin_rule=_f1_pullback_pin if e == 1 else None)
+        pin_rule = _f1_pullback_pin if e == 1 else None
+        tan = SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name=f"T_F{e}", pins=pins, pin_rule=pin_rule)
         cot = TwistE(tan, x.canonical_class)
     elif k == KIND_BLOWUP:
         cot = BlowupCotE(x)
@@ -110,18 +109,20 @@ def _surface_p3_cotangent(x: VarietyModel) -> Expr:
     """Omega^1 via the ambient restriction and conormal sequences, with the
     Hodge pins resolving the connecting ranks at twist zero."""
     d = x.param
-    restrict = Seq(
-        x,
-        BottE(x, 1, shift=-d, amb_n=3),
-        BottE(x, 1, shift=0, amb_n=3),
-        None,
-        name=f"Omega_P3|X{d}",
-        amb=3,
-    )
-    restricted = SeqE(restrict, 2)
-    conormal = Seq(x, LineE(x, (-d,)), restricted, None, name=f"conormal X{d}", amb=2)
+    restricted = SeqE(x, BottE(x, 1, shift=-d, n=3), BottE(x, 1, n=3), None, 2, name=f"Omega_P3|X{d}", amb=3)
     pins = {(0,): [iv(x.q), iv(x.h11), iv(x.q)]}
-    return SeqE(conormal, 2, pins=pins, pin_rule=_effectivity_pin)
+    return SeqE(
+        x, LineE(x, (-d,)), restricted, None, 2, name=f"conormal X{d}", amb=2, pins=pins, pin_rule=_effectivity_pin
+    )
+
+
+SIDES = ("cot", "tan")  # Omega^1_X(log D), T_X(-log D)
+
+
+def check_side(side: str) -> str:
+    if side not in SIDES:
+        raise InputError(f"side must be one of {SIDES}, not {side!r}")
+    return side
 
 
 @dataclass
@@ -131,6 +132,9 @@ class LogPair:
     cotangent_log: Expr
     tangent_log: Expr
     notes: list
+
+    def for_side(self, side: str) -> Expr:
+        return self.cotangent_log if check_side(side) == "cot" else self.tangent_log
 
 
 def structure_leaves(x: VarietyModel, arr: Arrangement, normal_twist: bool) -> list[Expr]:
@@ -186,14 +190,8 @@ def steiner_model(x: VarietyModel, m: int) -> Expr:
     """Omega^1(log H) for m >= n+2 generic hyperplanes, as the cokernel of
     the Steiner matrix O(-1)^(m-n-1) -> O^(m-1)."""
     n = x.dim
-    seq = Seq(
-        x,
-        SumE([LineE(x, (-1,))] * (m - n - 1)),
-        SumE([LineE(x, (0,))] * (m - 1)),
-        None,
-        name=f"steiner m={m}",
-    )
-    return SeqE(seq, n)
+    left, middle = SumE([LineE(x, (-1,))] * (m - n - 1)), SumE([LineE(x, (0,))] * (m - 1))
+    return SeqE(x, left, middle, None, n, name=f"steiner m={m}")
 
 
 def repeated_rigid_class(x: VarietyModel, classes) -> tuple | None:
@@ -233,15 +231,9 @@ def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> 
     else:
         span_hint = Iv(1, min(arr.size, x.h11))  # span not pinned by the input
         notes.append("span rank not asserted: coboundary rank left as an interval")
-    residue = Seq(
-        x,
-        cot,
-        None,
-        SumE(structure_leaves(x, arr, normal_twist=False)),
-        hints=(RankHint((0,) * x.lattice_rank, 0, span_hint, "coboundary spans the component classes"),),
-        name="residue",
-    )
-    cot_log: Expr = SeqE(residue, n)
+    span = RankHint((0,) * x.lattice_rank, 0, span_hint, "coboundary spans the component classes")
+    right = SumE(structure_leaves(x, arr, normal_twist=False))
+    cot_log: Expr = SeqE(x, cot, None, right, n, name="residue", hints=(span,))
 
     if is_hyperplane_arrangement(x, arr):
         m = arr.size
@@ -253,14 +245,7 @@ def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> 
         notes.append(f"quadric ruling arrangement ({rc[0]},{rc[1]}): split model installed")
         cot_log = MeetE([_ruling_split(x, *rc), cot_log])
 
-    tanseq = Seq(
-        x,
-        None,
-        tan,
-        SumE(structure_leaves(x, arr, normal_twist=True)),
-        name="log tangent",
-    )
-    tan_log = SeqE(tanseq, n)
+    tan_log = SeqE(x, None, tan, SumE(structure_leaves(x, arr, normal_twist=True)), n, name="log tangent")
     ev.register_dual(cot_log, tan_log)
     return LogPair(x, arr, cot_log, tan_log, notes)
 

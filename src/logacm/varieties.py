@@ -135,7 +135,8 @@ class VarietyModel:
         if self.dim != 2:
             raise InputError("surface Riemann-Roch only")
         num = self.intersect(l, vsub(l, self.canonical_class))
-        assert num % 2 == 0
+        if num % 2 != 0:
+            raise InputError(f"L.(L-K) is odd for L = {l}: the canonical class does not fit this lattice")
         return self.chi_structure_sheaf + num // 2
 
     def chi_tangent(self) -> int:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +36,12 @@ def catalog_surfaces():
 
 def random_class(rng, x, bound=5):
     return tuple(rng.randint(-bound, bound) for _ in range(x.lattice_rank))
+
+
+def run_optimized(code: str) -> str:
+    """stdout of ``code`` run by ``python -O``, which strips assert statements."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

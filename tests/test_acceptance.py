@@ -8,7 +8,7 @@ from itertools import combinations
 import logacm as L
 from logacm.classify import f0_split_acm_oracle
 from logacm.errors import NotVeryAmple
-from logacm.exactseq import Evaluator, LineE, Seq, SeqE, cm_regularity_certify, default_evaluator
+from logacm.exactseq import Evaluator, LineE, SeqE, cm_regularity_certify, default_evaluator
 from logacm.intervals import iv, pad_vec
 from logacm.linebundles import binom, line_cohom
 from logacm.logbundles import ledger_checks, log_pair
@@ -239,7 +239,7 @@ def test_criterion_11_property_suites():
     # interval soundness against the split tangent bundle on F_0
     f0 = L.hirzebruch(0)
     ev = Evaluator()
-    mid = SeqE(Seq(f0, LineE(f0, (2, 0)), None, LineE(f0, (0, 2)), name="t"), 2)
+    mid = SeqE(f0, LineE(f0, (2, 0)), None, LineE(f0, (0, 2)), 2, name="t")
     for t in range(-6, 7):
         got = ev.cohom(mid, (t, t))
         split = [

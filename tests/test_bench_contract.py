@@ -17,17 +17,17 @@ ROOT = Path(__file__).resolve().parents[1]
 CODE = """
 import make_reference, tracing
 import logacm as L
-from logacm.exactseq import BlowupCotE, Evaluator, LineE, Seq, SeqE
+from logacm.exactseq import BlowupCotE, Evaluator, LineE, SeqE
 
 make_reference.reset_session()
 tracer = tracing.Tracer()
 tracing.install(tracer)
 ev = Evaluator()
 f0 = L.hirzebruch(0)
-bounded = SeqE(Seq(f0, LineE(f0, (2, 0)), None, LineE(f0, (0, 2)), name="bounded"), 2)
+bounded = SeqE(f0, LineE(f0, (2, 0)), None, LineE(f0, (0, 2)), 2, name="bounded")
 ev.cohom(bounded, (0, 0))
 bl2 = L.blowup_p2(2)
-unbounded = SeqE(Seq(bl2, LineE(bl2, (0, 0, 0)), None, BlowupCotE(bl2), name="unbounded"), 2)
+unbounded = SeqE(bl2, LineE(bl2, (0, 0, 0)), None, BlowupCotE(bl2), 2, name="unbounded")
 assert ev.cohom(unbounded, (3, 0, 0))[0].hi is None
 calls, _ = tracer.summary()
 assert tracer.counts["exactseq.solve.points"] > 0, tracer.counts

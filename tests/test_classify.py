@@ -2,7 +2,7 @@ import pytest
 
 import logacm as L
 from logacm.classify import NO, YES, f0_split_acm_oracle
-from logacm.errors import IntervalPresent, NotAmple, OutOfScope
+from logacm.errors import InputError, IntervalPresent, NotAmple, OutOfScope
 from logacm.exactseq import Evaluator
 from logacm.varieties import vneg
 
@@ -364,3 +364,23 @@ def test_rigid_class_multiplicity_rejected():
     arr = L.arrangement(x, [L.component_from_class(x, (0, 1, 0))] * 2)
     with pytest.raises(InputError):
         log_pair(x, arr)
+
+
+def test_unknown_side_is_rejected():
+    """A side other than "cot"/"tan" raises instead of being read as one of
+    them; "tan" itself reaches the tangent-side rule."""
+    q = L.quadric_surface()
+    arr = L.arrangement(q, [L.component_from_class(q, (1, 0))] * 4 + [L.component_from_class(q, (0, 1))] * 3)
+    viol, _ = L.necessary_conditions(q, (1, 2), arr, "tan")
+    assert any(v.rule == "normal-sections-vs-tangent" for v in viol)
+    calls = [
+        lambda: L.necessary_conditions(q, (1, 2), arr, "tangent"),
+        lambda: L.search(q, (1, 1), 2, 2, side="tangent"),
+        lambda: L.deficiency_table(q, (1, 1), arr, side="tangent"),
+        lambda: L.log_pair(q, arr).for_side("tangent"),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+    pair = L.log_pair(q, arr)
+    assert pair.for_side("cot") is pair.cotangent_log and pair.for_side("tan") is pair.tangent_log

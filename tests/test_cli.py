@@ -209,3 +209,16 @@ def test_header_banner(tmp_path, capsys):
 def test_missing_file_exit(capsys):
     code, _ = run(capsys, "classify", "/nonexistent/prob.yaml")
     assert code == 2
+
+
+def test_unknown_side_and_format_exit_2(tmp_path, capsys):
+    doc = "variety: {kind: quadric}\npolarization: [1, 2]\narrangement: {components: [[1,0],[0,1]]}\n"
+    assert run(capsys, "classify", str(write(tmp_path, "tan.yaml", doc + "side: tan\n")))[0] in (0, 1, 3)
+    for name, extra in (("side.yaml", "side: tangent\n"), ("fmt.yaml", "format: json\n")):
+        p = write(tmp_path, name, doc + extra)
+        for command in ("classify", "cohom", "deficiency"):
+            assert run(capsys, command, str(p))[0] == 2, (name, command)
+    with pytest.raises(InputError):
+        ProblemSpec.from_dict({"variety": {"kind": "quadric"}, "side": "tangent"})
+    with pytest.raises(InputError):
+        ProblemSpec.from_dict({"variety": {"kind": "quadric"}, "format": "json"})

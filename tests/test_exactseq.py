@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 from collections import Counter
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +12,21 @@ from hypothesis import strategies as st
 import logacm as L
 from logacm.classify import YES, deficiency_concentrated_at_zero
 from logacm.errors import InconsistentHints, InputError, NotVeryAmple, WindowNotFound
+from logacm import exactseq
 from logacm.exactseq import (
     LEFT,
     MIDDLE,
     RIGHT,
     BlowupCotE,
+    BottE,
+    CurveE,
+    DualE,
     Evaluator,
     Expr,
+    HyperE,
     LineE,
+    MeetE,
     RankHint,
-    Seq,
     SeqE,
     SumE,
     TwistE,
@@ -39,8 +45,7 @@ from conftest import catalog_surfaces, random_class
 def eqy1_middle(x, pins=None):
     """The tangent-bundle extension on F_e, optionally unpinned."""
     e = x.param
-    seq = Seq(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), name="tan ext")
-    return SeqE(seq, 2, pins=pins or {})
+    return SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name="tan ext", pins=pins or {})
 
 
 def test_tangent_f0_exact_without_pins():
@@ -75,8 +80,7 @@ def test_split_sequence_soundness(rng):
         for _ in range(10):
             a = random_class(rng, x, 3)
             c = random_class(rng, x, 3)
-            seq = Seq(x, LineE(x, a), None, LineE(x, c), name="split")
-            mid = SeqE(seq, 2)
+            mid = SeqE(x, LineE(x, a), None, LineE(x, c), 2, name="split")
             tw = random_class(rng, x, 2)
             got = ev.cohom(mid, tw)
             true = [p + q for p, q in zip(line_cohom(x, vadd(a, tw)), line_cohom(x, vadd(c, tw)))]
@@ -90,7 +94,7 @@ def test_chi_additivity_on_exact_solves(rng):
         for _ in range(10):
             a = random_class(rng, x, 3)
             c = random_class(rng, x, 3)
-            mid = SeqE(Seq(x, LineE(x, a), None, LineE(x, c), name="s"), 2)
+            mid = SeqE(x, LineE(x, a), None, LineE(x, c), 2, name="s")
             tw = random_class(rng, x, 2)
             got = ev.cohom(mid, tw)
             if all(g.exact for g in got):
@@ -106,11 +110,8 @@ def test_rank_hint_narrows_never_widens():
     from logacm.exactseq import CurveE
 
     right = SumE([CurveE(x, 0, 0, klass=c.klass) for c in leaves])
-    free = SeqE(Seq(x, cot, None, right, name="residue-free"), 2)
-    hinted = SeqE(
-        Seq(x, cot, None, right, hints=(RankHint((0, 0, 0), 0, iv(3), "span"),), name="residue-hint"),
-        2,
-    )
+    free = SeqE(x, cot, None, right, 2, name="residue-free")
+    hinted = SeqE(x, cot, None, right, 2, name="residue-hint", hints=(RankHint((0, 0, 0), 0, iv(3), "span"),))
     ev = Evaluator()
     v_free = ev.cohom(free, (0, 0, 0))
     v_hint = ev.cohom(hinted, (0, 0, 0))
@@ -122,17 +123,18 @@ def test_rank_hint_narrows_never_widens():
 
 def test_inconsistent_hint_raises():
     x = L.hirzebruch(0)
-    seq = Seq(
+    bad = SeqE(
         x,
         LineE(x, (2, 0)),
         None,
         LineE(x, (0, 2)),
-        hints=(RankHint((0, 0), 0, iv(5), "impossible"),),
+        2,
         name="bad",
+        hints=(RankHint((0, 0), 0, iv(5), "impossible"),),
     )
     ev = Evaluator()
     with pytest.raises(InconsistentHints):
-        ev.cohom(SeqE(seq, 2), (0, 0))
+        ev.cohom(bad, (0, 0))
 
 
 def test_serre_dual_pairs_registry(monkeypatch):
@@ -174,6 +176,78 @@ def test_structure_built_twice_has_one_key_and_cache_entry():
     assert ev.serre_dual_pairs() == pairs
     with pytest.raises(InputError):  # a partner set after keying would change a key in use
         serre_pair(a, b)
+
+
+def _no_pin(x, tw):
+    return None
+
+
+def field_changes():
+    """(node type, constructor arguments, field, another value) covering
+    every field of every catalog node type."""
+    x, y = L.hirzebruch(1), L.hirzebruch(2)
+    p2, p3 = L.projective_space(2), L.projective_space(3)
+    a, b = LineE(x, (1, 0)), LineE(x, (0, 1))
+    seq = dict(variety=x, left=a, middle=SumE([a, b]), right=None, cdim=2, name="s")
+    changes = {
+        LineE: (dict(variety=x, klass=(1, 0)), dict(variety=y, klass=(0, 1))),
+        CurveE: (
+            dict(variety=x, genus=0, base_deg=1, klass=(1, 0), deg_h=None),
+            dict(variety=y, genus=1, base_deg=2, klass=(0, 1), deg_h=1),
+        ),
+        HyperE: (dict(variety=p3, d=2, shift=0), dict(variety=p2, d=3, shift=1)),
+        BottE: (dict(variety=p2, p=1, shift=0, n=None), dict(variety=p3, p=2, shift=1, n=3)),
+        SumE: (dict(parts=(a, b)), dict(parts=(a, a))),
+        TwistE: (dict(inner=a, by=(1, 0)), dict(inner=b, by=(0, 1))),
+        DualE: (dict(inner=a), dict(inner=b)),
+        MeetE: (dict(parts=(a, b)), dict(parts=(b, a))),
+        BlowupCotE: (dict(variety=L.blowup_p2(1)), dict(variety=L.blowup_p2(2))),
+        SeqE: (
+            seq,
+            dict(
+                variety=y,
+                left=b,
+                middle=SumE([a, a]),
+                cdim=1,
+                name="t",
+                amb=3,
+                hints=(RankHint((0, 0), 0, iv(1), "test"),),
+                pins={(0, 0): [iv(6), None, None]},
+                pin_rule=_no_pin,
+            ),
+        ),
+    }
+    for cls, (base, other) in changes.items():
+        for name, value in other.items():
+            yield cls, base, name, value
+    yield SeqE, dict(seq, left=None, right=b), "right", a  # the unknown moves with another field
+
+
+def test_every_field_is_part_of_the_key():
+    """Changing any one field changes the key, and building a node again
+    from the same fields gives the same key."""
+    covered = set()
+    for cls, base, name, value in field_changes():
+        node = cls(**base)
+        assert cls(**base).key() == node.key() and cls(**base) is not node, cls
+        changed = dict(base, **{name: value})
+        assert cls(**changed).key() not in (node.key(), cls(**base).key()), (cls, name)
+        covered.add((cls, name))
+    catalog = {c for c in Expr.__subclasses__() if c.__module__ == exactseq.__name__}
+    assert covered == {(c, f.name) for c in catalog for f in fields(c)}
+
+
+def test_pn_tangent_is_the_dual_of_its_cotangent():
+    """TP^n is Dual(Omega^1), paired with it; the tangent side of the empty
+    arrangement still gets a vanishing window (its Serre transform is
+    Omega^1 again, not a double dual)."""
+    for n in (2, 3, 4):
+        x = L.projective_space(n)
+        cot, tan = L.cotangent_tangent_pair(x)
+        assert isinstance(tan, DualE) and tan.inner is cot and cot.partner is tan
+        table = L.deficiency_table(x, (1,), L.arrangement(x, []), 1, side="tan")
+        assert all(v.exact for v in table.entries.values())
+        assert table.nonzero_twists() == ([-3] if n == 2 else [])  # h^1(TP^2(-3)) = h^1(Omega^1) = 1
 
 
 def test_log_pair_sides_keyed_jointly():
@@ -401,16 +475,16 @@ def test_split_tf0_interval_soundness():
 # -- the long-exact-sequence solve against brute force -----------------------
 
 
+@dataclass(eq=False)
 class FixedE(Expr):
     """A term with given cohomology intervals at every twist."""
 
-    def __init__(self, x, vec):
-        self.variety = x
-        self.vec = tuple(vec)
-        self.cdim = len(vec) - 1
+    variety: object
+    vec: tuple
 
-    def _shape(self):
-        return (FixedE, self.vec)
+    def __post_init__(self):
+        self.vec = tuple(self.vec)
+        self.cdim = len(self.vec) - 1
 
 
 class FixedEvaluator(Evaluator):
@@ -423,18 +497,18 @@ def brute_force_solve(ev, node, twist):
     vector and every flank value: the min/max of b_i = (a_i - rho_{i-1}) +
     (c_i - rho_i) over all assignments with 0 <= rho_i <= c_i, a_{i+1}, the
     unknown >= 0, and the ranks and unknown inside the hints and pins."""
-    seq = node.seq
-    n = seq.amb
-    slot = seq.unknown_slot
-    known = {}
-    for name, term in ((LEFT, seq.left), (MIDDLE, seq.middle), (RIGHT, seq.right)):
-        if term is not None:
-            known[name] = pad_vec(ev.cohom(term, twist), n + 1)
-    pins = node.constraints_at(twist)
-    pins = pins + [None] * (n + 1 - len(pins))
-    cons = [p if i <= node.cdim else (iv(0) if p is None else iv_meet(p, iv(0))) for i, p in enumerate(pins)]
+    n = node.amb
+    terms = {LEFT: node.left, MIDDLE: node.middle, RIGHT: node.right}
+    slot = next(name for name, term in terms.items() if term is None)
+    known = {name: pad_vec(ev.cohom(term, twist), n + 1) for name, term in terms.items() if term is not None}
+    cons = [None if i <= node.cdim else iv(0) for i in range(n + 1)]
+    extra = node.pin_rule(node.variety, twist) if node.pin_rule is not None else None
+    for given in (node.pins.get(twist), extra):
+        for i, p in enumerate((given or ())[: n + 1]):
+            if p is not None:
+                cons[i] = p if cons[i] is None else iv_meet(cons[i], p)
     hints = [None] * n
-    for h in seq.hints:
+    for h in node.hints:
         if tuple(h.twist) == tuple(twist) and 0 <= h.degree < n:
             hints[h.degree] = h.rank if hints[h.degree] is None else iv_meet(hints[h.degree], h.rank)
     a, c = known.get(LEFT), known.get(RIGHT)
@@ -502,8 +576,8 @@ def bounded_sequences(draw):
         for p in draw(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 4), bound)), min_size=n + 1, max_size=n + 1))
     ]
     cdim = draw(st.integers(n - 1, n))
-    seq = Seq(P2, *terms, hints=hints, name="random")
-    return SeqE(seq, cdim, pins={TW: pins[: cdim + 1]} if draw(st.booleans()) else None)
+    pinned = {TW: pins[: cdim + 1]} if draw(st.booleans()) else None
+    return SeqE(P2, *terms, cdim, name="random", hints=hints, pins=pinned)
 
 
 def solve_or_raise(solve, *args):
@@ -528,7 +602,7 @@ def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
     big = 100_000
     a = FixedE(P2, [iv(0), Iv(big, big + 2), iv(big)])
     c = FixedE(P2, [iv(big), iv(big), iv(0)])
-    node = SeqE(Seq(P2, a, None, c, name="wide"), 2, pins={TW: [None, iv(0), None]})
+    node = SeqE(P2, a, None, c, 2, name="wide", pins={TW: [None, iv(0), None]})
     calls = Counter()
     relation = Evaluator._apply_relation
 
@@ -539,5 +613,5 @@ def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
     monkeypatch.setattr(Evaluator, "_apply_relation", staticmethod(counted))
     assert FixedEvaluator()._solve(node, TW) == (iv(0), iv(0), iv(0))
     assert 0 < calls["relation"] <= 3 * 3  # (n + 1) degrees x at most 3 flank pairs
-    unpinned = SeqE(Seq(P2, a, None, c, name="wide"), 2)
+    unpinned = SeqE(P2, a, None, c, 2, name="wide")
     assert FixedEvaluator()._solve(unpinned, TW) == (Iv(0, big), Iv(0, 2 * big + 2), Iv(0, big))

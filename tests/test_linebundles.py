@@ -3,19 +3,18 @@ from itertools import product
 import pytest
 
 import logacm as L
-from logacm.errors import InputError
+from logacm.errors import EngineError, InputError
 from logacm.linebundles import (
     _cohom_line_blowup,
     binom,
     cohom_hypersurface_section,
     cohom_line_blowup,
     cohom_line_surface_p3,
-    cohom_tangent_Pn,
     line_cohom,
 )
 from logacm.varieties import vneg, vsub
 
-from conftest import catalog_surfaces, random_class
+from conftest import catalog_surfaces, random_class, run_optimized
 
 
 def bott_oracle(n, t):
@@ -54,9 +53,15 @@ def test_bott_against_euler_chase():
 
 
 def test_tangent_pn():
-    assert cohom_tangent_Pn(3, 0)[0] == 15
-    assert cohom_tangent_Pn(2, -3) == (0, 1, 0)  # H^1(TP^2) at degree -3
-    assert cohom_tangent_Pn(3, -2) == (0, 0, 0, 0)
+    def tangent(n, t):
+        tan = L.cotangent_tangent_pair(L.projective_space(n))[1]
+        v = L.Evaluator().cohom(tan, (t,))
+        assert all(c.exact for c in v), (n, t, v)
+        return tuple(c.lo for c in v)
+
+    assert tangent(3, 0)[0] == 15
+    assert tangent(2, -3) == (0, 1, 0)  # H^1(TP^2) at degree -3
+    assert tangent(3, -2) == (0, 0, 0, 0)
 
 
 def test_quadric_kunneth():
@@ -197,3 +202,24 @@ def test_line_memo_validates_before_lookup():
             line_cohom(x, wrong)
         with pytest.raises(InputError):
             cohom_line_blowup(x, wrong)
+
+
+def test_blowup_h1_check_is_kept_under_optimize(monkeypatch):
+    """h^1 = h^0 + h^2 - chi < 0 means the reduction broke Riemann-Roch: an
+    engine error, raised also under python -O."""
+    from logacm import linebundles
+
+    monkeypatch.setattr(linebundles, "_h0_blowup", lambda x, l: 0)  # h^1 = -chi, and chi(H) = 3
+    with pytest.raises(EngineError):
+        _cohom_line_blowup.__wrapped__(L.blowup_p2(1), (1, 0))
+    code = """
+from logacm import linebundles
+from logacm.errors import EngineError
+from logacm.varieties import blowup_p2
+linebundles._h0_blowup = lambda x, l: 0
+try:
+    print(linebundles._cohom_line_blowup(blowup_p2(1), (1, 0)))
+except EngineError:
+    print("raised")
+"""
+    assert run_optimized(code).split() == ["raised"]

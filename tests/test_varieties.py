@@ -2,9 +2,9 @@ import pytest
 
 import logacm as L
 from logacm.errors import InputError, NonGeneralConfig
-from logacm.varieties import matrix_rank, rat0_case, vneg, vsub
+from logacm.varieties import KIND_PN, VarietyModel, matrix_rank, rat0_case, vneg, vsub
 
-from conftest import catalog_surfaces, random_class
+from conftest import catalog_surfaces, random_class, run_optimized
 
 
 def test_intersection_examples():
@@ -146,3 +146,22 @@ def test_subcanonical_detection():
     assert L.surface_in_p3(4).is_subcanonical((1,)) == 0
     assert L.hirzebruch(2).is_subcanonical((1, 3)) is None
     assert L.hirzebruch(1).is_subcanonical((2, 3)) == -1
+
+
+BAD_CANONICAL = (KIND_PN, 2, 1, ((1,),), (-2,), 1, 8, 0, 1, 8)  # P^2 data with K = -2H: passes Noether
+
+
+def test_riemann_roch_parity_is_checked_under_optimize():
+    x = VarietyModel(*BAD_CANONICAL)
+    assert 12 * x.chi_structure_sheaf == x.intersect(x.canonical_class, x.canonical_class) + x.c2
+    with pytest.raises(InputError):
+        x.riemann_roch_chi((1,))  # L.(L - K) = 3 is odd
+    code = f"""
+from logacm.errors import InputError
+from logacm.varieties import VarietyModel
+try:
+    print(VarietyModel(*{BAD_CANONICAL!r}).riemann_roch_chi((1,)))
+except InputError:
+    print("raised")
+"""
+    assert run_optimized(code).split() == ["raised"]

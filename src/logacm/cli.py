@@ -93,6 +93,9 @@ class ProblemSpec:
         if data.get("format") not in (None, *_FORMATS):
             raise InputError(f"format must be one of {_FORMATS}")
         check_side(data.get("side", "cot"))
+        cap = data.get("cap", 8)
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+            raise InputError(f"cap must be a non-negative integer, got {cap!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -213,6 +216,11 @@ def _fmt(spec: ProblemSpec, args) -> str:
     return args.format or spec.format or "md"
 
 
+def _cap(spec: ProblemSpec, args) -> int:
+    """The regularity cap: ``--cap`` when given (0 included), else the document's."""
+    return args.cap if args.cap is not None else spec.cap
+
+
 def classify_one(spec: ProblemSpec, cap: int):
     x = build_variety(spec)
     arr = build_arrangement(x, spec)
@@ -224,7 +232,7 @@ def classify_one(spec: ProblemSpec, cap: int):
 
 
 def cmd_classify(spec: ProblemSpec, args, out) -> int:
-    verdict = classify_one(spec, args.cap or spec.cap)
+    verdict = classify_one(spec, _cap(spec, args))
     out.write(f"verdict: {verdict.status}\n")
     if verdict.witness is not None:
         i, t, val = verdict.witness
@@ -241,7 +249,7 @@ def cmd_search(spec: ProblemSpec, args, out) -> int:
     if spec.polarization is None:
         raise InputError("search needs a polarization")
     h = _as_class(x, spec.polarization)
-    results = search(x, h, spec.class_bound, spec.m_bound, side=spec.side, cap=args.cap or spec.cap)
+    results = search(x, h, spec.class_bound, spec.m_bound, side=spec.side, cap=_cap(spec, args))
     rows = []
     for combo, verdict, first_rule in results:
         rows.append(["+".join(str(list(c)) for c in combo), verdict.status, first_rule or "-"])
@@ -256,7 +264,7 @@ def cmd_deficiency(spec: ProblemSpec, args, out) -> int:
         raise InputError("deficiency needs a polarization")
     h = _as_class(x, spec.polarization)
     try:
-        table = deficiency_table(x, h, arr, spec.degree, cap=args.cap or spec.cap, side=spec.side)
+        table = deficiency_table(x, h, arr, spec.degree, cap=_cap(spec, args), side=spec.side)
     except WindowNotFound as exc:
         # fall back to an uncertified scan over the requested window
         out.write(f"window: not certified ({exc}); scanning without tail certificates\n")
@@ -290,10 +298,10 @@ def cmd_ledger(spec: ProblemSpec, args, out) -> int:
     return 0
 
 
-def _classify_file(path: Path, cap: int):
+def _classify_file(path: Path, args):
     try:
         spec = load_problem(path)
-        verdict = classify_one(spec, cap)
+        verdict = classify_one(spec, _cap(spec, args))
     except (EngineError, OSError, KeyError, TypeError, ValueError) as exc:
         return [path.name, "Error", "", str(exc)]
     wit = ""
@@ -306,7 +314,7 @@ def _classify_file(path: Path, cap: int):
 
 def cmd_classify_dir(directory: Path, args, out) -> int:
     files = sorted(p for p in directory.iterdir() if p.suffix in (".yaml", ".yml"))
-    rows = [_classify_file(p, args.cap or 8) for p in files]
+    rows = [_classify_file(p, args) for p in files]
     render_table(["file", "verdict", "witness", "first_certificate"], rows, "csv", out)
     return 0
 
@@ -320,6 +328,13 @@ COMMANDS = {
 }
 
 
+def _cap_arg(text: str) -> int:
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"cap must be a non-negative integer, got {cap}")
+    return cap
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="logacm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -327,7 +342,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("problem", help="problem document (YAML); for classify, a directory runs a suite")
         p.add_argument("--window", type=int, nargs=2, default=None, metavar=("LO", "HI"))
-        p.add_argument("--cap", type=int, default=None)
+        p.add_argument("--cap", type=_cap_arg, default=None)
         p.add_argument("--format", choices=_FORMATS, default=None)
         p.add_argument("--no-header", action="store_true")
     return parser

@@ -17,7 +17,17 @@ bound falls to per-slot interval arithmetic (``_solve_coarse``).  Serre
 duality is applied at expression level: a Serre partner is data on the
 expression (``serre_pair``), part of its key, and read by every evaluator.
 Vanishing outside finite twist windows is certified via
-Castelnuovo-Mumford regularity.
+Castelnuovo-Mumford regularity (Mumford, *Lectures on Curves on an
+Algebraic Surface*, Lecture 14), by an upward scan over r for the first
+r-regular twist.  The scan skips the r that the top-degree lemma rules
+out.  For a coherent F on a smooth projective X of dimension n and an
+effective B, Serre duality gives h^n(F(sB)) = dim Hom(F, omega(-sB)), and
+a nonzero section of O(B) embeds that space into the one at s - 1.  So
+h^n(F(sB)) is non-increasing in s.  Once h^n is certified nonzero at sB,
+h^n is positive at every twist below, and no r <= s + n is regular.  A
+sound engine never reports an exact 0 where the true value is positive.
+So the scan that starts above s + n finds the same first r as a scan from
+-cap.
 
 Serre partners make evaluation cyclic.  A call that meets a (key, twist)
 already being evaluated on its thread contributes no information (a cut),
@@ -708,9 +718,31 @@ class WindowCert:
         return range(self.lower_upto[i] + 1, self.upper_from[i])
 
 
+def _top_degree_start(shifted: Expr, big, cap: int, ev: Evaluator) -> int:
+    """Where the regularity scan of `shifted` along B = `big` starts: -cap,
+    or above every r the top-degree lemma rules out.
+
+    h^n(F(sB)) is non-increasing in s, so once h^n is certified nonzero at
+    sB, every r <= s + n fails the degree-n condition of
+    ``cm_regularity_certify``.  The probe walks s = -1, -2, ..., -cap and
+    stops at the first such s.  The lemma is about degree n of a sheaf on
+    X, so the probe runs only when cdim == dim.  The start may exceed cap,
+    and then the scan is empty."""
+    n = shifted.variety.dim
+    if shifted.cdim == n:
+        for s in range(-1, -cap - 1, -1):
+            if pad_vec(ev.cohom(shifted, vscale(s, big)), n + 1)[n].lo > 0:
+                return max(-cap, s + n + 1)
+    return -cap
+
+
 def _one_sided_regularity(expr: Expr, h, cap: int, nu: int, ev: Evaluator) -> dict[int, int]:
     """Thresholds U_i with h^i(expr(tH)) = 0 for t >= U_i, via nu residue
-    classes when only nu*H is very ample."""
+    classes when only nu*H is very ample.
+
+    Each class scans r upward from ``_top_degree_start``, which skips only
+    r that the top-degree lemma shows cannot be regular; the first certified
+    r is the one a scan from -cap would find."""
     x = expr.variety
     n = x.dim
     hh = x.check_class(h)
@@ -719,7 +751,7 @@ def _one_sided_regularity(expr: Expr, h, cap: int, nu: int, ev: Evaluator) -> di
     for t0 in range(nu):
         shifted = TwistE(expr, vscale(t0, hh)) if t0 else expr
         found = None
-        for r in range(-cap, cap + 1):
+        for r in range(_top_degree_start(shifted, big, cap, ev), cap + 1):
             if cm_regularity_certify(shifted, r, big, ev):
                 found = r
                 break
@@ -737,7 +769,9 @@ def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -
 
     The upper tail comes from regularity of expr itself, the lower tail from
     regularity of its Serre transform Dual(expr) tensor omega, transported
-    through h^i(E(t)) = h^{n-i}((E^v tensor omega)(-t)).
+    through h^i(E(t)) = h^{n-i}((E^v tensor omega)(-t)).  Each side's scan
+    starts above the twists where h^n is certified nonzero (top-degree
+    lemma, module docstring); the thresholds are those of a scan from -cap.
     """
     ev = ev or _DEFAULT
     x = expr.variety

@@ -222,3 +222,50 @@ def test_unknown_side_and_format_exit_2(tmp_path, capsys):
         ProblemSpec.from_dict({"variety": {"kind": "quadric"}, "side": "tangent"})
     with pytest.raises(InputError):
         ProblemSpec.from_dict({"variety": {"kind": "quadric"}, "format": "json"})
+
+
+P3_FOUR = "variety: {kind: projective_space, n: 3}\npolarization: 1\narrangement: {components: [[1],[1],[1],[1]]}\n"
+
+
+def test_cap_flag_zero_is_honoured(tmp_path, capsys):
+    # four planes in P^3 certify a window at the default cap 8, not at cap 0
+    p = write(tmp_path, "p3.yaml", P3_FOUR)
+    code, out = run(capsys, "classify", str(p))
+    assert code == 0 and "verdict: Yes" in out
+    code, out = run(capsys, "classify", str(p), "--cap", "0")
+    assert code == 3 and "within cap=0" in out
+    capped = write(tmp_path, "capped.yaml", P3_FOUR + "cap: 0\n")
+    assert run(capsys, "classify", str(capped))[0] == 3
+    assert run(capsys, "classify", str(capped), "--cap", "8")[0] == 0
+
+
+def test_classify_dir_reads_each_documents_cap(tmp_path, capsys):
+    write(tmp_path, "a_capped.yaml", P3_FOUR + "cap: 0\n")
+    write(tmp_path, "b_default.yaml", P3_FOUR)
+    code, out = run(capsys, "classify", str(tmp_path), "--no-header")
+    rows = [ln.split(",")[:2] for ln in out.splitlines()[1:]]
+    assert code == 0 and rows == [["a_capped.yaml", "Unknown"], ["b_default.yaml", "Yes"]]
+    code, out = run(capsys, "classify", str(tmp_path), "--no-header", "--cap", "8")
+    rows = [ln.split(",")[:2] for ln in out.splitlines()[1:]]
+    assert code == 0 and rows == [["a_capped.yaml", "Yes"], ["b_default.yaml", "Yes"]]
+    code, out = run(capsys, "classify", str(tmp_path), "--no-header", "--cap", "0")
+    rows = [ln.split(",")[:2] for ln in out.splitlines()[1:]]
+    assert code == 0 and rows == [["a_capped.yaml", "Unknown"], ["b_default.yaml", "Unknown"]]
+
+
+def test_negative_cap_rejected(tmp_path, capsys):
+    for bad in (-1, True, "3"):
+        with pytest.raises(InputError):
+            ProblemSpec.from_dict({"variety": {"kind": "quadric"}, "cap": bad})
+    neg = write(tmp_path, "neg.yaml", P3_FOUR + "cap: -1\ndegree: 2\n")
+    for command in ("classify", "search", "deficiency"):
+        assert run(capsys, command, str(neg))[0] == 2, command
+    ok = write(tmp_path, "ok.yaml", P3_FOUR + "degree: 2\n")
+    for command in ("classify", "search", "deficiency"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(ok), "--cap", "-1"])
+        assert exc.value.code == 2, command
+    code, out = run(capsys, "classify", str(tmp_path), "--no-header")
+    assert code == 0
+    row = out.splitlines()[1]
+    assert row.startswith("neg.yaml,Error,") and "cap must be a non-negative integer" in row

@@ -4,14 +4,16 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logacm as L
-from logacm.classify import YES, deficiency_concentrated_at_zero
-from logacm.errors import InconsistentHints, InputError, NotVeryAmple, WindowNotFound
+from logacm.classify import YES, _candidate_classes, deficiency_concentrated_at_zero
+from logacm.cli import _as_class, build_arrangement, build_variety, load_problem
+from logacm.errors import EngineError, InconsistentHints, InputError, NotVeryAmple, WindowNotFound
 from logacm import exactseq
 from logacm.exactseq import (
     LEFT,
@@ -35,11 +37,13 @@ from logacm.exactseq import (
     vanishing_window,
 )
 from logacm.intervals import Iv, iv, iv_meet, pad_vec
-from logacm.logbundles import log_pair
+from logacm.logbundles import log_pair, repeated_rigid_class
 from logacm.linebundles import line_cohom
 from logacm.varieties import vadd, vneg, vscale, vsub
 
 from conftest import catalog_surfaces, random_class
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def eqy1_middle(x, pins=None):
@@ -378,6 +382,17 @@ def test_duality_involution_on_lines(rng):
             assert [c.lo for c in a] == [c.lo for c in reversed(b)]
 
 
+def catalog_polarization(x):
+    """An ample class of a catalog surface: H, (1,1), h + (e+1)f or -K."""
+    if x.kind == "quadric":
+        return (1, 1)
+    if x.kind == "hirzebruch":
+        return (1, x.param + 1)
+    if x.kind == "blowup_p2":
+        return vneg(x.canonical_class)
+    return (1,)
+
+
 def test_cm_regularity_examples():
     p2 = L.projective_space(2)
     assert not cm_regularity_certify(LineE(p2, (-1,)), 0, (1,))  # h^2(O(-3)) = 1
@@ -389,18 +404,7 @@ def test_cm_regularity_examples():
 def test_regularity_persistence(rng):
     checked = 0
     for x in catalog_surfaces():
-        if x.kind in ("surface_p3", "abelian"):
-            h = (1,)
-        elif x.kind == "hirzebruch":
-            h = (1, x.param + 1)
-        elif x.kind == "blowup_p2":
-            from logacm.varieties import vneg
-
-            h = vneg(x.canonical_class)
-        elif x.kind == "quadric":
-            h = (1, 1)
-        else:
-            h = (1,)
+        h = catalog_polarization(x)
         try:
             x.very_ample_multiple(h)
         except NotVeryAmple:
@@ -431,16 +435,7 @@ def test_vanishing_window_line_on_f2():
 
 def test_window_soundness_random_lines(rng):
     for x in catalog_surfaces()[:10]:
-        if x.kind == "quadric":
-            h = (1, 1)
-        elif x.kind == "hirzebruch":
-            h = (1, x.param + 1)
-        elif x.kind == "blowup_p2":
-            from logacm.varieties import vneg
-
-            h = vneg(x.canonical_class)
-        else:
-            h = (1,)
+        h = catalog_polarization(x)
         certified = 0
         for _ in range(8):
             l = random_class(rng, x, 3)
@@ -615,3 +610,199 @@ def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
     assert 0 < calls["relation"] <= 3 * 3  # (n + 1) degrees x at most 3 flank pairs
     unpinned = SeqE(P2, a, None, c, 2, name="wide")
     assert FixedEvaluator()._solve(unpinned, TW) == (Iv(0, big), Iv(0, 2 * big + 2), Iv(0, big))
+
+
+# -- the probed regularity scan against a scan from -cap ---------------------
+
+
+def linear_regularity_scan(expr, h, cap, nu, ev):
+    """The thresholds of ``_one_sided_regularity`` by trying every r from -cap
+    upward, with no top-degree probe: the oracle of the probed scan."""
+    x = expr.variety
+    n = x.dim
+    hh = x.check_class(h)
+    big = vscale(nu, hh)
+    thresholds = {i: None for i in range(1, n + 1)}
+    for t0 in range(nu):
+        shifted = TwistE(expr, vscale(t0, hh)) if t0 else expr
+        found = next((r for r in range(-cap, cap + 1) if exactseq.cm_regularity_certify(shifted, r, big, ev)), None)
+        if found is None:
+            raise WindowNotFound(cap, f"{expr!r} residue class {t0}")
+        for i in range(1, n + 1):
+            bound = t0 + nu * (found - i)
+            if thresholds[i] is None or bound > thresholds[i]:
+                thresholds[i] = bound
+    return thresholds
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def window_outcomes(expr, h, cap, ev):
+    """Both one-sided scans and the window of expr, each as its value or the
+    error it raised, through whatever ``exactseq._one_sided_regularity`` is."""
+    x = expr.variety
+    nu = x.very_ample_multiple(h)
+    dual = expr.inner if isinstance(expr, DualE) else DualE(expr)
+    scan = exactseq._one_sided_regularity
+    return (
+        outcome(scan, expr, h, cap, nu, ev),
+        outcome(scan, TwistE(dual, x.canonical_class), h, cap, nu, ev),
+        outcome(vanishing_window, expr, h, cap, ev),
+    )
+
+
+def assert_probe_matches_linear_scan(monkeypatch, cases):
+    """Every (expr, H) gives the same outcomes at caps 0..8 with the probe
+    as with the linear scan, each on its own fresh evaluator.  Some probes
+    must move the start, and some past the cap, or nothing was skipped."""
+    starts = Counter()
+    probe = exactseq._top_degree_start
+
+    def recorded(shifted, big, cap, ev):
+        r = probe(shifted, big, cap, ev)
+        starts["past cap" if r > cap else "moved" if r > -cap else "at -cap"] += 1
+        return r
+
+    monkeypatch.setattr(exactseq, "_top_degree_start", recorded)
+    probed_ev, linear_ev = Evaluator(), Evaluator()
+    for expr, h in cases:
+        for cap in range(9):
+            probed = window_outcomes(expr, h, cap, probed_ev)
+            with monkeypatch.context() as m:
+                m.setattr(exactseq, "_one_sided_regularity", linear_regularity_scan)
+                linear = window_outcomes(expr, h, cap, linear_ev)
+            assert probed == linear, (expr, h, cap)
+    assert starts["moved"] and starts["past cap"], starts
+
+
+def problem_log_pairs():
+    """(x, H, log pair) of every problem document with a variety and a
+    polarization."""
+    out = []
+    for path in sorted(PROBLEMS.glob("*.yaml")):
+        spec = load_problem(path)
+        if not spec.variety or spec.polarization is None:
+            continue
+        x = build_variety(spec)
+        out.append((x, _as_class(x, spec.polarization), log_pair(x, build_arrangement(x, spec), Evaluator())))
+    assert len(out) == 9
+    return out
+
+
+def sweep_arrangement_cases():
+    """Both log sides of every arrangement of at most two candidate classes
+    on the quadric and F_0..F_3, at the search sweep's polarizations."""
+    spaces = [(L.quadric_surface(), [(1, 1), (1, 2), (2, 1), (2, 3)], 1)]
+    for e in range(4):
+        spaces.append((L.hirzebruch(e), [(1, e + 1), (1, e + 2), (2, 2 * e + 1), (2, 2 * e + 3)], 2 if e >= 2 else 1))
+    cases = []
+    for x, hs, class_bound in spaces:
+        for m in (1, 2):
+            for combo in itertools.combinations_with_replacement(sorted(_candidate_classes(x, class_bound)), m):
+                if repeated_rigid_class(x, combo) is not None:
+                    continue
+                pair = log_pair(x, L.arrangement(x, [L.component_from_class(x, c) for c in combo]), Evaluator())
+                cases += [(pair.for_side(side), h) for h in hs for side in ("cot", "tan")]
+    return cases
+
+
+def test_probed_scan_matches_linear_scan_on_problem_log_pairs(monkeypatch):
+    cases = [(pair.for_side(side), h) for _, h, pair in problem_log_pairs() for side in ("cot", "tan")]
+    assert_probe_matches_linear_scan(monkeypatch, cases)
+
+
+def test_probed_scan_matches_linear_scan_on_sweep_arrangements(monkeypatch):
+    cases = sweep_arrangement_cases()
+    assert len(cases) >= 250
+    assert_probe_matches_linear_scan(monkeypatch, cases)
+
+
+def test_probed_scan_matches_linear_scan_on_random_lines(monkeypatch, rng):
+    cases = [
+        (LineE(x, random_class(rng, x, 4)), catalog_polarization(x))
+        for x in catalog_surfaces()
+        for _ in range(4)
+    ]
+    assert_probe_matches_linear_scan(monkeypatch, cases)
+
+
+def test_top_degree_non_increasing_on_lines(rng):
+    """h^n(L + sH) from the line-bundle backends never rises with s."""
+    for x in catalog_surfaces():
+        h = catalog_polarization(x)
+        for _ in range(6):
+            l = random_class(rng, x, 4)
+            top = [line_cohom(x, vadd(l, vscale(s, h)))[x.dim] for s in range(-6, 7)]
+            assert top == sorted(top, reverse=True), (x.kind, l, top)
+
+
+def test_top_degree_non_increasing_on_problem_log_pairs():
+    """Every pair of exact h^n slots of the problem log pairs along H is
+    non-increasing in the twist."""
+    ev = Evaluator()
+    for x, h, pair in problem_log_pairs():
+        for side in ("cot", "tan"):
+            expr = pair.for_side(side)
+            exact = [
+                v[x.dim].lo
+                for v in (pad_vec(ev.cohom(expr, vscale(s, h)), x.dim + 1) for s in range(-6, 7))
+                if v[x.dim].exact
+            ]
+            assert exact == sorted(exact, reverse=True), (x.kind, side, exact)
+
+
+def test_probe_asks_fewer_regularity_certificates(monkeypatch):
+    """On F_1 with a section and a fibre, the probed window asks
+    ``cm_regularity_certify`` less often than the scan from -cap, and
+    certifies the same window."""
+    x = L.hirzebruch(1)
+    arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
+    expr, h = log_pair(x, arr, Evaluator()).cotangent_log, (1, 2)
+    calls = Counter()
+    certify = exactseq.cm_regularity_certify
+
+    def counted(*args):
+        calls["certify"] += 1
+        return certify(*args)
+
+    monkeypatch.setattr(exactseq, "cm_regularity_certify", counted)
+    probed = vanishing_window(expr, h, ev=Evaluator())
+    probed_calls = calls.pop("certify")
+    monkeypatch.setattr(exactseq, "_one_sided_regularity", linear_regularity_scan)
+    linear = vanishing_window(expr, h, ev=Evaluator())
+    assert probed == linear
+    assert 0 < probed_calls < calls["certify"], (probed_calls, calls)
+
+
+@dataclass(eq=False)
+class TableE(Expr):
+    """A term with given cohomology at listed twists and 0 elsewhere."""
+
+    variety: object
+    cdim: int
+    table: tuple  # ((twist, vec), ...)
+
+
+class TableEvaluator(Evaluator):
+    def _raw(self, expr, twist):
+        if isinstance(expr, TableE):
+            return dict(expr.table).get(twist, (iv(0),) * (expr.cdim + 1))
+        return super()._raw(expr, twist)
+
+
+def test_probe_reads_only_the_top_degree_of_x():
+    """h^2 = 1 at twist -1 moves the start of a sheaf on P^2 above r = 1,
+    but not for a term of cdim 3, whose h^2 is not a top degree; that term
+    is 2-regular at every r, so its scan must start at -cap."""
+    ev = TableEvaluator()
+    surface = TableE(P2, 2, (((-1,), (iv(0), iv(0), iv(1))),))
+    assert exactseq._top_degree_start(surface, (1,), 8, ev) == 2
+    assert exactseq._top_degree_start(surface, (1,), 1, ev) == 2  # past the cap: the scan is empty
+    solid = TableE(P2, 3, (((-1,), (iv(0), iv(0), iv(1), iv(0))),))
+    assert exactseq._top_degree_start(solid, (1,), 8, ev) == -8
+    assert exactseq._one_sided_regularity(solid, (1,), 8, 1, ev) == {1: -9, 2: -10}

@@ -254,36 +254,29 @@ def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> V
 
 def is_acm(x: VarietyModel, h, arr: Arrangement, cap: int = 8, ev: Evaluator | None = None) -> Verdict:
     """Is Omega^1(log D) without intermediate cohomology in every H-twist?"""
-    return _classify(x, h, arr, "cot", cap, ev)
+    return _classify(x, h, arr, "cot", cap, ev)[0]
 
 
 def is_tacm(x: VarietyModel, h, arr: Arrangement, cap: int = 8, ev: Evaluator | None = None) -> Verdict:
     """Same for the logarithmic tangent sheaf TX(-log D)."""
-    return _classify(x, h, arr, "tan", cap, ev)
+    return _classify(x, h, arr, "tan", cap, ev)[0]
 
 
-def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator | None) -> Verdict:
+def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator | None) -> tuple[Verdict, str]:
+    """(verdict, first failing rule): the rule is the first filter that
+    fails, else the first certificate of a No, else ""."""
     ev = ev or default_evaluator()
     violations, skipped = necessary_conditions(x, h, arr, side, ev)
     if violations:
-        return _filtered_verdict(violations, skipped)
-    return _classify_filtered(x, h, arr, side, cap, ev)
+        # the first witness any violation carries, every rule with its
+        # detail, then the skipped-slot log
+        witness = next((w.witness for w in violations if w.witness is not None), None)
+        certificates = [f"{w.rule}: {w.detail}" for w in violations] + skipped
+        return Verdict(NO, witness, certificates), violations[0].rule
 
-
-def _filtered_verdict(violations: list[Violation], skipped: list[str]) -> Verdict:
-    """The No verdict of an arrangement that fails ``necessary_conditions``:
-    the first witness any violation carries, every rule with its detail,
-    then the skipped-slot log."""
-    witness = next((w.witness for w in violations if w.witness is not None), None)
-    return Verdict(NO, witness, [f"{w.rule}: {w.detail}" for w in violations] + skipped)
-
-
-def _classify_filtered(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> Verdict:
-    """The verdict of an arrangement that passed ``necessary_conditions``."""
     pair = log_pair(x, arr, ev)
     verdict = _classify_expr(x, h, pair.for_side(side), cap, ev)
     verdict.certificates = pair.notes + verdict.certificates
-
     if x.is_subcanonical(h) is not None:
         other = pair.for_side("tan" if side == "cot" else "cot")
         cross = _classify_expr(x, h, other, cap, ev)
@@ -291,8 +284,9 @@ def _classify_filtered(x: VarietyModel, h, arr: Arrangement, side: str, cap: int
             raise EngineError("subcanonical cross-check failed: aCM and T-aCM verdicts disagree")
         if verdict.status == UNKNOWN and cross.status != UNKNOWN:
             cross.certificates.append("decided on the Serre-dual side (subcanonical pair)")
-            return cross
-    return verdict
+            verdict = cross
+    first = verdict.certificates[0] if verdict.status == NO and verdict.certificates else ""
+    return verdict, first
 
 
 # -- polarization-free degree-0 notions --------------------------------------
@@ -440,13 +434,7 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
                 continue
             comps = [component_from_class(x, c) for c in combo]
             arr = arrangement(x, comps)
-            violations, skipped = necessary_conditions(x, h, arr, side, ev)
-            if violations:
-                results.append((combo, _filtered_verdict(violations, skipped), violations[0].rule))
-                continue
-            verdict = _classify_filtered(x, h, arr, side, cap, ev)
-            first = verdict.certificates[0] if verdict.status == NO and verdict.certificates else ""
-            results.append((combo, verdict, first))
+            results.append((combo, *_classify(x, h, arr, side, cap, ev)))
     return results
 
 

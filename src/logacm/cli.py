@@ -2,8 +2,10 @@
 search, deficiency and ledger commands, emit deterministic tables.
 
 A problem is one declarative YAML document (key-value with nested lists);
-unknown fields are rejected.  Exit codes: 0 for success/Yes, 1 for a No
-verdict, 3 for Unknown, 2 for parse errors.
+unknown fields are rejected.  Every command takes the same flags, before or
+after the problem; a given --window, --cap or --format overrides the
+document's window:, cap: or format:.  Exit codes: 0 for success/Yes, 1 for
+a No verdict, 3 for Unknown, 2 for parse errors.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -43,7 +45,16 @@ from .varieties import (
     vscale,
 )
 
-_VARIETY_KEYS = {"kind", "n", "e", "points", "degree", "polarization_square"}
+# kind -> (catalog constructor, document key of its integer parameter)
+_KINDS = {
+    "projective_space": (projective_space, "n"),
+    "quadric": (quadric_surface, None),
+    "hirzebruch": (hirzebruch, "e"),
+    "blowup_p2": (blowup_p2, "points"),
+    "surface_p3": (surface_in_p3, "degree"),
+    "abelian": (abelian_surface, "polarization_square"),
+}
+_VARIETY_KEYS = {"kind"} | {key for _, key in _KINDS.values() if key}
 _ARR_KEYS = {"components", "span_rank", "snc"}
 _SHEAVES = ("line", "cotangent", "tangent", "log_cotangent", "log_tangent")
 _LOG_SIDES = {"log_cotangent": "cot", "log_tangent": "tan"}
@@ -66,7 +77,7 @@ class ProblemSpec:
     class_bound: int = 4
     m_bound: int = 6
     ledger: str | None = None
-    format: str | None = None
+    format: str = "md"
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSpec":
@@ -108,19 +119,10 @@ _SPEC_KEYS = frozenset(f.name for f in fields(ProblemSpec))
 def build_variety(spec: ProblemSpec) -> VarietyModel:
     var = spec.variety
     kind = var.get("kind")
-    if kind == "projective_space":
-        return projective_space(int(var["n"]))
-    if kind == "quadric":
-        return quadric_surface()
-    if kind == "hirzebruch":
-        return hirzebruch(int(var["e"]))
-    if kind == "blowup_p2":
-        return blowup_p2(int(var["points"]))
-    if kind == "surface_p3":
-        return surface_in_p3(int(var["degree"]))
-    if kind == "abelian":
-        return abelian_surface(int(var["polarization_square"]))
-    raise InputError(f"unknown variety kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InputError(f"unknown variety kind {kind!r}")
+    make, key = _KINDS[kind]
+    return make(int(var[key])) if key else make()
 
 
 def _as_class(x: VarietyModel, raw) -> tuple:
@@ -180,6 +182,13 @@ def _banner(out, args):
 # -- subcommands ---------------------------------------------------------------
 
 
+def _variety_and_polarization(spec: ProblemSpec, command: str):
+    x = build_variety(spec)
+    if spec.polarization is None:
+        raise InputError(f"{command} needs a polarization")
+    return x, _as_class(x, spec.polarization)
+
+
 def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):
     name = spec.sheaf or "log_cotangent"
     if name == "line":
@@ -193,46 +202,29 @@ def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):
     return log_pair(x, arr).for_side(_LOG_SIDES[name])
 
 
-def _twist_rows(x: VarietyModel, expr, h, spec: ProblemSpec, args):
-    """(t, padded cohomology vector of expr(tH)) over the requested window."""
-    lo, hi = (args.window if args.window else spec.window)
+def _twist_rows(x: VarietyModel, expr, h, spec: ProblemSpec):
+    """(t, padded cohomology vector of expr(tH)) over the window."""
+    lo, hi = spec.window
     ev = default_evaluator()
     return [(t, pad_vec(ev.cohom(expr, vscale(t, h)), x.dim + 1)) for t in range(int(lo), int(hi) + 1)]
 
 
-def cmd_cohom(spec: ProblemSpec, args, out) -> int:
-    x = build_variety(spec)
-    arr = build_arrangement(x, spec)
-    expr = _sheaf_expr(x, arr, spec)
-    if spec.polarization is None:
-        raise InputError("cohom needs a polarization to generate twists")
-    h = _as_class(x, spec.polarization)
-    rows = [[str(t)] + [str(c) for c in v] for t, v in _twist_rows(x, expr, h, spec, args)]
-    render_table(["t"] + [f"h{i}" for i in range(x.dim + 1)], rows, _fmt(spec, args), out)
+def cmd_cohom(spec: ProblemSpec, out) -> int:
+    x, h = _variety_and_polarization(spec, "cohom")
+    expr = _sheaf_expr(x, build_arrangement(x, spec), spec)
+    rows = [[str(t)] + [str(c) for c in v] for t, v in _twist_rows(x, expr, h, spec)]
+    render_table(["t"] + [f"h{i}" for i in range(x.dim + 1)], rows, spec.format, out)
     return 0
 
 
-def _fmt(spec: ProblemSpec, args) -> str:
-    return args.format or spec.format or "md"
-
-
-def _cap(spec: ProblemSpec, args) -> int:
-    """The regularity cap: ``--cap`` when given (0 included), else the document's."""
-    return args.cap if args.cap is not None else spec.cap
-
-
-def classify_one(spec: ProblemSpec, cap: int):
-    x = build_variety(spec)
-    arr = build_arrangement(x, spec)
-    if spec.polarization is None:
-        raise InputError("classify needs a polarization")
-    h = _as_class(x, spec.polarization)
+def classify_one(spec: ProblemSpec):
+    x, h = _variety_and_polarization(spec, "classify")
     fn = is_tacm if spec.side == "tan" else is_acm
-    return fn(x, h, arr, cap=cap)
+    return fn(x, h, build_arrangement(x, spec), cap=spec.cap)
 
 
-def cmd_classify(spec: ProblemSpec, args, out) -> int:
-    verdict = classify_one(spec, _cap(spec, args))
+def cmd_classify(spec: ProblemSpec, out) -> int:
+    verdict = classify_one(spec)
     out.write(f"verdict: {verdict.status}\n")
     if verdict.witness is not None:
         i, t, val = verdict.witness
@@ -244,36 +236,30 @@ def cmd_classify(spec: ProblemSpec, args, out) -> int:
     return {"Yes": 0, "No": 1, "Unknown": 3}[verdict.status]
 
 
-def cmd_search(spec: ProblemSpec, args, out) -> int:
-    x = build_variety(spec)
-    if spec.polarization is None:
-        raise InputError("search needs a polarization")
-    h = _as_class(x, spec.polarization)
-    results = search(x, h, spec.class_bound, spec.m_bound, side=spec.side, cap=_cap(spec, args))
+def cmd_search(spec: ProblemSpec, out) -> int:
+    x, h = _variety_and_polarization(spec, "search")
+    results = search(x, h, spec.class_bound, spec.m_bound, side=spec.side, cap=spec.cap)
     rows = []
     for combo, verdict, first_rule in results:
         rows.append(["+".join(str(list(c)) for c in combo), verdict.status, first_rule or "-"])
-    render_table(["arrangement", "verdict", "first_failing_rule"], rows, _fmt(spec, args), out)
+    render_table(["arrangement", "verdict", "first_failing_rule"], rows, spec.format, out)
     return 0
 
 
-def cmd_deficiency(spec: ProblemSpec, args, out) -> int:
-    x = build_variety(spec)
+def cmd_deficiency(spec: ProblemSpec, out) -> int:
+    x, h = _variety_and_polarization(spec, "deficiency")
     arr = build_arrangement(x, spec)
-    if spec.polarization is None:
-        raise InputError("deficiency needs a polarization")
-    h = _as_class(x, spec.polarization)
     try:
-        table = deficiency_table(x, h, arr, spec.degree, cap=_cap(spec, args), side=spec.side)
+        table = deficiency_table(x, h, arr, spec.degree, cap=spec.cap, side=spec.side)
     except WindowNotFound as exc:
         # fall back to an uncertified scan over the requested window
         out.write(f"window: not certified ({exc}); scanning without tail certificates\n")
         expr = log_pair(x, arr).for_side(spec.side)
-        rows = [[str(t), str(v[spec.degree])] for t, v in _twist_rows(x, expr, h, spec, args)]
-        render_table(["t", f"h{spec.degree}"], rows, _fmt(spec, args), out)
+        rows = [[str(t), str(v[spec.degree])] for t, v in _twist_rows(x, expr, h, spec)]
+        render_table(["t", f"h{spec.degree}"], rows, spec.format, out)
         return 0
     rows = [[str(t), str(v)] for t, v in sorted(table.entries.items())]
-    render_table(["t", f"h{spec.degree}"], rows, _fmt(spec, args), out)
+    render_table(["t", f"h{spec.degree}"], rows, spec.format, out)
     try:
         if one_degree_buchsbaum(table):
             out.write("certificate: 1-Buchsbaum (one-degree rule)\n")
@@ -282,7 +268,7 @@ def cmd_deficiency(spec: ProblemSpec, args, out) -> int:
     return 0
 
 
-def cmd_ledger(spec: ProblemSpec, args, out) -> int:
+def cmd_ledger(spec: ProblemSpec, out) -> int:
     name = spec.ledger
     if name is None:
         raise InputError("ledger command needs a ledger name")
@@ -298,11 +284,14 @@ def cmd_ledger(spec: ProblemSpec, args, out) -> int:
     return 0
 
 
-def _classify_file(path: Path, args):
+# what a malformed document, a missing file or an unsupported problem raises
+_USER_ERRORS = (EngineError, OSError, KeyError, TypeError, ValueError)
+
+
+def _classify_file(path: Path, flags: dict):
     try:
-        spec = load_problem(path)
-        verdict = classify_one(spec, _cap(spec, args))
-    except (EngineError, OSError, KeyError, TypeError, ValueError) as exc:
+        verdict = classify_one(replace(load_problem(path), **flags))
+    except _USER_ERRORS as exc:
         return [path.name, "Error", "", str(exc)]
     wit = ""
     if verdict.witness is not None:
@@ -312,9 +301,9 @@ def _classify_file(path: Path, args):
     return [path.name, verdict.status, wit, first]
 
 
-def cmd_classify_dir(directory: Path, args, out) -> int:
+def cmd_classify_dir(directory: Path, flags: dict, out) -> int:
     files = sorted(p for p in directory.iterdir() if p.suffix in (".yaml", ".yml"))
-    rows = [_classify_file(p, args) for p in files]
+    rows = [_classify_file(p, flags) for p in files]
     render_table(["file", "verdict", "witness", "first_certificate"], rows, "csv", out)
     return 0
 
@@ -335,31 +324,30 @@ def _cap_arg(text: str) -> int:
     return cap
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="logacm", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("problem", help="problem document (YAML); for classify, a directory runs a suite")
-        p.add_argument("--window", type=int, nargs=2, default=None, metavar=("LO", "HI"))
-        p.add_argument("--cap", type=_cap_arg, default=None)
-        p.add_argument("--format", choices=_FORMATS, default=None)
-        p.add_argument("--no-header", action="store_true")
-    return parser
+# built once; parse_args reads it and never changes it
+_PARSER = argparse.ArgumentParser(prog="logacm", description=__doc__)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("problem", help="problem document (YAML); for classify, a directory runs a suite")
+_PARSER.add_argument("--window", type=int, nargs=2, default=None, metavar=("LO", "HI"))
+_PARSER.add_argument("--cap", type=_cap_arg, default=None)
+_PARSER.add_argument("--format", choices=_FORMATS, default=None)
+_PARSER.add_argument("--no-header", action="store_true")
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # the flags that were given, as ProblemSpec fields: each overrides the document
+    flags = {k: v for k in ("window", "cap", "format") if (v := getattr(args, k)) is not None}
     out = sys.stdout
     path = Path(args.problem)
     try:
         if args.command == "classify" and path.is_dir():
             _banner(out, args)
-            return cmd_classify_dir(path, args, out)
-        spec = load_problem(path)
+            return cmd_classify_dir(path, flags, out)
+        spec = replace(load_problem(path), **flags)
         _banner(out, args)
-        return COMMANDS[args.command](spec, args, out)
-    except (EngineError, OSError, KeyError, TypeError, ValueError) as exc:
+        return COMMANDS[args.command](spec, out)
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

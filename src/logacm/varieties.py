@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import InputError, NonGeneralConfig, NotVeryAmple
 
@@ -86,14 +87,18 @@ class VarietyModel:
     # kind parameters: n for P^n, e for F_e, k for Bl_k P^2, degree for
     # surfaces in P^3, half the polarization square for abelian surfaces
     param: int = 0
-    # (i, j, m_ij) for the nonzero entries of the intersection matrix; derived
-    # from it, so it takes no part in equality, hashing or repr
+    # (i, j, m_ij) for the nonzero entries of the intersection matrix, and
+    # the row M g of each Mori generator g (so L.g is a dot product); derived,
+    # so they take no part in equality, hashing or repr
     _pairing: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
+    _mori_rows: tuple[Cls, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.intersection_matrix
         pairing = tuple((i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v)
         object.__setattr__(self, "_pairing", pairing)
+        rows = tuple(tuple(sum(a * b for a, b in zip(row, g)) for row in m) for g in self.mori_generators)
+        object.__setattr__(self, "_mori_rows", rows)
         if self.dim == 2:
             if len(m) != self.lattice_rank or any(len(r) != self.lattice_rank for r in m):
                 raise InputError("intersection matrix shape mismatch")
@@ -150,44 +155,28 @@ class VarietyModel:
     # -- positivity ---------------------------------------------------------
 
     def is_ample(self, l) -> bool:
+        """Kleiman's criterion: L.g > 0 for every generator g of the cone of
+        curves.  On P^n, n >= 3, g is a line and the matrix (1) gives
+        L.g = deg L."""
         l = self.check_class(l)
-        k = self.kind
-        if k == KIND_PN:
-            return l[0] > 0
-        if k == KIND_QUADRIC:
-            return l[0] > 0 and l[1] > 0
-        if k == KIND_HIRZEBRUCH:
-            a, b = l
-            return a > 0 and b > a * self.param
-        if k == KIND_BLOWUP:
-            if self.intersect(l, l) <= 0:
-                return False
-            return all(self.intersect(l, c) > 0 for c in self.negative_curves)
-        # rank-one polarization lattices
-        return l[0] > 0
+        return all(sum(map(mul, l, row)) > 0 for row in self._mori_rows)
 
     def very_ample_multiple(self, l) -> int:
-        """Smallest nu with nu*L very ample under the catalog rule, or raise."""
+        """Smallest nu with nu*L very ample under the catalog rule, or raise.
+
+        An ample class is very ample on every catalog kind but two: on a
+        blow-up the rule certifies only the multiples of -K (ample, as these
+        are del Pezzo surfaces), and on an abelian surface only tH with
+        t >= 3 (Lefschetz), so nu = 3 below."""
         l = self.check_class(l)
-        k = self.kind
-        if k == KIND_PN and l[0] >= 1:
-            return 1
-        if k == KIND_QUADRIC and l[0] >= 1 and l[1] >= 1:
-            return 1
-        if k == KIND_HIRZEBRUCH:
-            a, b = l
-            if a >= 1 and b >= a * self.param + 1:
-                return 1
-        if k == KIND_BLOWUP:
+        if self.kind == KIND_BLOWUP:
             mk = vneg(self.canonical_class)
-            for t in range(1, 13):
-                if l == vscale(t, mk):
-                    return 1
-        if k == KIND_SURFACE_P3 and l[0] >= 1:
-            return 1
-        if k == KIND_ABELIAN and l[0] >= 1:
-            return 1 if l[0] >= 3 else 3
-        raise NotVeryAmple(f"{k}: {l} is not certified very ample by the catalog rule")
+            certified = any(l == vscale(t, mk) for t in range(1, 13))
+        else:
+            certified = self.is_ample(l)
+        if not certified:
+            raise NotVeryAmple(f"{self.kind}: {l} is not certified very ample by the catalog rule")
+        return 3 if self.kind == KIND_ABELIAN and l[0] < 3 else 1
 
     def is_effective(self, l) -> bool:
         from .linebundles import line_cohom

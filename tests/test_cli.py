@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,20 +47,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     p = write(tmp_path, "bad.yaml", "variety: {kind: quadric}\nbogus: 1\n")
     code, _ = run(capsys, "classify", str(p))
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["classfy", str(p)])
+    assert exc.value.code == 2  # no such command
 
 
 def test_cohom_rows(tmp_path, capsys):
     p = write(
         tmp_path,
         "f2.yaml",
-        "variety: {kind: hirzebruch, e: 2}\npolarization: [1, 3]\nsheaf: tangent\nwindow: [-1, 1]\n",
+        "variety: {kind: hirzebruch, e: 2}\npolarization: [1, 3]\nsheaf: tangent\nwindow: [-1, 1]\nformat: csv\n",
     )
-    code, out = run(capsys, "cohom", str(p), "--no-header")
+    code, out = run(capsys, "cohom", str(p), "--no-header", "--format", "md")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].split() == ["t", "h0", "h1", "h2"]
     row0 = dict(zip(("t", "h0", "h1", "h2"), lines[2].split()))
     assert row0 == {"t": "0", "h0": "7", "h1": "1", "h2": "0"}
+    # --window overrides the document's window:, which is [-1, 1]
+    code, out = run(capsys, "cohom", str(p), "--no-header", "--window", "0", "0")
+    assert code == 0 and out == "t,h0,h1,h2\n0,7,1,0\n"
 
 
 def test_classify_exit_codes(tmp_path, capsys):
@@ -77,6 +86,14 @@ def test_classify_exit_codes(tmp_path, capsys):
     assert code == 0 and "verdict: Yes" in out
     code, out = run(capsys, "classify", str(no))
     assert code == 1 and "verdict: No" in out and "witness" in out
+    # L = -4H - 3E on Bl_1 P^2 has L^2 > 0 and L.E > 0 but L.(H - E) < 0
+    anti = write(
+        tmp_path,
+        "anti.yaml",
+        "variety: {kind: blowup_p2, points: 1}\npolarization: [-4, -3]\narrangement: {components: [[0, 1]]}\n",
+    )
+    for command in ("classify", "search"):
+        assert run(capsys, command, str(anti))[0] == 2, command
 
 
 def test_classify_unknown_exit(tmp_path, capsys):
@@ -202,8 +219,10 @@ def test_header_banner(tmp_path, capsys):
     p = write(tmp_path, "led.yaml", "ledger: cubic_surface\n")
     _, with_header = run(capsys, "ledger", str(p))
     _, without = run(capsys, "ledger", str(p), "--no-header")
+    _, again = run(capsys, "ledger", str(p))  # no flag carries over from the call before
     assert with_header.splitlines()[0].startswith("# logacm ")
     assert not without.splitlines()[0].startswith("# logacm")
+    assert again == with_header
 
 
 def test_missing_file_exit(capsys):
@@ -234,6 +253,7 @@ def test_cap_flag_zero_is_honoured(tmp_path, capsys):
     assert code == 0 and "verdict: Yes" in out
     code, out = run(capsys, "classify", str(p), "--cap", "0")
     assert code == 3 and "within cap=0" in out
+    assert run(capsys, "classify", str(p))[0] == 0  # the cap of the call before is gone
     capped = write(tmp_path, "capped.yaml", P3_FOUR + "cap: 0\n")
     assert run(capsys, "classify", str(capped))[0] == 3
     assert run(capsys, "classify", str(capped), "--cap", "8")[0] == 0
@@ -269,3 +289,23 @@ def test_negative_cap_rejected(tmp_path, capsys):
     assert code == 0
     row = out.splitlines()[1]
     assert row.startswith("neg.yaml,Error,") and "cap must be a non-negative integer" in row
+
+
+def test_shared_flags_before_and_after_the_problem(tmp_path, capsys):
+    p = write(tmp_path, "all.yaml", P3_FOUR + "degree: 2\nm_bound: 2\nledger: dp4\nwindow: [-9, 9]\n")
+    flags = ["--window", "-1", "0", "--cap", "8", "--format", "csv", "--no-header"]
+    for command in ("cohom", "classify", "search", "deficiency", "ledger"):
+        after = run(capsys, command, str(p), *flags)
+        assert after[0] in (0, 1, 3) and not after[1].startswith("# logacm"), command
+        assert run(capsys, command, *flags, str(p)) == after, command
+        assert run(capsys, *flags, command, str(p)) == after, command
+    assert run(capsys, "cohom", str(p), *flags)[1] == "t,h0,h1,h2,h3\n-1,0,0,0,0\n0,3,0,0,0\n"
+
+
+def test_module_help_names_every_command():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "logacm.cli", "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for command in ("cohom", "classify", "search", "deficiency", "ledger"):
+        assert command in proc.stdout

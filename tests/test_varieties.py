@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 
 import logacm as L
-from logacm.errors import InputError, NonGeneralConfig
-from logacm.varieties import KIND_PN, VarietyModel, matrix_rank, rat0_case, vneg, vsub
+from logacm.errors import InputError, NonGeneralConfig, NotVeryAmple
+from logacm.varieties import KIND_PN, VarietyModel, matrix_rank, rat0_case, vneg, vscale, vsub
 
 from conftest import catalog_surfaces, random_class, run_optimized
 
@@ -87,6 +89,48 @@ def test_is_ample():
     assert b2.is_ample(vneg(b2.canonical_class))
     assert not b2.is_ample((1, 0, 0))  # pullback of a line is nef, not ample
     assert L.quadric_surface().is_ample((2, 1))
+    # L^2 > 0 and L.E > 0, but L.(H - E) < 0: -L = 4H + 3E is effective
+    b1 = L.blowup_p2(1)
+    for anti in ((-4, -3), (-3, -2), (-2, -1)):
+        assert not b1.is_ample(anti)
+        with pytest.raises(NotVeryAmple):
+            b1.very_ample_multiple(anti)
+    assert b1.is_ample((2, -1)) and b1.is_ample(vneg(b1.canonical_class))
+
+
+def _ample_per_kind(x, l):
+    """The per-kind ampleness chain that Kleiman's criterion replaced."""
+    if x.kind == "quadric":
+        return l[0] > 0 and l[1] > 0
+    if x.kind == "hirzebruch":
+        return l[0] > 0 and l[1] > l[0] * x.param
+    if x.kind == "blowup_p2":
+        return x.intersect(l, l) > 0 and all(x.intersect(l, c) > 0 for c in x.negative_curves)
+    return l[0] > 0
+
+
+def test_kleiman_agrees_with_per_kind_rule_off_anti_ample_bl1():
+    disagree = set()
+    checked = 0
+    for x in catalog_surfaces() + [L.projective_space(3), L.projective_space(4)]:
+        bound = 3 if x.lattice_rank >= 4 else 4
+        anticanonical = {vscale(t, vneg(x.canonical_class)) for t in range(1, 13)}
+        for l in product(range(-bound, bound + 1), repeat=x.lattice_rank):
+            checked += 1
+            ample = x.is_ample(l)
+            if ample != _ample_per_kind(x, l):
+                disagree.add((x.kind, x.param, l))
+            try:
+                nu = x.very_ample_multiple(l)
+            except NotVeryAmple:
+                nu = None
+            if not ample or (x.kind == "blowup_p2" and l not in anticanonical):
+                assert nu is None, (x.kind, x.param, l)
+            else:
+                assert nu == (3 if x.kind == "abelian" and l[0] < 3 else 1), (x.kind, x.param, l)
+    assert checked == 20495
+    # a < 0 and |b| < |a| with b < 0: L^2 > 0 and L.E > 0, yet L.(H - E) < 0
+    assert disagree == {("blowup_p2", 1, (a, b)) for a in range(-4, -1) for b in range(a + 1, 0)}
 
 
 def test_negative_curves_have_genus_zero():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
-from .errors import EngineError, InputError, IntervalPresent, NotAmple, NotVeryAmple, OutOfScope, WindowNotFound
+from .errors import EngineError, InputError, IntervalPresent, NotVeryAmple, OutOfScope, WindowNotFound
 from .exactseq import Evaluator, Expr, default_evaluator, vanishing_window
 from .intervals import Iv, iv, pad_vec
 from .linebundles import cohom_hypersurface_section, cohom_line_curve, cohom_line_quadric, line_cohom
@@ -75,9 +75,7 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
     """
     check_side(side)
     ev = ev or default_evaluator()
-    h = x.check_class(h)
-    if not x.is_ample(h):
-        raise NotAmple(f"{h} is not ample on {x.kind}")
+    h = x.check_ample(h)
     e_sub = x.is_subcanonical(h)
     sub = e_sub is not None
     cot_side = side == "cot" or sub

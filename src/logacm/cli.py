@@ -186,7 +186,7 @@ def _variety_and_polarization(spec: ProblemSpec, command: str):
     x = build_variety(spec)
     if spec.polarization is None:
         raise InputError(f"{command} needs a polarization")
-    return x, _as_class(x, spec.polarization)
+    return x, x.check_ample(_as_class(x, spec.polarization))
 
 
 def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):

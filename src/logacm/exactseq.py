@@ -13,7 +13,10 @@ and a backward pass over it give each degree's exact min/max over the
 feasible set.  The constraint matrix is totally unimodular, so every
 reachable rank set is an integer interval and the passes carry intervals;
 the cost does not depend on the rank ranges.  A flank without an upper
-bound falls to per-slot interval arithmetic (``_solve_coarse``).  Serre
+bound falls to per-slot interval arithmetic (``_solve_coarse``).  Every
+catalog sheaf has bounded values (on Bl_k P^2 the cotangent rules,
+``BlowupCotE``, are met with the blow-up sequence), so only a Serre-cycle
+cut, which reads as an unbounded value, reaches that path.  Serre
 duality is applied at expression level: a Serre partner is data on the
 expression (``serre_pair``), part of its key, and read by every evaluator.
 Vanishing outside finite twist windows is certified via
@@ -292,7 +295,11 @@ class MeetE(Expr):
 
 @dataclass(eq=False)
 class BlowupCotE(Expr):
-    """Rule-based cotangent leaf on Bl_k P^2 (k <= 4)."""
+    """Rule-based cotangent leaf on Bl_k P^2 (k <= 4).
+
+    Away from the multiples of -K its rules leave h^0, h^1 and h^2
+    unbounded; the catalog cotangent (``cotangent_tangent_pair``) meets it
+    with the blow-up sequence, whose terms are all bounded."""
 
     variety: VarietyModel
 
@@ -527,15 +534,9 @@ class Evaluator:
             return iv(0)  # h^0 <= h^0(Omega^1) = q = 0
         if t == mk:
             return iv(x.h0_tangent)  # Omega^1(-K) = TX
-        lo, hi = 0, None
         if x.is_effective(vsub(mk, t)):
-            hi = x.h0_tangent  # Omega^1(t) embeds in TX after an effective twist
-        if t[1:] == (0,) * (len(t) - 1) and t[0] >= 2:
-            # pullback of Omega^1_{P^2}(s): Bott count is a lower bound
-            lo = max(lo, t[0] ** 2 - 1)
-        if hi is not None and lo > hi:
-            hi = lo
-        return Iv(lo, hi)
+            return Iv(0, x.h0_tangent)  # Omega^1(t) embeds in TX after an effective twist
+        return Iv(0, None)
 
     # -- the long-exact-sequence solve --------------------------------------
 
@@ -695,12 +696,17 @@ def cm_regularity_certify(expr: Expr, r: int, h, ev: Evaluator | None = None) ->
     H must pass the catalog very-ampleness rule; r-regularity then implies
     h^i(expr(t)) = 0 for all t >= r - i by the regularity lemma.
     """
-    ev = ev or _DEFAULT
+    expr.variety.very_ample_multiple(h)  # raises NotVeryAmple
+    return _is_regular(expr, r, h, ev or _DEFAULT)
+
+
+def _is_regular(expr: Expr, r: int, h, ev: Evaluator) -> bool:
+    """``cm_regularity_certify`` for an H already certified very ample."""
     x = expr.variety
-    x.very_ample_multiple(h)  # raises NotVeryAmple
     n = x.dim
+    hh = x.check_class(h)
     for i in range(1, n + 1):
-        v = pad_vec(ev.cohom(expr, vscale(r - i, x.check_class(h))), n + 1)
+        v = pad_vec(ev.cohom(expr, vscale(r - i, hh)), n + 1)
         if not v[i].is_zero:
             return False
     return True
@@ -738,7 +744,8 @@ def _top_degree_start(shifted: Expr, big, cap: int, ev: Evaluator) -> int:
 
 def _one_sided_regularity(expr: Expr, h, cap: int, nu: int, ev: Evaluator) -> dict[int, int]:
     """Thresholds U_i with h^i(expr(tH)) = 0 for t >= U_i, via nu residue
-    classes when only nu*H is very ample.
+    classes when only nu*H is very ample; nu comes from the caller's
+    ``very_ample_multiple``, so no scan step checks H again.
 
     Each class scans r upward from ``_top_degree_start``, which skips only
     r that the top-degree lemma shows cannot be regular; the first certified
@@ -752,7 +759,7 @@ def _one_sided_regularity(expr: Expr, h, cap: int, nu: int, ev: Evaluator) -> di
         shifted = TwistE(expr, vscale(t0, hh)) if t0 else expr
         found = None
         for r in range(_top_degree_start(shifted, big, cap, ev), cap + 1):
-            if cm_regularity_certify(shifted, r, big, ev):
+            if _is_regular(shifted, r, big, ev):
                 found = r
                 break
         if found is None:

@@ -69,7 +69,16 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
         tan = SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name=f"T_F{e}", pins=pins, pin_rule=pin_rule)
         cot = TwistE(tan, x.canonical_class)
     elif k == KIND_BLOWUP:
-        cot = BlowupCotE(x)
+        # 0 -> pi^*Omega_{P^2} -> Omega^1 -> (+) O_{E_i}(-2) -> 0 for the
+        # point blow-up pi, with pi^*Omega_{P^2} the kernel of the pulled-back
+        # Euler map O(-H)^3 -> O (it bounds h^0 at sH below by the Bott count
+        # s^2 - 1); met with the rules of BlowupCotE
+        origin = (0,) * x.lattice_rank
+        minus_h = (-1,) + origin[1:]
+        pulled = SeqE(x, None, SumE([LineE(x, minus_h)] * 3), LineE(x, origin), 2, name="pi^*Omega_P2")
+        quotient = SumE([CurveE(x, 0, -2, klass=e) for e in x.negative_curves[: x.param]])
+        blown = SeqE(x, pulled, None, quotient, 2, name=f"Omega_Bl{x.param}")
+        cot = MeetE([blown, BlowupCotE(x)])
         tan = TwistE(cot, vneg(x.canonical_class))
     elif k == KIND_SURFACE_P3:
         cot = _surface_p3_cotangent(x)

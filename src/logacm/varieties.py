@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .errors import InputError, NonGeneralConfig, NotVeryAmple
+from .errors import InputError, NonGeneralConfig, NotAmple, NotVeryAmple
 
 Cls = tuple[int, ...]
 
@@ -160,6 +160,13 @@ class VarietyModel:
         L.g = deg L."""
         l = self.check_class(l)
         return all(sum(map(mul, l, row)) > 0 for row in self._mori_rows)
+
+    def check_ample(self, l) -> Cls:
+        """l as a checked class, or raise NotAmple."""
+        l = self.check_class(l)
+        if not self.is_ample(l):
+            raise NotAmple(f"{l} is not ample on {self.kind}")
+        return l
 
     def very_ample_multiple(self, l) -> int:
         """Smallest nu with nu*L very ample under the catalog rule, or raise.

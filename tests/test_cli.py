@@ -92,8 +92,12 @@ def test_classify_exit_codes(tmp_path, capsys):
         "anti.yaml",
         "variety: {kind: blowup_p2, points: 1}\npolarization: [-4, -3]\narrangement: {components: [[0, 1]]}\n",
     )
-    for command in ("classify", "search"):
-        assert run(capsys, command, str(anti))[0] == 2, command
+    for command in ("classify", "search", "cohom", "deficiency"):
+        assert main([command, str(anti), "--no-header"]) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: (-4, -3) is not ample on blowup_p2\n"), command
+    out = run(capsys, "classify", str(tmp_path), "--no-header")[1]
+    assert 'anti.yaml,Error,,"(-4, -3) is not ample on blowup_p2"' in out
 
 
 def test_classify_unknown_exit(tmp_path, capsys):

@@ -311,15 +311,18 @@ def bl4_negative_curves(*which):
 def test_value_met_inside_a_cycle_is_cached_at_its_root():
     """Omega^1 of Bl_4 at twist zero is first asked inside the log pair's
     evaluation, not as the outermost call; it roots the Serre cycle through
-    its partner, so its value is cached there."""
+    its partner, so its value is cached there, and so is the value of its
+    rule leaf, met with the blow-up sequence."""
     x, arr = bl4_negative_curves(0, 4, 9)
     ev = Evaluator()
     pair = log_pair(x, arr, ev)
-    cot, _ = L.cotangent_tangent_pair(x)
-    assert isinstance(cot, BlowupCotE)
+    cot, tan = L.cotangent_tangent_pair(x)
+    assert isinstance(cot, MeetE) and cot.partner is tan
+    (rules,) = [p for p in cot.parts if isinstance(p, BlowupCotE)]
     zero = (0,) * x.lattice_rank
     ev.cohom(pair.cotangent_log, zero)
     assert (cot.key(), zero) in ev.cache
+    assert (rules.key(), zero) in ev.cache
 
 
 def test_cycle_members_are_not_recomputed_per_visit():
@@ -757,20 +760,20 @@ def test_top_degree_non_increasing_on_problem_log_pairs():
 
 
 def test_probe_asks_fewer_regularity_certificates(monkeypatch):
-    """On F_1 with a section and a fibre, the probed window asks
-    ``cm_regularity_certify`` less often than the scan from -cap, and
-    certifies the same window."""
+    """On F_1 with a section and a fibre, the probed window tests regularity
+    (``_is_regular``, which ``cm_regularity_certify`` also calls) less often
+    than the scan from -cap, and certifies the same window."""
     x = L.hirzebruch(1)
     arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
     expr, h = log_pair(x, arr, Evaluator()).cotangent_log, (1, 2)
     calls = Counter()
-    certify = exactseq.cm_regularity_certify
+    certify = exactseq._is_regular
 
     def counted(*args):
         calls["certify"] += 1
         return certify(*args)
 
-    monkeypatch.setattr(exactseq, "cm_regularity_certify", counted)
+    monkeypatch.setattr(exactseq, "_is_regular", counted)
     probed = vanishing_window(expr, h, ev=Evaluator())
     probed_calls = calls.pop("certify")
     monkeypatch.setattr(exactseq, "_one_sided_regularity", linear_regularity_scan)

@@ -1,11 +1,12 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import logacm as L
-from logacm.classify import is_acm
+from logacm import classify, logbundles
+from logacm.classify import deficiency_concentrated_at_zero, is_acm
 from logacm.errors import InputError, NotRulingArrangement
-from logacm.exactseq import Evaluator, default_evaluator
+from logacm.exactseq import BlowupCotE, Evaluator, TwistE, default_evaluator, serre_pair
 from logacm.intervals import pad_vec
 from logacm.linebundles import binom
 from logacm.logbundles import (
@@ -44,6 +45,67 @@ def test_cotangent_blowup_pins():
         w = ev().cohom(tan, zero)
         assert w[0].lo == x.h0_tangent and w[0].exact
         assert w[1].is_zero  # no three collinear points: rigid in h^1
+
+
+def rules_alone_pair(x):
+    """The Bl_k cotangent as its rule leaf alone, paired with its tangent."""
+    cot = BlowupCotE(x)
+    tan = TwistE(cot, vneg(x.canonical_class))
+    serre_pair(cot, tan)
+    return cot, tan
+
+
+def test_blowup_sequence_meets_the_rules_soundly():
+    """On a twist box of each Bl_k, meeting the rules with the blow-up
+    sequence never conflicts, stays inside the rules-alone interval, and
+    every fully exact row has the Riemann-Roch Euler characteristic."""
+    exact = {}
+    for k in (1, 2, 3, 4):
+        x = L.blowup_p2(k)
+        cot, _ = cotangent_tangent_pair(x)
+        rules, _ = rules_alone_pair(x)
+        ev, bound = Evaluator(), 3 if k <= 2 else 2
+        exact[k] = 0
+        for tw in product(range(-bound, bound + 1), repeat=x.lattice_rank):
+            met, alone = ev.cohom(cot, tw), ev.cohom(rules, tw)
+            for m, a in zip(met, alone):
+                assert a.lo <= m.lo and (a.hi is None or (m.hi is not None and m.hi <= a.hi)), (k, tw, met, alone)
+            if all(m.exact for m in met):
+                exact[k] += 1
+                assert met[0].lo - met[1].lo + met[2].lo == x.chi_cotangent_twist(tw), (k, tw, met)
+    assert sum(exact.values()) >= 978, exact  # 822 rows with the rules alone
+
+
+def test_blowup_deficiency_verdicts_take_no_coarse_solve(monkeypatch):
+    """Over the negative-curve sub-arrangements of at most three curves,
+    polarized by -K, no solve takes the coarse path, and every verdict is
+    the one the rules alone give (whose solves do take it)."""
+    coarse = []
+    solve_coarse = Evaluator._solve_coarse
+
+    def counted(self, *args):
+        coarse.append(args[0])
+        return solve_coarse(self, *args)
+
+    monkeypatch.setattr(Evaluator, "_solve_coarse", counted)
+
+    def verdicts():
+        ev, out = Evaluator(), {}
+        for k in (1, 2, 3, 4):
+            x = L.blowup_p2(k)
+            for size in range(4):
+                for curves in combinations(x.negative_curves, size):
+                    arr = L.arrangement(x, [L.component_from_class(x, c) for c in curves])
+                    v = deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, ev=ev)
+                    out[(k, curves)] = (v.status, v.witness)
+        return out
+
+    met = verdicts()
+    assert len(met) == 228 and coarse == []
+    for module in (logbundles, classify):
+        monkeypatch.setattr(module, "cotangent_tangent_pair", rules_alone_pair)
+    assert verdicts() == met
+    assert coarse
 
 
 def test_cotangent_f1_vanishing_off_zero():

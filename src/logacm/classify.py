@@ -274,7 +274,7 @@ def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Eva
 
     pair = log_pair(x, arr, ev)
     verdict = _classify_expr(x, h, pair.for_side(side), cap, ev)
-    verdict.certificates = pair.notes + verdict.certificates
+    verdict.certificates = [*pair.notes, *verdict.certificates]
     if x.is_subcanonical(h) is not None:
         other = pair.for_side("tan" if side == "cot" else "cot")
         cross = _classify_expr(x, h, other, cap, ev)

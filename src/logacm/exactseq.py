@@ -19,6 +19,12 @@ catalog sheaf has bounded values (on Bl_k P^2 the cotangent rules,
 cut, which reads as an unbounded value, reaches that path.  Serre
 duality is applied at expression level: a Serre partner is data on the
 expression (``serre_pair``), part of its key, and read by every evaluator.
+Twists are checked once, where they enter: ``Evaluator.cohom``,
+``cm_regularity_certify`` and ``vanishing_window`` check a class against
+the lattice, and every twist built inside the evaluator from checked
+classes (``vadd``, ``vsub``, ``vscale``) goes to the unchecked step
+``Evaluator._cohom``.  An evaluator also keeps the log pairs that
+``logbundles.log_pair`` built on it (per-evaluator state, like its cache).
 Vanishing outside finite twist windows is certified via
 Castelnuovo-Mumford regularity (Mumford, *Lectures on Curves on an
 Algebraic Surface*, Lecture 14), by an upward scan over r for the first
@@ -385,12 +391,15 @@ class SeqE(Expr):
         return f"{self.name}[{self.unknown_slot}]"
 
 
-def _project(x, y, pairs):
+def _project(x, y, rel, backward=False):
     """Hull of the y' in y with x' + y' in s for some x' in x, where x' and
-    y' also lie in the boxes of one flank pair (x box, y box, s); None when
-    no pair admits any.  The sum range s is never empty."""
+    y' also lie in the boxes of one relation (base, sign, rho_{i-1} box,
+    rho_i box, s) of ``rel``; None when no relation admits any.  Forward, x
+    is rho_{i-1} and y is rho_i; ``backward`` swaps them.  The sum range s
+    is never empty."""
     lo, hi = _INF, -_INF
-    for (bxlo, bxhi), (bylo, byhi), (slo, shi) in pairs:
+    for _, _, bx, by, (slo, shi) in rel:
+        (bxlo, bxhi), (bylo, byhi) = (by, bx) if backward else (bx, by)
         xlo, xhi = max(x[0], bxlo), min(x[1], bxhi)
         ylo, yhi = max(y[0], bylo, slo - xhi), min(y[1], byhi, shi - xlo)
         if xlo <= xhi and ylo <= yhi:
@@ -416,12 +425,17 @@ class Evaluator:
     rebuild of a structure.  ``partners`` and ``partner_names`` record the
     Serre pairs registered here, once each; evaluation reads partners from
     the expressions themselves, so every evaluator sees the same duality.
+    ``log_pairs`` is ``logbundles.log_pair``'s memo of the pairs built
+    here, keyed by (variety, arrangement): per-evaluator state, so a fresh
+    evaluator builds its pairs again.  Only ``cohom`` checks its twist; the
+    steps inside (``_cohom``) take checked classes.
     """
 
     def __init__(self):
         self.cache: dict = {}  # idempotent writes; safe to share across threads
         self.partners: dict[int, Expr] = {}  # expression key -> partner
         self.partner_names: list[tuple[str, str]] = []
+        self.log_pairs: dict = {}  # (variety, arrangement) -> LogPair
         self._lock = threading.Lock()  # guards the partner record
         self._local = threading.local()
 
@@ -452,7 +466,10 @@ class Evaluator:
 
     def cohom(self, expr: Expr, twist) -> tuple[Iv, ...]:
         """Dimension intervals of expr twisted by O(twist), degrees 0..cdim."""
-        twist = expr.variety.check_class(twist)
+        return self._cohom(expr, expr.variety.check_class(twist))
+
+    def _cohom(self, expr: Expr, twist) -> tuple[Iv, ...]:
+        """``cohom`` at a twist already checked against the lattice."""
         key = (expr.key(), twist)
         v = self.cache.get(key)
         if v is not None:
@@ -476,7 +493,7 @@ class Evaluator:
             partner = expr.partner
             if partner is not None:
                 k = expr.variety.canonical_class
-                w = self.cohom(partner, vsub(k, twist))
+                w = self._cohom(partner, vsub(k, twist))
                 v = meet_vecs(v, transpose_vec(pad_vec(w, expr.cdim + 1)), f"{expr!r}@{twist}")
         finally:
             del depth[key]
@@ -500,18 +517,18 @@ class Evaluator:
         if isinstance(expr, SumE):
             total = (iv(0),) * (expr.cdim + 1)
             for p in expr.parts:
-                total = add_vecs(total, pad_vec(self.cohom(p, twist), expr.cdim + 1))
+                total = add_vecs(total, pad_vec(self._cohom(p, twist), expr.cdim + 1))
             return total
         if isinstance(expr, TwistE):
-            return self.cohom(expr.inner, vadd(twist, expr.by))
+            return self._cohom(expr.inner, vadd(twist, expr.by))
         if isinstance(expr, DualE):
             k = expr.variety.canonical_class
-            w = self.cohom(expr.inner, vsub(k, twist))
+            w = self._cohom(expr.inner, vsub(k, twist))
             return transpose_vec(pad_vec(w, expr.cdim + 1))
         if isinstance(expr, MeetE):
             v = top_vec(expr.cdim + 1)
             for p in expr.parts:
-                v = meet_vecs(v, pad_vec(self.cohom(p, twist), expr.cdim + 1), f"{expr!r}@{twist}")
+                v = meet_vecs(v, pad_vec(self._cohom(p, twist), expr.cdim + 1), f"{expr!r}@{twist}")
             return v
         if isinstance(expr, BlowupCotE):
             return self._blowup_cotangent(expr.variety, twist)
@@ -546,7 +563,7 @@ class Evaluator:
         known = {}
         for name, term in ((LEFT, node.left), (MIDDLE, node.middle), (RIGHT, node.right)):
             if term is not None:
-                known[name] = pad_vec(self.cohom(term, twist), n + 1)
+                known[name] = pad_vec(self._cohom(term, twist), n + 1)
         cons, hint_iv = node.constraints_at(twist)
 
         a = known.get(LEFT)
@@ -574,29 +591,33 @@ class Evaluator:
         if any(x.hi is None for vec in known.values() for x in vec):
             return self._solve_coarse(node, n, slot, a, b, c, rho_lo, rho_hi, cons)
 
+        # one relation per pair of flank values at each degree, built once and
+        # read in place by both passes and by the output
+        p_vec, q_vec = {MIDDLE: (a, c), LEFT: (b, c), RIGHT: (b, a)}[slot]
+        apply = self._apply_relation
+        rels = []
+        for p, q, con in zip(p_vec, q_vec, cons):
+            if p.exact and q.exact:
+                rels.append((apply(slot, p.lo, q.lo, con),))
+            else:
+                rels.append(
+                    tuple(apply(slot, pv, qv, con) for pv in range(p.lo, p.hi + 1) for qv in range(q.lo, q.hi + 1))
+                )
+
         # Degree i couples only rho_{i-1} and rho_i, so the constraints form a
         # path: a forward pass keeps the rho_{i-1} consistent with degrees < i,
         # a backward pass narrows them to those consistent with every degree.
         # The system is totally unimodular, so each such set is an interval.
         # reach[i] holds rho_{i-1}, with rho_{-1} = rho_n = 0.
-        p_vec, q_vec = {MIDDLE: (a, c), LEFT: (b, c), RIGHT: (b, a)}[slot]
-        rels = [
-            [
-                self._apply_relation(slot, p, q, cons[i])
-                for p in range(p_vec[i].lo, p_vec[i].hi + 1)
-                for q in range(q_vec[i].lo, q_vec[i].hi + 1)
-            ]
-            for i in range(n + 1)
-        ]
         boxes = [(0, 0), *zip(rho_lo, rho_hi), (0, 0)]
         reach = [(0, 0)]
         for i, rel in enumerate(rels):
-            step = _project(reach[i], boxes[i + 1], [(prev, cur, s) for _, _, prev, cur, s in rel])
+            step = _project(reach[i], boxes[i + 1], rel)
             if step is None:
                 raise InconsistentHints(f"{node.name}@{twist}: no admissible rank assignment")
             reach.append(step)
         for i in range(n, -1, -1):
-            reach[i] = _project(reach[i + 1], reach[i], [(cur, prev, s) for _, _, prev, cur, s in rels[i]])
+            reach[i] = _project(reach[i + 1], reach[i], rels[i], backward=True)
 
         # the unknown at degree i: base + sign * s over the sums s of a
         # reachable rho_{i-1} and a reachable rho_i, per flank pair
@@ -696,17 +717,17 @@ def cm_regularity_certify(expr: Expr, r: int, h, ev: Evaluator | None = None) ->
     H must pass the catalog very-ampleness rule; r-regularity then implies
     h^i(expr(t)) = 0 for all t >= r - i by the regularity lemma.
     """
-    expr.variety.very_ample_multiple(h)  # raises NotVeryAmple
-    return _is_regular(expr, r, h, ev or _DEFAULT)
+    hh = expr.variety.check_class(h)
+    expr.variety.very_ample_multiple(hh)  # raises NotVeryAmple
+    return _is_regular(expr, r, hh, ev or _DEFAULT)
 
 
 def _is_regular(expr: Expr, r: int, h, ev: Evaluator) -> bool:
-    """``cm_regularity_certify`` for an H already certified very ample."""
-    x = expr.variety
-    n = x.dim
-    hh = x.check_class(h)
+    """``cm_regularity_certify`` for a checked H already certified very
+    ample."""
+    n = expr.variety.dim
     for i in range(1, n + 1):
-        v = pad_vec(ev.cohom(expr, vscale(r - i, hh)), n + 1)
+        v = pad_vec(ev._cohom(expr, vscale(r - i, h)), n + 1)
         if not v[i].is_zero:
             return False
     return True
@@ -737,26 +758,24 @@ def _top_degree_start(shifted: Expr, big, cap: int, ev: Evaluator) -> int:
     n = shifted.variety.dim
     if shifted.cdim == n:
         for s in range(-1, -cap - 1, -1):
-            if pad_vec(ev.cohom(shifted, vscale(s, big)), n + 1)[n].lo > 0:
+            if pad_vec(ev._cohom(shifted, vscale(s, big)), n + 1)[n].lo > 0:
                 return max(-cap, s + n + 1)
     return -cap
 
 
 def _one_sided_regularity(expr: Expr, h, cap: int, nu: int, ev: Evaluator) -> dict[int, int]:
     """Thresholds U_i with h^i(expr(tH)) = 0 for t >= U_i, via nu residue
-    classes when only nu*H is very ample; nu comes from the caller's
-    ``very_ample_multiple``, so no scan step checks H again.
+    classes when only nu*H is very ample; H is checked and nu comes from
+    the caller's ``very_ample_multiple``, so no scan step checks H again.
 
     Each class scans r upward from ``_top_degree_start``, which skips only
     r that the top-degree lemma shows cannot be regular; the first certified
     r is the one a scan from -cap would find."""
-    x = expr.variety
-    n = x.dim
-    hh = x.check_class(h)
-    big = vscale(nu, hh)
+    n = expr.variety.dim
+    big = vscale(nu, h)
     thresholds = {i: None for i in range(1, n + 1)}
     for t0 in range(nu):
-        shifted = TwistE(expr, vscale(t0, hh)) if t0 else expr
+        shifted = TwistE(expr, vscale(t0, h)) if t0 else expr
         found = None
         for r in range(_top_degree_start(shifted, big, cap, ev), cap + 1):
             if _is_regular(shifted, r, big, ev):

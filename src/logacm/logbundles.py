@@ -134,13 +134,13 @@ def check_side(side: str) -> str:
     return side
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogPair:
     variety: VarietyModel
     arrangement: Arrangement
     cotangent_log: Expr
     tangent_log: Expr
-    notes: list
+    notes: tuple  # shared by every caller of the evaluator's memo
 
     def for_side(self, side: str) -> Expr:
         return self.cotangent_log if check_side(side) == "cot" else self.tangent_log
@@ -213,8 +213,24 @@ def repeated_rigid_class(x: VarietyModel, classes) -> tuple | None:
 
 
 def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> LogPair:
-    """Residue and log-tangent sequence models for (X, D)."""
+    """Residue and log-tangent sequence models for (X, D).
+
+    Built once per evaluator: ``ev.log_pairs`` keeps each pair built, keyed
+    by (x, arr), and a later call returns it.  Every call registers the
+    Omega^1/T pair and the log pair on ``ev`` (a no-op once recorded), so a
+    cleared partner record is filled again as a fresh build would fill it.
+    An invalid arrangement raises on every call and is not kept."""
     ev = ev or default_evaluator()
+    cot, tan = cotangent_tangent_pair(x)
+    pair = ev.log_pairs.get((x, arr))
+    if pair is None:
+        pair = ev.log_pairs.setdefault((x, arr), _build_log_pair(x, arr, cot, tan))
+    ev.register_dual(cot, tan)  # the Omega^1/T pair, on the caller's evaluator
+    ev.register_dual(pair.cotangent_log, pair.tangent_log)
+    return pair
+
+
+def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr) -> LogPair:
     notes = []
     if not arr.snc:
         raise InputError("arrangement must assert simple normal crossings")
@@ -228,12 +244,9 @@ def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> 
     if rigid is not None:
         raise InputError(f"class {rigid[0]} is rigid; {rigid[1]} distinct members impossible")
 
-    cot, tan = cotangent_tangent_pair(x)
-    ev.register_dual(cot, tan)  # record the Omega^1/T pair on the caller's evaluator
     n = x.dim
-
     if arr.size == 0:
-        return LogPair(x, arr, cot, tan, ["trivial arrangement: log sheaf is Omega^1"])
+        return LogPair(x, arr, cot, tan, ("trivial arrangement: log sheaf is Omega^1",))
 
     if arr.span_asserted:
         span_hint = iv(arr.span_rank)
@@ -255,8 +268,8 @@ def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> 
         cot_log = MeetE([_ruling_split(x, *rc), cot_log])
 
     tan_log = SeqE(x, None, tan, SumE(structure_leaves(x, arr, normal_twist=True)), n, name="log tangent")
-    ev.register_dual(cot_log, tan_log)
-    return LogPair(x, arr, cot_log, tan_log, notes)
+    serre_pair(cot_log, tan_log)
+    return LogPair(x, arr, cot_log, tan_log, tuple(notes))
 
 
 # -- fixed numeric ledger chains ---------------------------------------------

@@ -39,7 +39,7 @@ from logacm.exactseq import (
 from logacm.intervals import Iv, iv, iv_meet, pad_vec
 from logacm.logbundles import log_pair, repeated_rigid_class
 from logacm.linebundles import line_cohom
-from logacm.varieties import vadd, vneg, vscale, vsub
+from logacm.varieties import VarietyModel, vadd, vneg, vscale, vsub
 
 from conftest import catalog_surfaces, random_class
 
@@ -173,11 +173,16 @@ def test_structure_built_twice_has_one_key_and_cache_entry():
     arr = L.arrangement(x, [L.component_from_class(x, c) for c in [(1, 0), (0, 1), (1, 1)]])
     p = log_pair(x, arr, ev)
     pairs = ev.serre_dual_pairs()
-    q = log_pair(x, arr, ev)
+    assert log_pair(x, arr, ev) is p  # built once per evaluator
+    q = log_pair(x, arr, Evaluator())  # a fresh evaluator builds the pair again
     assert p.cotangent_log is not q.cotangent_log
     assert (p.cotangent_log.key(), p.tangent_log.key()) == (q.cotangent_log.key(), q.tangent_log.key())
     assert len(pairs) == 2  # the Omega^1/T pair and the log pair, once each
     assert ev.serre_dual_pairs() == pairs
+    ev.cohom(p.cotangent_log, (1, 1))
+    entries = len(ev.cache)
+    assert ev.cohom(q.cotangent_log, (1, 1)) == ev.cohom(p.cotangent_log, (1, 1))
+    assert len(ev.cache) == entries  # the rebuilt pair shares the cache entry
     with pytest.raises(InputError):  # a partner set after keying would change a key in use
         serre_pair(a, b)
 
@@ -385,6 +390,54 @@ def test_duality_involution_on_lines(rng):
             assert [c.lo for c in a] == [c.lo for c in reversed(b)]
 
 
+def test_twists_are_checked_where_they_enter():
+    """A list twist gives the tuple twist's value, and a twist of the wrong
+    length raises InputError at each entry point before anything is cached."""
+    x = L.hirzebruch(1)
+    arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
+    expr = log_pair(x, arr, Evaluator()).cotangent_log
+    assert Evaluator().cohom(expr, [1, 2]) == Evaluator().cohom(expr, (1, 2))
+    for r in range(-2, 4):
+        as_list = cm_regularity_certify(expr, r, [1, 2], Evaluator())
+        assert as_list == cm_regularity_certify(expr, r, (1, 2), Evaluator())
+    window = outcome(vanishing_window, expr, (1, 2), 8, Evaluator())
+    assert isinstance(window, exactseq.WindowCert)
+    assert outcome(vanishing_window, expr, [1, 2], 8, Evaluator()) == window
+    ev = Evaluator()
+    for bad in ((1,), [1, 2, 3]):
+        with pytest.raises(InputError, match="lattice rank"):
+            ev.cohom(expr, bad)
+        with pytest.raises(InputError, match="lattice rank"):
+            cm_regularity_certify(expr, 3, bad, ev)
+        with pytest.raises(InputError, match="lattice rank"):
+            vanishing_window(expr, bad, ev=ev)
+    assert ev.cache == {}
+
+
+def test_evaluator_checks_each_twist_once(monkeypatch):
+    """Evaluating either side of a log pair at a fresh twist checks that
+    twist once, in ``Evaluator.cohom``: the twists built inside from it are
+    not checked again by the evaluator."""
+    x = L.hirzebruch(1)
+    arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
+    pair = log_pair(x, arr, Evaluator())
+    checks = Counter()
+    check = VarietyModel.check_class
+
+    def counted(self, klass):
+        checks[sys._getframe(1).f_globals["__name__"]] += 1
+        return check(self, klass)
+
+    monkeypatch.setattr(VarietyModel, "check_class", counted)
+    ev = Evaluator()
+    for expr, twist in ((pair.tangent_log, (2, 3)), (pair.cotangent_log, (-1, 4))):
+        checks.clear()
+        entries = len(ev.cache)
+        ev.cohom(expr, twist)
+        assert len(ev.cache) - entries > 5  # evaluated through many twists, not a cache hit
+        assert checks[exactseq.__name__] == 1, checks
+
+
 def catalog_polarization(x):
     """An ample class of a catalog surface: H, (1,1), h + (e+1)f or -K."""
     if x.kind == "quadric":
@@ -554,13 +607,15 @@ P2, TW = L.projective_space(2), (0,)
 
 
 @st.composite
-def bounded_sequences(draw):
-    """A sequence with bounded flanks (exact, at most two entries of width
-    1..2), random rank hints and pins; the unknown slot at a random place."""
+def bounded_sequences(draw, widened=2, max_width=2):
+    """A sequence with bounded flanks (exact, at most `widened` entries
+    widened by 1..`max_width`), random rank hints and pins; the unknown slot
+    at a random place."""
     n = draw(st.integers(1, 4))
     slot = draw(st.sampled_from([LEFT, MIDDLE, RIGHT]))
     flanks = [[[v, v] for v in draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))] for _ in range(2)]
-    for pos, width in draw(st.lists(st.tuples(st.integers(0, 2 * n + 1), st.integers(1, 2)), max_size=2)):
+    widths = st.tuples(st.integers(0, 2 * n + 1), st.integers(1, max_width))
+    for pos, width in draw(st.lists(widths, max_size=widened)):
         flanks[pos % 2][pos // 2][1] += width
     terms = [FixedE(P2, [Iv(lo, hi) for lo, hi in f]) for f in flanks]
     terms.insert([LEFT, MIDDLE, RIGHT].index(slot), None)
@@ -588,6 +643,33 @@ def solve_or_raise(solve, *args):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(bounded_sequences())
 def test_solve_matches_brute_force(node):
+    ev = FixedEvaluator()
+    assert solve_or_raise(ev._solve, node, TW) == solve_or_raise(brute_force_solve, ev, node, TW)
+
+
+class RelationCountingEvaluator(FixedEvaluator):
+    def __init__(self):
+        super().__init__()
+        self.relations = 0
+
+    def _apply_relation(self, *args):
+        self.relations += 1
+        return Evaluator._apply_relation(*args)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bounded_sequences(widened=0))
+def test_solve_with_exact_flanks_matches_brute_force(node):
+    """Every flank exact: the solve builds one relation per degree."""
+    ev = RelationCountingEvaluator()
+    got = solve_or_raise(ev._solve, node, TW)
+    assert got == solve_or_raise(brute_force_solve, ev, node, TW)
+    assert ev.relations == node.amb + 1 or (got is InconsistentHints and ev.relations == 0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(bounded_sequences(widened=4, max_width=3))
+def test_solve_with_wide_flanks_matches_brute_force(node):
     ev = FixedEvaluator()
     assert solve_or_raise(ev._solve, node, TW) == solve_or_raise(brute_force_solve, ev, node, TW)
 

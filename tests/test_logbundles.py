@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations, product
 
 import pytest
@@ -16,7 +17,7 @@ from logacm.logbundles import (
     quadric_ruling_splitting,
     ruling_counts,
 )
-from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, vneg, vscale
+from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, Component, vneg, vscale
 
 from conftest import catalog_surfaces
 
@@ -333,3 +334,56 @@ def test_log_pair_records_both_serre_pairs_on_its_evaluator():
     assert is_acm(x, (1, 1), arr, ev=ev) == first
     assert ev.serre_dual_pairs() == pairs
     assert {k: p.key() for k, p in ev.partners.items()} == partners
+
+
+def test_invalid_arrangement_raises_on_every_call_and_is_not_kept():
+    """A non-effective class, a rigid class listed twice and a non-SNC
+    arrangement each raise on every call; the evaluator keeps no pair and
+    records no Serre pair for them."""
+    x = L.hirzebruch(1)
+    section, fibre = L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))
+    invalid = [
+        (L.Arrangement((Component((0, -1), 0, True),), 1), "not effective"),
+        (L.arrangement(x, [section, section]), "rigid"),  # C_0 has one section: one member only
+        (L.Arrangement((section, fibre), 2, snc=False), "normal crossings"),
+    ]
+    ev = Evaluator()
+    for arr, reason in invalid:
+        for _ in range(2):
+            with pytest.raises(InputError, match=reason):
+                log_pair(x, arr, ev)
+        assert ev.log_pairs == {} and ev.serre_dual_pairs() == [] and ev.partners == {}
+
+
+def test_log_pair_hit_restores_a_cleared_partner_record():
+    """A memo hit registers both Serre pairs again, so after the partner
+    record is cleared it reads as a fresh build leaves it."""
+    x = L.hirzebruch(2)
+    arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
+    fresh = Evaluator()
+    log_pair(x, arr, fresh)
+    ev = Evaluator()
+    pair = log_pair(x, arr, ev)
+    ev.partners.clear()
+    ev.partner_names.clear()
+    assert log_pair(x, arr, ev) is pair
+    assert ev.serre_dual_pairs() == fresh.serre_dual_pairs() and len(fresh.serre_dual_pairs()) == 2
+    assert {k: p.key() for k, p in ev.partners.items()} == {k: p.key() for k, p in fresh.partners.items()}
+
+
+def test_shared_log_pair_cannot_be_mutated():
+    """Every caller on one evaluator gets the same pair, so its notes are a
+    tuple, the pair is frozen, and a verdict's certificates are its own list."""
+    x = L.projective_space(2)
+    arr = L.hyperplane_arrangement(x, 3)
+    ev = Evaluator()
+    pair = log_pair(x, arr, ev)
+    assert pair.notes == ("hyperplane arrangement: split/Steiner model installed",)
+    with pytest.raises(AttributeError):
+        pair.notes.append("changed")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.notes = ()
+    verdict = is_acm(x, (1,), arr, ev=ev)
+    assert verdict.certificates[0] == pair.notes[0]
+    verdict.certificates.append("changed")
+    assert log_pair(x, arr, ev).notes == ("hyperplane arrangement: split/Steiner model installed",)

@@ -31,11 +31,11 @@ from .exactseq import (
 from .intervals import Iv, iv
 from .linebundles import (
     cohom_bott,
+    cohom_ci,
     cohom_line_abelian,
     cohom_line_blowup,
     cohom_line_curve,
     cohom_line_hirzebruch,
-    cohom_line_Pn,
     cohom_line_quadric,
     line_cohom,
 )

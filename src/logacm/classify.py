@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from .errors import EngineError, InputError, IntervalPresent, NotVeryAmple, OutOfScope, WindowNotFound
 from .exactseq import Evaluator, Expr, default_evaluator, vanishing_window
 from .intervals import Iv, iv, pad_vec
-from .linebundles import cohom_hypersurface_section, cohom_line_curve, cohom_line_quadric, line_cohom
+from .linebundles import cohom_ci, cohom_line_curve, cohom_line_quadric, line_cohom
 from .logbundles import check_side, cotangent_tangent_pair, log_pair, repeated_rigid_class
 from .varieties import (
     KIND_BLOWUP,
@@ -61,7 +61,7 @@ def _component_h0_normal(x: VarietyModel, comp) -> Iv:
     """h^0 of the normal bundle O_D(D) of a component."""
     if x.kind == KIND_PN and x.dim >= 3:
         d = comp.klass[0]
-        return iv(cohom_hypersurface_section(x.dim, d, d)[0])
+        return iv(cohom_ci(x.dim, (d,), d)[0])
     h0, _ = cohom_line_curve(comp.genus, comp.normal_degree(x))
     return h0
 
@@ -161,7 +161,7 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
         n = x.dim
         bad = [c for c in arr.components if c.klass[0] >= 2]
         if bad:
-            lo = sum(cohom_hypersurface_section(n, c.klass[0], 1 - n)[n - 1] for c in bad)
+            lo = sum(cohom_ci(n, (c.klass[0],), 1 - n)[n - 1] for c in bad)
             violations.append(
                 Violation(
                     "pn-degree-reduction",
@@ -208,24 +208,19 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
 def _scan_slots(ev: Evaluator, expr: Expr, h, n: int, window, cap: int):
     """Evaluate residual (or fallback-range) slots for degrees 1..n-1.
 
-    Returns (witness, blocking, checked) where witness is an exactly
-    positive slot and blocking an undecided interval slot."""
-    witness = None
+    Returns (witness, blocking) where witness is an exactly positive slot
+    and blocking an undecided interval slot."""
     blocking = None
-    checked = []
     for i in range(1, n):
         twists = window.residual(i) if window is not None else range(-cap, cap + 1)
         twists = sorted(twists, key=lambda t: (abs(t), t))
         for t in twists:
-            v = pad_vec(ev.cohom(expr, vscale(t, h)), n + 1)
-            val = v[i]
-            checked.append((i, t, val))
+            val = pad_vec(ev.cohom(expr, vscale(t, h)), n + 1)[i]
             if val.lo >= 1:
-                witness = (i, t, val)
-                return witness, None, checked
+                return (i, t, val), None
             if not val.is_zero and blocking is None:
                 blocking = (i, t, val)
-    return None, blocking, checked
+    return None, blocking
 
 
 def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> Verdict:
@@ -237,7 +232,7 @@ def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> V
     except (WindowNotFound, NotVeryAmple) as exc:
         window = None
         window_note = f"window uncertified ({exc})"
-    witness, blocking, _ = _scan_slots(ev, expr, h, n, window, cap)
+    witness, blocking = _scan_slots(ev, expr, h, n, window, cap)
     if witness is not None:
         return Verdict(NO, witness, ["nonzero intermediate cohomology at the witness slot"])
     if window is None:
@@ -348,12 +343,12 @@ def deficiency_table(
     ev = ev or default_evaluator()
     if not 1 <= degree <= x.dim - 1:
         raise InputError(f"deficiency degree must be in 1..{x.dim - 1}")
+    h = x.check_class(h)
     expr = log_pair(x, arr, ev).for_side(side)
     window = vanishing_window(expr, h, cap=cap, ev=ev)
     entries = {}
     for t in window.residual(degree):
-        v = pad_vec(ev.cohom(expr, vscale(t, x.check_class(h))), x.dim + 1)
-        entries[t] = v[degree]
+        entries[t] = pad_vec(ev.cohom(expr, vscale(t, h)), x.dim + 1)[degree]
     return DeficiencyTable(degree, entries, window, window.certificates)
 
 

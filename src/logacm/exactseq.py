@@ -5,7 +5,8 @@ Each node is a dataclass, and its fields are its structure: ``Expr.key``
 hash-conses the node type and field values (a child by its key) into a
 small integer, so every rebuild of the same sheaf shares one cache entry in
 every evaluator.  One node, ``SeqE``, holds a short exact sequence with its
-unknown term, rank hints and value pins.  The unknown is evaluated from the
+unknown term, rank hints, value pins and one per-twist rule that returns
+more of both.  The unknown is evaluated from the
 long exact sequence at the given twist: degree i couples only the
 connecting ranks rho_{i-1}, rho_i and the flank values at degree i, so the
 constraints (rank boxes, rank hints, value pins) form a path, and a forward
@@ -66,12 +67,7 @@ from .intervals import (
     top_vec,
     transpose_vec,
 )
-from .linebundles import (
-    cohom_bott,
-    cohom_hypersurface_section,
-    cohom_line_curve,
-    line_cohom,
-)
+from .linebundles import cohom_bott, cohom_ci, cohom_line_curve, line_cohom
 from .varieties import VarietyModel, vadd, vneg, vscale, vsub
 
 LEFT, MIDDLE, RIGHT = "left", "middle", "right"
@@ -334,9 +330,11 @@ class SeqE(Expr):
     twists.  ``pins`` maps a twist class to a per-degree list of Iv
     constraints on the unknown (None = unconstrained); they take part in the
     rank solve, so a pinned slot can force connecting ranks at the same
-    twist.  ``pin_rule`` adds constraints computed from the twist: a
-    module-level function of (variety, twist), so that it is part of the
-    structure by identity.
+    twist.  ``rule`` computes both kinds from the twist: a module-level
+    function of (variety, twist), so that it is part of the structure by
+    identity, returning (pins, ranks): a per-degree list of constraints on
+    the unknown and a per-connecting-degree list of rank bounds, each None
+    when it has none.
     """
 
     variety: VarietyModel
@@ -348,7 +346,7 @@ class SeqE(Expr):
     amb: int | None = None
     hints: tuple[RankHint, ...] = ()
     pins: dict | None = None
-    pin_rule: Callable | None = None
+    rule: Callable | None = None
 
     def __post_init__(self):
         terms = (self.left, self.middle, self.right)
@@ -368,27 +366,29 @@ class SeqE(Expr):
                 self._hints_at.setdefault(tuple(h.twist), []).append(h)
 
     def constraints_at(self, twist) -> tuple[tuple, tuple]:
-        """(constraint on the unknown for each degree 0..amb, rank hint for
+        """(constraint on the unknown for each degree 0..amb, rank bound for
         each connecting degree 0..amb-1) at twist; None = unconstrained."""
-        extra = self.pin_rule(self.variety, twist) if self.pin_rule is not None else None
-        cons = self._support
-        for given in (self.pins.get(twist), extra):
+        pins, ranks = self.rule(self.variety, twist) if self.rule is not None else (None, None)
+        cons, bounds = self._support, self._no_hints
+        for given in (self.pins.get(twist), pins):
             if given:
-                cons = tuple(
-                    c if g is None else (g if c is None else iv_meet(c, g))
-                    for c, g in zip_longest(cons, given[: len(cons)])
-                )
-        hints = self._hints_at.get(twist)
-        if hints is None:
-            return cons, self._no_hints
-        ranks = list(self._no_hints)
-        for h in hints:
-            cur = ranks[h.degree]
-            ranks[h.degree] = h.rank if cur is None else iv_meet(cur, h.rank)
-        return cons, tuple(ranks)
+                cons = _meet_each(cons, given)
+        for h in self._hints_at.get(twist, ()):
+            bounds = _meet_each(bounds, (None,) * h.degree + (h.rank,))
+        if ranks:
+            bounds = _meet_each(bounds, ranks)
+        return cons, bounds
 
     def __repr__(self):
         return f"{self.name}[{self.unknown_slot}]"
+
+
+def _meet_each(cons: tuple, given) -> tuple:
+    """cons met entry by entry with the constraints in given (None =
+    unconstrained); entries of given past the end of cons are dropped."""
+    return tuple(
+        c if g is None else (g if c is None else iv_meet(c, g)) for c, g in zip_longest(cons, given[: len(cons)])
+    )
 
 
 def _project(x, y, rel, backward=False):
@@ -511,7 +511,7 @@ class Evaluator:
             h0, h1 = cohom_line_curve(expr.genus, expr.degree_at(twist))
             return (h0, h1)
         if isinstance(expr, HyperE):
-            return exact_vec(cohom_hypersurface_section(expr.variety.dim, expr.d, expr.shift + twist[0]))
+            return exact_vec(cohom_ci(expr.variety.dim, (expr.d,), expr.shift + twist[0]))
         if isinstance(expr, BottE):
             return exact_vec(cohom_bott(expr.n, expr.p, expr.shift + twist[0]))
         if isinstance(expr, SumE):

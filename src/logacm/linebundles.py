@@ -4,6 +4,7 @@ curves: the ground truth all sequence propagation rests on."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .errors import EngineError, InputError
@@ -35,13 +36,28 @@ def h1_p1(d: int) -> int:
     return max(0, -d - 1)
 
 
+def koszul_count(N: int, degrees: tuple, t: int) -> int:
+    """dim (S/I)_t for I generated by a regular sequence of forms of the
+    given degrees in the N + 1 variables of P^N: the Koszul resolution gives
+    sum over subsets S of (-1)^|S| C(t - d_S + N, N)."""
+    faces = (s for r in range(len(degrees) + 1) for s in combinations(degrees, r))
+    return sum((-1) ** len(s) * binom(t - sum(s) + N, N) for s in faces)
+
+
 @lru_cache(maxsize=None)
-def cohom_line_Pn(n: int, t: int) -> tuple[int, ...]:
+def cohom_ci(N: int, degrees: tuple, t: int) -> tuple[int, ...]:
+    """O_X(t) on a smooth complete intersection X of the given degrees in
+    P^N, of dimension n = N - len(degrees) >= 1 (P^N itself for no degrees).
+
+    X is aCM, so h^0 is the Koszul count of its coordinate ring, h^n is h^0
+    at K - t by Serre duality (omega_X = O_X(K), K = sum d - N - 1), and
+    every degree in between is 0."""
+    n = N - len(degrees)
     if n < 1:
         raise InputError("need n >= 1")
     v = [0] * (n + 1)
-    v[0] = binom(n + t, n)
-    v[n] = binom(-t - 1, n)
+    v[0] = koszul_count(N, degrees, t)
+    v[n] = koszul_count(N, degrees, sum(degrees) - N - 1 - t)
     return tuple(v)
 
 
@@ -121,14 +137,6 @@ def _h0_blowup(x: VarietyModel, l) -> int:
     return 0  # negative against a moving extremal class
 
 
-def cohom_line_surface_p3(d: int, t: int) -> tuple[int, ...]:
-    """O_X(t) for a smooth degree-d surface in P^3 (exact, h^1 always 0)."""
-    h0 = binom(t + 3, 3) - binom(t - d + 3, 3)
-    s = d - 4 - t
-    h2 = binom(s + 3, 3) - binom(s - d + 3, 3)
-    return (h0, 0, h2)
-
-
 def cohom_line_abelian(d: int, t: int) -> tuple[int, ...]:
     if d < 1:
         raise InputError("need d >= 1")
@@ -159,21 +167,12 @@ def cohom_line_curve(g: int, deg: int) -> tuple[Iv, Iv]:
     return (Iv(lo, hi), Iv(lo - chi, hi - chi))
 
 
-def cohom_hypersurface_section(n: int, d: int, t: int) -> tuple[int, ...]:
-    """O_D(t) for a smooth degree-d hypersurface D in P^n (exact)."""
-    v = [0] * n
-    v[0] = binom(t + n, n) - binom(t - d + n, n)
-    hn = cohom_line_Pn(n, t - d)[n] - cohom_line_Pn(n, t)[n]
-    v[n - 1] += hn
-    return tuple(v)
-
-
 def line_cohom(x: VarietyModel, l) -> tuple[int, ...]:
     """Dispatch a line-bundle class to its exact catalog backend."""
     l = x.check_class(l)
     k = x.kind
     if k == KIND_PN:
-        return cohom_line_Pn(x.dim, l[0])
+        return cohom_ci(x.dim, (), l[0])
     if k == KIND_QUADRIC:
         return cohom_line_quadric(l[0], l[1])
     if k == KIND_HIRZEBRUCH:
@@ -181,7 +180,7 @@ def line_cohom(x: VarietyModel, l) -> tuple[int, ...]:
     if k == KIND_BLOWUP:
         return cohom_line_blowup(x, l)
     if k == KIND_SURFACE_P3:
-        return cohom_line_surface_p3(x.param, l[0])
+        return cohom_ci(3, (x.param,), l[0])
     if k == KIND_ABELIAN:
         return cohom_line_abelian(x.param, l[0])
     raise InputError(f"no line-bundle backend for kind {k}")

@@ -1,9 +1,10 @@
 """Cotangent and log-sheaf expressions for every catalog variety.
 
 Builds the residue and log-tangent sequences of an arrangement, installs
-the known value pins (Hodge numbers, tangent-section counts, coboundary
-span rank) and the split-bundle upgrades for hyperplane arrangements on
-P^n and ruling arrangements on the quadric.
+the known value pins and rank hints (Hodge numbers and tangent-section
+counts on F_e, the Jacobian-ring rank on surfaces in P^3, coboundary span
+rank) and the split-bundle upgrades for hyperplane arrangements on P^n and
+ruling arrangements on the quadric.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import prod
 
 from .errors import InputError, NotRulingArrangement
@@ -33,7 +33,7 @@ from .exactseq import (
     serre_pair,
 )
 from .intervals import Iv, iv
-from .linebundles import binom, cohom_line_Pn, line_cohom
+from .linebundles import binom, cohom_ci, koszul_count, line_cohom
 from .varieties import (
     KIND_ABELIAN,
     KIND_BLOWUP,
@@ -65,8 +65,8 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
             (0, 0): [iv(x.h0_tangent), None, None],
             x.canonical_class: [iv(0), iv(x.h11), iv(x.q)],
         }
-        pin_rule = _f1_pullback_pin if e == 1 else None
-        tan = SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name=f"T_F{e}", pins=pins, pin_rule=pin_rule)
+        rule = _f1_pullback_pin if e == 1 else None
+        tan = SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name=f"T_F{e}", pins=pins, rule=rule)
         cot = TwistE(tan, x.canonical_class)
     elif k == KIND_BLOWUP:
         # 0 -> pi^*Omega_{P^2} -> Omega^1 -> (+) O_{E_i}(-2) -> 0 for the
@@ -94,35 +94,34 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
 
 def _f1_pullback_pin(x: VarietyModel, tw):
     """Sections of Omega^1_{F_1} along pullbacks of O_{P^2}(s) are bounded
-    below by the Bott count (s-1)(s+1); a pin rule of the tangent expression."""
+    below by the Bott count (s-1)(s+1); a rule of the tangent expression."""
     rel = vsub(tw, x.canonical_class)  # tangent at tw is cotangent at tw - K
     if rel[0] == rel[1] and rel[0] >= 2:
         s = rel[0]
-        return [Iv(s * s - 1, None), None, None]
-    return None
+        return [Iv(s * s - 1, None), None, None], None
+    return None, None
 
 
-def _effectivity_pin(x: VarietyModel, tw):
-    """h^0(Omega^1(t)) <= h^0(Omega^1) = q = 0 for t < 0, and
-    h^2(Omega^1(t)) = h^0(Omega^1(-t)) = 0 for t > 0 (rank-2 duality), on a
-    surface in P^3."""
-    t = tw[0]
-    if t < 0:
-        return [iv(0), None, None]
-    if t > 0:
-        return [None, None, iv(0)]
-    return None
+def _jacobian_rank(x: VarietyModel, tw):
+    """The top connecting rank rho_1 of the conormal sequence
+    0 -> O_X(t - d) -> Omega_P3|_X(t) -> Omega^1_X(t) -> 0 of a smooth
+    degree-d surface X = V(f) in P^3; a rule of that sequence.
+
+    By Serre duality rho_1 is the corank of H^0(T_P3|_X(s)) -> H^0(O_X(d + s))
+    with s = d - 4 - t, and that cokernel is the degree-(d + s) part of the
+    Jacobian ring R = S/(df) (Griffiths, "On the periods of certain rational
+    integrals", Ann. of Math. 90, 1969).  The four partials of f form a
+    regular sequence of degree d - 1, so R has the Koszul count."""
+    d = x.param
+    return None, [None, iv(koszul_count(3, (d - 1,) * 4, 2 * d - 4 - tw[0]))]
 
 
 def _surface_p3_cotangent(x: VarietyModel) -> Expr:
     """Omega^1 via the ambient restriction and conormal sequences, with the
-    Hodge pins resolving the connecting ranks at twist zero."""
+    Jacobian ring fixing the conormal sequence's top connecting rank."""
     d = x.param
     restricted = SeqE(x, BottE(x, 1, shift=-d, n=3), BottE(x, 1, n=3), None, 2, name=f"Omega_P3|X{d}", amb=3)
-    pins = {(0,): [iv(x.q), iv(x.h11), iv(x.q)]}
-    return SeqE(
-        x, LineE(x, (-d,)), restricted, None, 2, name=f"conormal X{d}", amb=2, pins=pins, pin_rule=_effectivity_pin
-    )
+    return SeqE(x, LineE(x, (-d,)), restricted, None, 2, name=f"conormal X{d}", amb=2, rule=_jacobian_rank)
 
 
 SIDES = ("cot", "tan")  # Omega^1_X(log D), T_X(-log D)
@@ -291,9 +290,8 @@ def _ci_ledger(name: str, N: int, degrees: tuple) -> LedgerReport:
     """h^0(TX(1)) from the restricted Euler and normal bundle sequences
     against chi(TX(1)) through an elliptic curve section C."""
 
-    def h0(t):  # O_X(t), from the Koszul resolution of X
-        faces = (s for r in range(len(degrees) + 1) for s in combinations(degrees, r))
-        return sum((-1) ** len(s) * binom(t - sum(s) + N, N) for s in faces)
+    def h0(t):
+        return cohom_ci(N, degrees, t)[0]
 
     h_amb = (N + 1) * h0(2) - h0(1)  # restricted Euler sequence
     normal = Counter(degrees)  # the normal bundle is the sum of the O_X(d)
@@ -316,7 +314,7 @@ def ledger_checks(name: str, n: int | None = None, d: int | None = None) -> Ledg
     if name == "thm_pn_reduction":
         if n is None or d is None:
             raise InputError("thm_pn_reduction needs n and d")
-        lhs = cohom_line_Pn(n, 1 - n - d)[n] - cohom_line_Pn(n, 1 - n)[n]  # h^{n-1}(O_D(1-n))
+        lhs = cohom_ci(n, (), 1 - n - d)[n] - cohom_ci(n, (), 1 - n)[n]  # h^{n-1}(O_D(1-n))
         rhs = binom(n + d - 2, n) - binom(n - 2, n)  # h^0(O_D(d-2))
         lines = [f"h^(n-1)(O_D(1-n)) = {lhs}", f"h^0(O_D(d-2)) = {rhs}"]
         if lhs != rhs:

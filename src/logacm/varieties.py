@@ -227,8 +227,8 @@ def hirzebruch(e: int) -> VarietyModel:
     return VarietyModel(KIND_HIRZEBRUCH, 2, 2, m, (-2, -(e + 2)), 1, 4, 0, 2, h0t, ((1, 0),) if e > 0 else (), ((1, 0), (0, 1)), e)
 
 
-def blowup_p2(k: int, general: bool = True) -> VarietyModel:
-    if not general or not 1 <= k <= 4:
+def blowup_p2(k: int) -> VarietyModel:
+    if not 1 <= k <= 4:
         raise NonGeneralConfig("catalog supports blow-ups of P^2 at 1..4 general points")
     rank = k + 1
     m = tuple(tuple((1 if i == j == 0 else -1 if i == j else 0) for j in range(rank)) for i in range(rank))

@@ -159,6 +159,17 @@ def test_ledger_output(tmp_path, capsys):
     assert "contradiction: yes" in out
 
 
+def test_pn_reduction_ledger_dimension_range(tmp_path, capsys):
+    """The reduction chain's left side is read on P^n itself, so n = 1 is a
+    valid chain; n = 0 is refused with exit 2."""
+    line = write(tmp_path, "line.yaml", "ledger: thm_pn_reduction\nvariety: {n: 1, degree: 2}\n")
+    code, out = run(capsys, "ledger", str(line), "--no-header")
+    assert code == 0 and "values: (1, 1)\n" in out
+    point = write(tmp_path, "point.yaml", "ledger: thm_pn_reduction\nvariety: {n: 0, degree: 2}\n")
+    assert main(["ledger", str(point)]) == 2
+    assert capsys.readouterr().err == "error: need n >= 1\n"
+
+
 def test_ledger_golden(capsys):
     code, out = run(capsys, "ledger", str(PROBLEMS / "ledger_cubic.yaml"), "--no-header")
     assert code == 0

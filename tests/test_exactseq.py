@@ -187,8 +187,8 @@ def test_structure_built_twice_has_one_key_and_cache_entry():
         serre_pair(a, b)
 
 
-def _no_pin(x, tw):
-    return None
+def _no_rule(x, tw):
+    return None, None
 
 
 def field_changes():
@@ -222,7 +222,7 @@ def field_changes():
                 amb=3,
                 hints=(RankHint((0, 0), 0, iv(1), "test"),),
                 pins={(0, 0): [iv(6), None, None]},
-                pin_rule=_no_pin,
+                rule=_no_rule,
             ),
         ),
     }
@@ -553,15 +553,17 @@ def brute_force_solve(ev, node, twist):
     slot = next(name for name, term in terms.items() if term is None)
     known = {name: pad_vec(ev.cohom(term, twist), n + 1) for name, term in terms.items() if term is not None}
     cons = [None if i <= node.cdim else iv(0) for i in range(n + 1)]
-    extra = node.pin_rule(node.variety, twist) if node.pin_rule is not None else None
-    for given in (node.pins.get(twist), extra):
+    pins, ranks = node.rule(node.variety, twist) if node.rule is not None else (None, None)
+    for given in (node.pins.get(twist), pins):
         for i, p in enumerate((given or ())[: n + 1]):
             if p is not None:
                 cons[i] = p if cons[i] is None else iv_meet(cons[i], p)
     hints = [None] * n
-    for h in node.hints:
-        if tuple(h.twist) == tuple(twist) and 0 <= h.degree < n:
-            hints[h.degree] = h.rank if hints[h.degree] is None else iv_meet(hints[h.degree], h.rank)
+    given = [(h.degree, h.rank) for h in node.hints if tuple(h.twist) == tuple(twist)]
+    given += [(d, r) for d, r in enumerate(ranks or ()) if r is not None]
+    for d, r in given:
+        if 0 <= d < n:
+            hints[d] = r if hints[d] is None else iv_meet(hints[d], r)
     a, c = known.get(LEFT), known.get(RIGHT)
     ranges = []
     for i in range(n):

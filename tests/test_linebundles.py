@@ -1,17 +1,11 @@
 from itertools import product
+from math import prod
 
 import pytest
 
 import logacm as L
 from logacm.errors import EngineError, InputError
-from logacm.linebundles import (
-    _cohom_line_blowup,
-    binom,
-    cohom_hypersurface_section,
-    cohom_line_blowup,
-    cohom_line_surface_p3,
-    line_cohom,
-)
+from logacm.linebundles import _cohom_line_blowup, binom, cohom_ci, cohom_line_blowup, line_cohom
 from logacm.varieties import vneg, vsub
 
 from conftest import catalog_surfaces, random_class, run_optimized
@@ -33,9 +27,48 @@ def bott_oracle(n, t):
 
 
 def test_cohom_line_pn():
-    assert L.cohom_line_Pn(3, 2)[0] == 10
-    assert L.cohom_line_Pn(3, -4)[3] == 1
-    assert L.cohom_line_Pn(2, -2) == (0, 0, 0)
+    assert cohom_ci(3, (), 2)[0] == 10
+    assert cohom_ci(3, (), -4)[3] == 1
+    assert cohom_ci(2, (), -2) == (0, 0, 0)
+    for n in range(1, 8):
+        for t in range(-12, 13):
+            assert cohom_ci(n, (), t) == L.cohom_bott(n, 0, t), (n, t)
+    with pytest.raises(InputError, match="need n >= 1"):
+        cohom_ci(0, (), 1)
+    with pytest.raises(InputError, match="need n >= 1"):
+        cohom_ci(3, (2, 2, 2), 1)  # points, not a variety of dimension >= 1
+
+
+def test_hypersurface_against_restriction_sequence():
+    """0 -> O(t-d) -> O(t) -> O_D(t) -> 0 on P^N, with the P^N values from
+    Bott's formula: only h^0 and h^N of P^N are nonzero, so O_D(t) has
+    h^0 = h^0(O(t)) - h^0(O(t-d)), h^{N-1} = h^N(O(t-d)) - h^N(O(t)), and
+    nothing in between."""
+    for n in range(2, 7):
+        for d in range(1, 6):
+            for t in range(-8, 9):
+                hi, lo = L.cohom_bott(n, 0, t), L.cohom_bott(n, 0, t - d)
+                want = [0] * n
+                want[0] += hi[0] - lo[0]
+                want[n - 1] += lo[n] - hi[n]
+                assert cohom_ci(n, (d,), t) == tuple(want), (n, d, t)
+
+
+def test_complete_intersection_surfaces_against_riemann_roch():
+    """chi(O_X(t)) = chi(O_X) + (t^2 H^2 - t K.H) / 2 with K = (sum d - N - 1)H
+    and H^2 = prod d, on surfaces in P^3 (chi(O_X) from the catalog), the
+    (2,2) del Pezzo surface in P^4 (chi = 1) and the (2,3) K3 surface in P^4
+    (chi = 2)."""
+    cases = [(3, (d,), L.surface_in_p3(d).chi_structure_sheaf) for d in range(2, 9)]
+    cases += [(4, (2, 2), 1), (4, (2, 3), 2)]
+    for N, degrees, chi_o in cases:
+        k, h2 = sum(degrees) - N - 1, prod(degrees)
+        for t in range(-10, 11):
+            v = cohom_ci(N, degrees, t)
+            assert v[1] == 0
+            assert 2 * (v[0] + v[2]) == 2 * chi_o + t * t * h2 - t * k * h2, (N, degrees, t)
+    assert cohom_ci(4, (2, 2), 1)[0] == 5
+    assert cohom_ci(4, (2, 2), 2)[0] == 13  # 15 quadrics, two of them vanish on X
 
 
 def test_bott_examples():
@@ -125,13 +158,14 @@ def test_blowup_agrees_with_hirzebruch_one():
 
 
 def test_surface_p3_line():
-    assert cohom_line_surface_p3(3, 2) == (10, 0, 0)
-    assert cohom_line_surface_p3(4, -1) == (0, 0, cohom_line_surface_p3(4, 1)[0])
+    assert cohom_ci(3, (3,), 2) == (10, 0, 0)
+    assert cohom_ci(3, (4,), -1) == (0, 0, cohom_ci(3, (4,), 1)[0])
     # chi agrees with Riemann-Roch
     for d in (2, 3, 4):
         x = L.surface_in_p3(d)
         for t in range(-4, 5):
-            v = cohom_line_surface_p3(d, t)
+            v = line_cohom(x, (t,))
+            assert v == cohom_ci(3, (d,), t)
             assert v[0] - v[1] + v[2] == x.riemann_roch_chi((t,))
 
 
@@ -158,8 +192,8 @@ def test_hypersurface_section_duality():
     # h^{n-1}(O_D(1-n)) = h^0(O_D(d-2))
     for n in (2, 3, 4):
         for d in (1, 2, 3, 4):
-            lhs = cohom_hypersurface_section(n, d, 1 - n)[n - 1]
-            rhs = cohom_hypersurface_section(n, d, d - 2)[0]
+            lhs = cohom_ci(n, (d,), 1 - n)[n - 1]
+            rhs = cohom_ci(n, (d,), d - 2)[0]
             assert lhs == rhs, (n, d)
 
 

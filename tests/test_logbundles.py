@@ -1,5 +1,7 @@
 import dataclasses
+import json
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -137,7 +139,7 @@ def test_log_pair_dk_tables():
                 got = pad_vec(ev().cohom(pair.cotangent_log, (t,)), n + 1)
                 split = [
                     (m - 1) * a + (n - m + 1) * b
-                    for a, b in zip(L.cohom_line_Pn(n, t), L.cohom_line_Pn(n, t - 1))
+                    for a, b in zip(L.cohom_ci(n, (), t), L.cohom_ci(n, (), t - 1))
                 ]
                 assert all(g.exact for g in got), (n, m, t)
                 assert [g.lo for g in got] == split, (n, m, t)
@@ -229,6 +231,36 @@ def test_effectivity_validation():
     arr_bad = L.Arrangement((L.component_from_class(x, (1, 2)),), 1, snc=False)
     with pytest.raises(InputError):
         log_pair(x, arr_bad)
+
+
+def test_surface_p3_cotangent_rows_are_frozen():
+    """Omega^1(t) on the degree-d surface in P^3, d = 2..8 and t = -10..10:
+    every row is exact, equals the recorded table (``surface_p3_cotangent.json``,
+    written when the conormal sequence was still held by Hodge pins at t = 0
+    and the effectivity rule h^0 = 0 for t < 0, h^2 = 0 for t > 0), and
+    satisfies Riemann-Roch.  The Jacobian-ring rank alone reproduces it."""
+    rows = json.loads(Path(__file__).with_name("surface_p3_cotangent.json").read_text())
+    assert sum(map(len, rows.values())) == 147
+    for d in range(2, 9):
+        x = L.surface_in_p3(d)
+        cot, _ = cotangent_tangent_pair(x)
+        for t, want in zip(range(-10, 11), rows[str(d)]):
+            v = Evaluator().cohom(cot, (t,))
+            assert all(c.exact for c in v) and [c.lo for c in v] == want, (d, t, v)
+            assert want[0] - want[1] + want[2] == x.chi_cotangent_twist((t,)), (d, t)
+
+
+def test_surface_p3_catalog_constants_match_the_engine():
+    """chi(O_X), h^{1,1} and q in the surface_in_p3 catalog entry are the
+    values the engine derives at twist 0: chi from the line-bundle backend,
+    h^{1,1} = h^1(Omega^1) and q = h^0(Omega^1) = h^1(O_X) from the
+    sequences."""
+    for d in range(2, 9):
+        x = L.surface_in_p3(d)
+        o = L.cohom_ci(3, (d,), 0)
+        cot = [c.lo for c in Evaluator().cohom(cotangent_tangent_pair(x)[0], (0,))]
+        assert x.chi_structure_sheaf == o[0] - o[1] + o[2], d
+        assert (x.h11, x.q, x.q) == (cot[1], cot[0], o[1]), d
 
 
 def test_ledger_cubic():

@@ -157,8 +157,6 @@ def test_rational_classes_on_Fe():
 def test_blowup_validation():
     with pytest.raises(NonGeneralConfig):
         L.blowup_p2(5)
-    with pytest.raises(NonGeneralConfig):
-        L.blowup_p2(2, general=False)
 
 
 def test_class_length_validation():

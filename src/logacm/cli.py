@@ -116,19 +116,27 @@ class ProblemSpec:
 _SPEC_KEYS = frozenset(f.name for f in fields(ProblemSpec))
 
 
+def _integer(value, name: str) -> int:
+    """value, if it is an int (not a bool, float or str); name is the field
+    it was read from."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def build_variety(spec: ProblemSpec) -> VarietyModel:
     var = spec.variety
     kind = var.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise InputError(f"unknown variety kind {kind!r}")
     make, key = _KINDS[kind]
-    return make(int(var[key])) if key else make()
+    return make(_integer(var[key], key)) if key else make()
 
 
-def _as_class(x: VarietyModel, raw) -> tuple:
-    if isinstance(raw, int):
+def _as_class(x: VarietyModel, raw, name: str = "class") -> tuple:
+    if not isinstance(raw, (list, tuple)):
         raw = [raw]
-    return x.check_class(tuple(int(v) for v in raw))
+    return x.check_class(tuple(_integer(v, name) for v in raw))
 
 
 def build_arrangement(x: VarietyModel, spec: ProblemSpec) -> Arrangement:
@@ -142,12 +150,17 @@ def build_arrangement(x: VarietyModel, spec: ProblemSpec) -> Arrangement:
             if bad:
                 raise InputError(f"unknown component fields: {sorted(bad)}")
             if "class" in entry:
-                comps.append(component_from_class(x, _as_class(x, entry["class"])))
+                comps.append(component_from_class(x, _as_class(x, entry["class"], "component class")))
             else:
-                comps.append(component_from_degree(x, int(entry["degree"]), int(entry.get("genus", 0))))
+                degree = _integer(entry["degree"], "component degree")
+                genus = _integer(entry.get("genus", 0), "component genus")
+                comps.append(component_from_degree(x, degree, genus))
         else:
-            comps.append(component_from_class(x, _as_class(x, entry)))
-    return arrangement(x, comps, span_rank=raw.get("span_rank"), snc=raw.get("snc", True))
+            comps.append(component_from_class(x, _as_class(x, entry, "component class")))
+    span_rank = raw.get("span_rank")
+    if span_rank is not None:
+        span_rank = _integer(span_rank, "span_rank")
+    return arrangement(x, comps, span_rank=span_rank, snc=raw.get("snc", True))
 
 
 def load_problem(path: Path) -> ProblemSpec:
@@ -186,7 +199,7 @@ def _variety_and_polarization(spec: ProblemSpec, command: str):
     x = build_variety(spec)
     if spec.polarization is None:
         raise InputError(f"{command} needs a polarization")
-    return x, x.check_ample(_as_class(x, spec.polarization))
+    return x, x.check_ample(_as_class(x, spec.polarization, "polarization"))
 
 
 def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):
@@ -194,7 +207,7 @@ def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):
     if name == "line":
         if spec.line_class is None:
             raise InputError("sheaf 'line' needs line_class")
-        return LineE(x, _as_class(x, spec.line_class))
+        return LineE(x, _as_class(x, spec.line_class, "line_class"))
     if name == "cotangent":
         return cotangent_tangent_pair(x)[0]
     if name == "tangent":
@@ -204,9 +217,13 @@ def _sheaf_expr(x: VarietyModel, arr: Arrangement, spec: ProblemSpec):
 
 def _twist_rows(x: VarietyModel, expr, h, spec: ProblemSpec):
     """(t, padded cohomology vector of expr(tH)) over the window."""
-    lo, hi = spec.window
+    if not isinstance(spec.window, list) or len(spec.window) != 2:
+        raise InputError(f"window must be [lo, hi], got {spec.window!r}")
+    lo, hi = (_integer(t, "window") for t in spec.window)
+    if lo > hi:
+        raise InputError(f"window [{lo}, {hi}] is reversed: lo must not exceed hi")
     ev = default_evaluator()
-    return [(t, pad_vec(ev.cohom(expr, vscale(t, h)), x.dim + 1)) for t in range(int(lo), int(hi) + 1)]
+    return [(t, pad_vec(ev.cohom(expr, vscale(t, h)), x.dim + 1)) for t in range(lo, hi + 1)]
 
 
 def cmd_cohom(spec: ProblemSpec, out) -> int:
@@ -238,7 +255,8 @@ def cmd_classify(spec: ProblemSpec, out) -> int:
 
 def cmd_search(spec: ProblemSpec, out) -> int:
     x, h = _variety_and_polarization(spec, "search")
-    results = search(x, h, spec.class_bound, spec.m_bound, side=spec.side, cap=spec.cap)
+    bounds = _integer(spec.class_bound, "class_bound"), _integer(spec.m_bound, "m_bound")
+    results = search(x, h, *bounds, side=spec.side, cap=spec.cap)
     rows = []
     for combo, verdict, first_rule in results:
         rows.append(["+".join(str(list(c)) for c in combo), verdict.status, first_rule or "-"])
@@ -250,7 +268,7 @@ def cmd_deficiency(spec: ProblemSpec, out) -> int:
     x, h = _variety_and_polarization(spec, "deficiency")
     arr = build_arrangement(x, spec)
     try:
-        table = deficiency_table(x, h, arr, spec.degree, cap=spec.cap, side=spec.side)
+        table = deficiency_table(x, h, arr, _integer(spec.degree, "degree"), cap=spec.cap, side=spec.side)
     except WindowNotFound as exc:
         # fall back to an uncertified scan over the requested window
         out.write(f"window: not certified ({exc}); scanning without tail certificates\n")
@@ -274,7 +292,7 @@ def cmd_ledger(spec: ProblemSpec, out) -> int:
         raise InputError("ledger command needs a ledger name")
     kwargs = {}
     if name == "thm_pn_reduction":
-        kwargs = {"n": int(spec.variety.get("n", 3)), "d": int(spec.variety.get("degree", 2))}
+        kwargs = {"n": _integer(spec.variety.get("n", 3), "n"), "d": _integer(spec.variety.get("degree", 2), "degree")}
     report = ledger_checks(name, **kwargs)
     out.write(f"chain: {report.name}\n")
     for line in report.lines:

@@ -7,17 +7,19 @@ small integer, so every rebuild of the same sheaf shares one cache entry in
 every evaluator.  One node, ``SeqE``, holds a short exact sequence with its
 unknown term, rank hints, value pins and one per-twist rule that returns
 more of both.  The unknown is evaluated from the
-long exact sequence at the given twist: degree i couples only the
-connecting ranks rho_{i-1}, rho_i and the flank values at degree i, so the
-constraints (rank boxes, rank hints, value pins) form a path, and a forward
-and a backward pass over it give each degree's exact min/max over the
-feasible set.  The constraint matrix is totally unimodular, so every
-reachable rank set is an integer interval and the passes carry intervals;
-the cost does not depend on the rank ranges.  A flank without an upper
-bound falls to per-slot interval arithmetic (``_solve_coarse``).  Every
-catalog sheaf has bounded values (on Bl_k P^2 the cotangent rules,
-``BlowupCotE``, are met with the blow-up sequence), so only a Serre-cycle
-cut, which reads as an unbounded value, reaches that path.  Serre
+long exact sequence at the given twist.  In an exact sequence each term's
+dimension is the sum of the ranks of the maps into and out of it, so the
+terms A_0, B_0, C_0, A_1, ..., C_amb form a path of ranks r_k (the map out
+of term k) with r_{-1} = r_last = 0: each term's interval (a known value,
+or the unknown's pins) bounds r_{k-1} + r_k, and each connecting rank
+C_i -> A_{i+1} lies in its hint box.  The constraint matrix has
+consecutive ones, so it is totally unimodular (Fulkerson and Gross,
+Pacific J. Math. 15(3), 1965): every reachable rank set is an integer
+interval, and a forward and a backward pass of rank intervals give each
+degree's exact min/max over the feasible set.  The cost does not depend on
+the rank ranges, and an open end (a Serre-cycle cut, or a rule without an
+upper bound such as ``BlowupCotE``) passes through as infinity, so bounded
+and half-open sequences take the same pass.  Serre
 duality is applied at expression level: a Serre partner is data on the
 expression (``serre_pair``), part of its key, and read by every evaluator.
 Twists are checked once, where they enter: ``Evaluator.cohom``,
@@ -72,7 +74,7 @@ from .varieties import VarietyModel, vadd, vneg, vscale, vsub
 
 LEFT, MIDDLE, RIGHT = "left", "middle", "right"
 
-_INF = float("inf")  # an open end of a rank box or sum range
+_INF = float("inf")  # an open end of a term interval or rank box
 
 # hash-cons table: structural tuple -> key; a key is never given to two
 # structures, so inserts take the lock (check-then-insert on a shared table)
@@ -391,20 +393,9 @@ def _meet_each(cons: tuple, given) -> tuple:
     )
 
 
-def _project(x, y, rel, backward=False):
-    """Hull of the y' in y with x' + y' in s for some x' in x, where x' and
-    y' also lie in the boxes of one relation (base, sign, rho_{i-1} box,
-    rho_i box, s) of ``rel``; None when no relation admits any.  Forward, x
-    is rho_{i-1} and y is rho_i; ``backward`` swaps them.  The sum range s
-    is never empty."""
-    lo, hi = _INF, -_INF
-    for _, _, bx, by, (slo, shi) in rel:
-        (bxlo, bxhi), (bylo, byhi) = (by, bx) if backward else (bx, by)
-        xlo, xhi = max(x[0], bxlo), min(x[1], bxhi)
-        ylo, yhi = max(y[0], bylo, slo - xhi), min(y[1], byhi, shi - xlo)
-        if xlo <= xhi and ylo <= yhi:
-            lo, hi = min(lo, ylo), max(hi, yhi)
-    return (lo, hi) if lo <= hi else None
+def _ends(v: Iv) -> tuple:
+    """v as a (lo, hi) pair, with hi = _INF for an open end."""
+    return (v.lo, _INF if v.hi is None else v.hi)
 
 
 class _Frames:
@@ -559,138 +550,55 @@ class Evaluator:
 
     def _solve(self, node: SeqE, twist) -> tuple[Iv, ...]:
         n = node.amb
-        slot = node.unknown_slot
-        known = {}
-        for name, term in ((LEFT, node.left), (MIDDLE, node.middle), (RIGHT, node.right)):
-            if term is not None:
-                known[name] = pad_vec(self._cohom(term, twist), n + 1)
-        cons, hint_iv = node.constraints_at(twist)
-
-        a = known.get(LEFT)
-        b = known.get(MIDDLE)
-        c = known.get(RIGHT)
-
-        # rank bounds rho_i <= min(c_i, a_{i+1}) from whichever flank is known
-        rho_hi: list[int | None] = []
-        for i in range(n):
-            bound = None
-            if c is not None and c[i].hi is not None:
-                bound = c[i].hi
-            if a is not None and a[i + 1].hi is not None:
-                bound = a[i + 1].hi if bound is None else min(bound, a[i + 1].hi)
-            if hint_iv[i] is not None and hint_iv[i].hi is not None:
-                bound = hint_iv[i].hi if bound is None else min(bound, hint_iv[i].hi)
-            rho_hi.append(bound)
-        rho_lo = [hint_iv[i].lo if hint_iv[i] is not None else 0 for i in range(n)]
-
-        for i in range(n):
-            if rho_hi[i] is None:
-                break
-            if rho_lo[i] > rho_hi[i]:
-                raise InconsistentHints(f"{node.name}@{twist}: hint at degree {i} outside admissible range")
-        if any(x.hi is None for vec in known.values() for x in vec):
-            return self._solve_coarse(node, n, slot, a, b, c, rho_lo, rho_hi, cons)
-
-        # one relation per pair of flank values at each degree, built once and
-        # read in place by both passes and by the output
-        p_vec, q_vec = {MIDDLE: (a, c), LEFT: (b, c), RIGHT: (b, a)}[slot]
+        seq = (node.left, node.middle, node.right)
+        known = [None if t is None else pad_vec(self._cohom(t, twist), n + 1) for t in seq]
+        cons, hints = node.constraints_at(twist)
         apply = self._apply_relation
-        rels = []
-        for p, q, con in zip(p_vec, q_vec, cons):
-            if p.exact and q.exact:
-                rels.append((apply(slot, p.lo, q.lo, con),))
-            else:
-                rels.append(
-                    tuple(apply(slot, pv, qv, con) for pv in range(p.lo, p.hi + 1) for qv in range(q.lo, q.hi + 1))
-                )
+        # the terms A_0, B_0, C_0, A_1, ..., C_n of the long exact sequence;
+        # term k has dimension r_{k-1} + r_k, r_k the rank of the map out of
+        # it, with r_{-1} = r_last = 0, so the constraints form a path
+        terms = [t for i in range(n + 1) for t in apply(*(v and v[i] for v in known), cons[i])]
+        boxes = [(0, _INF)] * (len(terms) - 1) + [(0, 0)]
+        for i, h in enumerate(hints):
+            if h is not None:  # the connecting rank C_i -> A_{i+1}
+                boxes[3 * i + 2] = _ends(h)
 
-        # Degree i couples only rho_{i-1} and rho_i, so the constraints form a
-        # path: a forward pass keeps the rho_{i-1} consistent with degrees < i,
-        # a backward pass narrows them to those consistent with every degree.
-        # The system is totally unimodular, so each such set is an interval.
-        # reach[i] holds rho_{i-1}, with rho_{-1} = rho_n = 0.
-        boxes = [(0, 0), *zip(rho_lo, rho_hi), (0, 0)]
-        reach = [(0, 0)]
-        for i, rel in enumerate(rels):
-            step = _project(reach[i], boxes[i + 1], rel)
-            if step is None:
+        # A forward pass keeps the r_k consistent with terms 0..k, a backward
+        # pass narrows them to those consistent with every term; each such
+        # set is an integer interval (module docstring).
+        reach, (xlo, xhi) = [], (0, 0)
+        for (lo, hi), (blo, bhi) in zip(terms, boxes):
+            xlo, xhi = max(blo, lo - xhi), min(bhi, hi - xlo)
+            if xlo > xhi:
                 raise InconsistentHints(f"{node.name}@{twist}: no admissible rank assignment")
-            reach.append(step)
-        for i in range(n, -1, -1):
-            reach[i] = _project(reach[i + 1], reach[i], rels[i], backward=True)
+            reach.append((xlo, xhi))
+        for k in range(len(terms) - 1, 0, -1):
+            (lo, hi), (ylo, yhi), (xlo, xhi) = terms[k], reach[k], reach[k - 1]
+            reach[k - 1] = (max(xlo, lo - yhi), min(xhi, hi - ylo))
 
-        # the unknown at degree i: base + sign * s over the sums s of a
-        # reachable rho_{i-1} and a reachable rho_i, per flank pair
+        # the unknown at degree i: its interval met with the sums of a
+        # reachable rank into it and a reachable rank out of it
         out = []
-        for i, rel in enumerate(rels):
-            (x_lo, x_hi), (y_lo, y_hi) = reach[i], reach[i + 1]
-            lo, hi = _INF, -_INF
-            for base, sign, (plo, phi), (clo, chi), (slo, shi) in rel:
-                xlo, xhi, ylo, yhi = max(x_lo, plo), min(x_hi, phi), max(y_lo, clo), min(y_hi, chi)
-                slo, shi = max(slo, xlo + ylo), min(shi, xhi + yhi)
-                if xlo <= xhi and ylo <= yhi and slo <= shi:
-                    ends = (base + sign * slo, base + sign * shi)
-                    lo, hi = min(lo, *ends), max(hi, *ends)
-            out.append(Iv(lo, hi))
-        return tuple(out[: node.cdim + 1])
+        for k in range(known.index(None), len(terms), 3)[: node.cdim + 1]:
+            (lo, hi), (xlo, xhi), (ylo, yhi) = terms[k], reach[k - 1] if k else (0, 0), reach[k]
+            hi = min(hi, xhi + yhi)
+            out.append(Iv(max(lo, xlo + ylo), None if hi == _INF else hi))
+        return tuple(out)
 
     @staticmethod
-    def _apply_relation(slot, p, q, con):
-        """The relation b_i = (a_i - rho_{i-1}) + (c_i - rho_i) at one degree.
+    def _apply_relation(a, b, c, con):
+        """The intervals of the terms A_i, B_i, C_i of the long exact
+        sequence at one degree, as (lo, hi) pairs with hi = _INF for an open
+        end.  a, b and c are the known terms' values and None for the
+        unknown, whose interval is its constraint ``con``, or [0, _INF)
+        without one."""
+        free = (0, _INF) if con is None else _ends(con)
+        return tuple(free if v is None else _ends(v) for v in (a, b, c))
 
-        p and q are the known flank values at the degree (a_i, c_i for an
-        unknown middle; b_i and the other flank otherwise).  The unknown is
-        base + sign * (rho_{i-1} + rho_i); returns (base, sign, rho_{i-1} box,
-        rho_i box, range of rho_{i-1} + rho_i keeping the unknown >= 0 and
-        inside the pin ``con``).  A rank is at most each flank it maps from
-        or to; a bound by the unknown left (right) term is a box on rho_i
-        (rho_{i-1}): rho_{i-1} <= a_i reads rho_i >= c_i - b_i.
-        """
-        lo = 0 if con is None else con.lo
-        hi = _INF if con is None or con.hi is None else con.hi
-        if slot == MIDDLE:
-            return p + q, -1, (0, p), (0, q), (p + q - hi, p + q - lo)
-        base, tight = p - q, (max(0, q - p), q)
-        if slot == LEFT:
-            return base, 1, (0, _INF), tight, (lo - base, hi - base)
-        return base, 1, tight, (0, _INF), (lo - base, hi - base)
-
-    def _solve_coarse(self, node, n, slot, a, b, c, rho_lo, rho_hi, cons):
-        """Sound per-slot interval arithmetic when a flank is unbounded.
-
-        Loses joint rank coupling but never narrows below the feasible set.
-        """
-        def rho(i):
-            if not 0 <= i < n:
-                return (0, 0)
-            return (rho_lo[i], rho_hi[i])  # hi may be None
-
-        def combine(pos, neg):
-            # interval of sum(pos) - sum(neg); entries are (lo, hi) pairs
-            lo = sum(p[0] for p in pos) - sum(q[1] for q in neg if q[1] is not None)
-            if any(q[1] is None for q in neg):
-                lo = 0
-            hi = None
-            if all(p[1] is not None for p in pos):
-                hi = sum(p[1] for p in pos) - sum(q[0] for q in neg)
-            return lo, hi
-
-        out = []
-        for i in range(n + 1):
-            if slot == MIDDLE:
-                lo, hi = combine([(a[i].lo, a[i].hi), (c[i].lo, c[i].hi)], [rho(i - 1), rho(i)])
-            elif slot == LEFT:
-                lo, hi = combine([(b[i].lo, b[i].hi), rho(i - 1), rho(i)], [(c[i].lo, c[i].hi)])
-            else:
-                lo, hi = combine([(b[i].lo, b[i].hi), rho(i - 1), rho(i)], [(a[i].lo, a[i].hi)])
-            lo = max(0, lo)
-            if hi is not None:
-                hi = max(hi, lo)
-            res = Iv(lo, hi)
-            if cons[i] is not None:
-                res = iv_meet(res, cons[i], f"{node!r} coarse")
-            out.append(res)
-        return tuple(out)[: node.cdim + 1]
+    # Nothing calls this: every solve takes the one pass above.  The
+    # benchmark's tracer (bench/tracing.py) wraps it by name, so it stays
+    # until the benchmark revision of ROADMAP item 7 deletes it.
+    _solve_coarse = None
 
 
 _DEFAULT = Evaluator()

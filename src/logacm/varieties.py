@@ -304,6 +304,8 @@ class Arrangement:
 
 def component_from_class(x: VarietyModel, klass) -> Component:
     klass = x.check_class(klass)
+    if is_zero_cls(klass):
+        raise InputError(f"component class {klass} is zero: an empty divisor is not a component")
     if x.dim > 2:
         if klass[0] < 1:
             raise InputError("hypersurface components have positive degree")
@@ -317,6 +319,8 @@ def component_from_class(x: VarietyModel, klass) -> Component:
 def component_from_degree(x: VarietyModel, deg_h: int, genus: int) -> Component:
     if x.lattice_rank != 1:
         raise InputError("degree/genus components require a rank-one polarization lattice")
+    if x.kind == KIND_PN:
+        raise InputError("a component on P^n is given by its class, not by degree and genus")
     if deg_h <= 0 or genus < 0:
         raise InputError("component degree must be positive, genus nonnegative")
     kd = x.canonical_class[0] * deg_h

@@ -324,3 +324,43 @@ def test_module_help_names_every_command():
     assert proc.returncode == 0, proc.stderr
     for command in ("cohom", "classify", "search", "deficiency", "ledger"):
         assert command in proc.stdout
+
+
+
+def refused(capsys, *argv):
+    """The error text of a run that exits 2, or None for any other exit."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    return err if code == 2 else None
+
+
+def test_components_the_engine_cannot_model_exit_2(tmp_path, capsys):
+    p2 = "variety: {kind: projective_space, n: 2}\npolarization: 1\n"
+    zero = write(tmp_path, "zero.yaml", p2 + "arrangement: {components: [[0], [1]]}\n")
+    by_degree = write(tmp_path, "deg.yaml", p2 + "arrangement:\n  components: [{degree: 1, genus: 0}]\n")
+    for path, field in ((zero, "component class"), (by_degree, "degree and genus")):
+        for command in ("cohom", "classify"):
+            assert field in (refused(capsys, command, str(path)) or ""), (path.name, command)
+
+
+def test_non_integers_and_a_reversed_window_exit_2(tmp_path, capsys):
+    f1 = "variety: {kind: hirzebruch, e: 1}\npolarization: [1, 2]\n"
+    cases = [
+        ("e", "variety: {kind: hirzebruch, e: 1.5}\npolarization: [1, 2]\n"),
+        ("e", "variety: {kind: hirzebruch, e: true}\npolarization: [1, 2]\n"),
+        ("polarization", "variety: {kind: hirzebruch, e: 1}\npolarization: [1.7, 1]\n"),
+        ("polarization", "variety: {kind: hirzebruch, e: 1}\npolarization: ['1', 2]\n"),
+        ("window", f1 + "window: [3, -3]\n"),
+        ("window", f1 + "window: [0, 1.5]\n"),
+        ("span_rank", f1 + "arrangement: {components: [[1, 0], [0, 1]], span_rank: 1.5}\n"),
+    ]
+    for field, text in cases:
+        p = write(tmp_path, "bad.yaml", text)
+        assert field in (refused(capsys, "cohom", str(p)) or ""), text
+    read_by_one_command = (("search", "class_bound", "true"), ("search", "m_bound", "1.5"), ("deficiency", "degree", "1.5"))
+    for command, field, value in read_by_one_command:
+        p = write(tmp_path, "bad.yaml", f1 + f"{field}: {value}\n")
+        assert field in (refused(capsys, command, str(p)) or ""), field
+    ok = write(tmp_path, "ok.yaml", f1)
+    assert "window" in (refused(capsys, "cohom", str(ok), "--window", "3", "-3") or "")
+    assert run(capsys, "cohom", str(ok), "--window", "3", "3")[0] == 0

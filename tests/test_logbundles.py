@@ -81,16 +81,9 @@ def test_blowup_sequence_meets_the_rules_soundly():
 
 def test_blowup_deficiency_verdicts_take_no_coarse_solve(monkeypatch):
     """Over the negative-curve sub-arrangements of at most three curves,
-    polarized by -K, no solve takes the coarse path, and every verdict is
-    the one the rules alone give (whose solves do take it)."""
-    coarse = []
-    solve_coarse = Evaluator._solve_coarse
-
-    def counted(self, *args):
-        coarse.append(args[0])
-        return solve_coarse(self, *args)
-
-    monkeypatch.setattr(Evaluator, "_solve_coarse", counted)
+    polarized by -K, every verdict is the one the rules alone give.  There
+    is no coarse path left to take: every solve is the one rank-path pass,
+    for the bounded blow-up sequence and the unbounded rules alike."""
 
     def verdicts():
         ev, out = Evaluator(), {}
@@ -104,11 +97,10 @@ def test_blowup_deficiency_verdicts_take_no_coarse_solve(monkeypatch):
         return out
 
     met = verdicts()
-    assert len(met) == 228 and coarse == []
+    assert len(met) == 228
     for module in (logbundles, classify):
         monkeypatch.setattr(module, "cotangent_tangent_pair", rules_alone_pair)
     assert verdicts() == met
-    assert coarse
 
 
 def test_cotangent_f1_vanishing_off_zero():

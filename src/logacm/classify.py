@@ -5,6 +5,12 @@ A verdict is never an uncertified Yes or No: Yes carries a regularity
 window covering all twists, No carries a slot whose dimension is exactly
 computed and positive, and anything blocked by a genuine interval is
 Unknown with the blocking slot reported.
+
+A verdict first probes h^1 at t = 0, -1, 1 and answers No at the first
+exactly positive slot, without a window; only then does it certify one
+and scan its residual slots.  The probe reports the witness the scan
+would: a positive slot lies inside every certified window, and the scan
+takes degree 1 first, in the same (|t|, t) order.
 """
 
 from __future__ import annotations
@@ -205,6 +211,20 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
     return violations, skipped
 
 
+def _first_positive(ev: Evaluator, expr: Expr, h, n: int, i: int, twists):
+    """(witness, blocking) for degree i over `twists`, in the order given:
+    witness is the first slot whose h^i is exactly positive, blocking the
+    first undecided interval slot before it."""
+    blocking = None
+    for t in twists:
+        val = pad_vec(ev.cohom(expr, vscale(t, h)), n + 1)[i]
+        if val.lo >= 1:
+            return (i, t, val), blocking
+        if blocking is None and not val.is_zero:
+            blocking = (i, t, val)
+    return None, blocking
+
+
 def _scan_slots(ev: Evaluator, expr: Expr, h, n: int, window, cap: int):
     """Evaluate residual (or fallback-range) slots for degrees 1..n-1.
 
@@ -213,19 +233,25 @@ def _scan_slots(ev: Evaluator, expr: Expr, h, n: int, window, cap: int):
     blocking = None
     for i in range(1, n):
         twists = window.residual(i) if window is not None else range(-cap, cap + 1)
-        twists = sorted(twists, key=lambda t: (abs(t), t))
-        for t in twists:
-            val = pad_vec(ev.cohom(expr, vscale(t, h)), n + 1)[i]
-            if val.lo >= 1:
-                return (i, t, val), None
-            if not val.is_zero and blocking is None:
-                blocking = (i, t, val)
+        witness, first = _first_positive(ev, expr, h, n, i, sorted(twists, key=lambda t: (abs(t), t)))
+        if witness is not None:
+            return witness, None
+        blocking = blocking or first
     return None, blocking
+
+
+_WITNESS_NOTE = "nonzero intermediate cohomology at the witness slot"
 
 
 def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> Verdict:
     n = x.dim
     h = x.check_class(h)
+    # the witness probe (module docstring); only degree 1, since the scan
+    # below takes the degrees in order
+    probe = [t for t in (0, -1, 1) if abs(t) <= cap]
+    witness, _ = _first_positive(ev, expr, h, n, 1, probe)
+    if witness is not None:
+        return Verdict(NO, witness, [_WITNESS_NOTE])
     window_note = ""
     try:
         window = vanishing_window(expr, h, cap=cap, ev=ev)
@@ -234,7 +260,7 @@ def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> V
         window_note = f"window uncertified ({exc})"
     witness, blocking = _scan_slots(ev, expr, h, n, window, cap)
     if witness is not None:
-        return Verdict(NO, witness, ["nonzero intermediate cohomology at the witness slot"])
+        return Verdict(NO, witness, [_WITNESS_NOTE])
     if window is None:
         return Verdict(UNKNOWN, None, [window_note, "no exact nonzero slot found in the scanned range"])
     if blocking is not None:

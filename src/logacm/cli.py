@@ -160,7 +160,10 @@ def build_arrangement(x: VarietyModel, spec: ProblemSpec) -> Arrangement:
     span_rank = raw.get("span_rank")
     if span_rank is not None:
         span_rank = _integer(span_rank, "span_rank")
-    return arrangement(x, comps, span_rank=span_rank, snc=raw.get("snc", True))
+    snc = raw.get("snc", True)
+    if type(snc) is not bool:
+        raise InputError(f"snc must be true or false, got {snc!r}")
+    return arrangement(x, comps, span_rank=span_rank, snc=snc)
 
 
 def load_problem(path: Path) -> ProblemSpec:

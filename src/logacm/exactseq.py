@@ -190,8 +190,9 @@ class CurveE(Expr):
         self.cdim = 1
 
     def degree_at(self, twist) -> int:
+        """The degree at a twist already checked against the lattice."""
         if self.klass is not None:
-            return self.base_deg + self.variety.intersect(self.klass, twist)
+            return self.base_deg + self.variety._intersect(self.klass, twist)
         return self.base_deg + self.deg_h * twist[0]
 
     def __repr__(self):

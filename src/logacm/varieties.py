@@ -43,21 +43,23 @@ def is_zero_cls(x: Cls) -> bool:
 
 
 def matrix_rank(rows) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
+    """Rank over Q by fraction-free (Bareiss) elimination: after k pivots
+    every entry below them is a (k+1)-minor of the input, so each division
+    by the previous pivot is exact."""
+    m = [list(map(int, row)) for row in rows]
+    rank, prev = 0, 1
     cols = len(m[0]) if m else 0
     for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
         rank += 1
     return rank
 
@@ -118,9 +120,12 @@ class VarietyModel:
         return x
 
     def intersect(self, x: Cls, y: Cls) -> int:
+        return self._intersect(self.check_class(x), self.check_class(y))
+
+    def _intersect(self, x: Cls, y: Cls) -> int:
+        """``intersect`` of two classes already checked against the lattice."""
         if self.dim != 2:
             raise InputError("intersection pairing is defined for surfaces; use deg on P^n")
-        x, y = self.check_class(x), self.check_class(y)
         return sum(x[i] * v * y[j] for i, j, v in self._pairing)
 
     def deg(self, x: Cls) -> int:
@@ -131,7 +136,8 @@ class VarietyModel:
         return x[0]
 
     def adjunction_genus(self, d: Cls) -> int:
-        num = self.intersect(d, d) + self.intersect(self.canonical_class, d)
+        d = self.check_class(d)
+        num = self._intersect(d, d) + self._intersect(self.canonical_class, d)
         if num % 2 != 0:
             raise InputError(f"class {d} has odd D.(D+K); not a curve class on this lattice")
         return num // 2 + 1
@@ -280,13 +286,15 @@ class Component:
     self_int: int | None = None
 
     def degree_along(self, x: VarietyModel, twist: Cls) -> int:
+        """D.twist on the surface x, for a twist already checked against
+        its lattice."""
         if self.klass is not None:
-            return x.intersect(self.klass, twist)
+            return x._intersect(self.klass, twist)
         return self.deg_h * twist[0]
 
     def normal_degree(self, x: VarietyModel) -> int:
         if self.klass is not None:
-            return x.intersect(self.klass, self.klass)
+            return x._intersect(self.klass, self.klass)
         return self.self_int
 
 

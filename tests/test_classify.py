@@ -384,3 +384,109 @@ def test_unknown_side_is_rejected():
             call()
     pair = L.log_pair(q, arr)
     assert pair.for_side("cot") is pair.cotangent_log and pair.for_side("tan") is pair.tangent_log
+
+
+def window_first_classify_expr(x, h, expr, cap, ev):
+    """Reference for ``classify._classify_expr``: certify the window first,
+    then scan every residual slot (the order before the witness probe)."""
+    from logacm.classify import UNKNOWN, Verdict, _scan_slots
+    from logacm.errors import NotVeryAmple, WindowNotFound
+    from logacm.exactseq import vanishing_window
+
+    n = x.dim
+    h = x.check_class(h)
+    window_note = ""
+    try:
+        window = vanishing_window(expr, h, cap=cap, ev=ev)
+    except (WindowNotFound, NotVeryAmple) as exc:
+        window = None
+        window_note = f"window uncertified ({exc})"
+    witness, blocking = _scan_slots(ev, expr, h, n, window, cap)
+    if witness is not None:
+        return Verdict(NO, witness, ["nonzero intermediate cohomology at the witness slot"])
+    if window is None:
+        return Verdict(UNKNOWN, None, [window_note, "no exact nonzero slot found in the scanned range"])
+    if blocking is not None:
+        return Verdict(UNKNOWN, blocking, window.certificates + ["undecided interval at the reported slot"])
+    certs = window.certificates + [
+        f"all residual slots vanish: " + ", ".join(f"h^{i} on {list(window.residual(i))}" for i in range(1, n))
+    ]
+    return Verdict(YES, None, certs)
+
+
+def probe_cases():
+    """(variety, polarization, arrangement) for the witness-probe oracle."""
+    from itertools import combinations_with_replacement
+
+    from logacm.classify import _candidate_classes
+    from logacm.logbundles import repeated_rigid_class
+
+    cases = []
+    surfaces = [(L.quadric_surface(), [(1, 1), (2, 1)])]
+    surfaces += [(L.hirzebruch(e), [(1, e + 1), (2, 2 * e + 1)]) for e in range(4)]
+    for x, pols in surfaces:
+        cands = sorted(_candidate_classes(x, 1))
+        for m in range(3):
+            for combo in combinations_with_replacement(cands, m):
+                if repeated_rigid_class(x, combo) is None:
+                    arr = L.arrangement(x, [L.component_from_class(x, c) for c in combo])
+                    cases += [(x, h, arr) for h in pols]
+    # on P^n also hypersurfaces of higher degree: witnesses in degree n - 1,
+    # and an undecided h^1 at t = 0 before a witness at t = -1
+    for n, sizes, degrees in ((3, range(1, 7), ((1, 1, 2), (3,))), (4, (2, 5, 6), ((2,),))):
+        x = L.projective_space(n)
+        cases += [(x, (1,), L.hyperplane_arrangement(x, m)) for m in sizes]
+        cases += [(x, (1,), L.arrangement(x, [L.component_from_class(x, (d,)) for d in ds])) for ds in degrees]
+    ab = L.abelian_surface(4)
+    assert ab.very_ample_multiple((1,)) == 3
+    for comps in ((), ((1, 1),), ((2, 2),)):
+        cases.append((ab, (1,), L.arrangement(ab, [L.component_from_degree(ab, d, g) for d, g in comps])))
+    return cases
+
+
+@pytest.mark.parametrize("cap", [0, 1, 8])
+def test_witness_probe_matches_window_first_scan(cap):
+    """The probe at t = 0, -1, 1 changes no verdict, witness or certificate."""
+    from logacm.classify import _classify_expr
+    from logacm.logbundles import log_pair
+
+    statuses = set()
+    for x, h, arr in probe_cases():
+        ours, reference = Evaluator(), Evaluator()
+        for side in ("cot", "tan"):
+            got = _classify_expr(x, h, log_pair(x, arr, ours).for_side(side), cap, ours)
+            want = window_first_classify_expr(x, h, log_pair(x, arr, reference).for_side(side), cap, reference)
+            assert (got.status, got.witness, got.certificates) == (want.status, want.witness, want.certificates), (
+                x.kind,
+                x.param,
+                h,
+                arr,
+                side,
+            )
+            statuses.add(got.status)
+    assert NO in statuses and (YES in statuses or cap < 8), statuses  # small caps certify no window
+
+
+def test_witness_probe_skips_a_failing_window(monkeypatch):
+    """On F_1 with H = (1, 2) and D a fibre, the tangent side has no window
+    within the cap and h^1 = 1 at t = -1: the probe answers No without
+    looking for a window."""
+    import logacm.classify as C
+    from logacm.errors import WindowNotFound
+    from logacm.exactseq import vanishing_window
+    from logacm.logbundles import log_pair
+
+    x, h = L.hirzebruch(1), (1, 2)
+    arr = L.arrangement(x, [L.component_from_class(x, (0, 1))])
+    ev = Evaluator()
+    expr = log_pair(x, arr, ev).for_side("tan")
+    with pytest.raises(WindowNotFound):
+        vanishing_window(expr, h, cap=8, ev=Evaluator())
+    want = window_first_classify_expr(x, h, expr, 8, Evaluator())
+    assert want.status == NO and want.witness[:2] == (1, -1)
+
+    calls = []
+    monkeypatch.setattr(C, "vanishing_window", lambda *a, **k: calls.append(a))
+    got = C._classify_expr(x, h, expr, 8, ev)
+    assert calls == []
+    assert (got.status, got.witness, got.certificates) == (want.status, want.witness, want.certificates)

@@ -364,3 +364,14 @@ def test_non_integers_and_a_reversed_window_exit_2(tmp_path, capsys):
     ok = write(tmp_path, "ok.yaml", f1)
     assert "window" in (refused(capsys, "cohom", str(ok), "--window", "3", "-3") or "")
     assert run(capsys, "cohom", str(ok), "--window", "3", "3")[0] == 0
+
+
+def test_snc_must_be_a_yaml_bool(tmp_path, capsys):
+    quadric = "variety: {kind: quadric}\npolarization: [1, 1]\narrangement: {components: [[1, 0], [0, 1]], snc: "
+    for value in ('"no"', "'false'", "0", "1", "null"):
+        p = write(tmp_path, "bad.yaml", quadric + value + "}\n")
+        for command in ("classify", "deficiency"):
+            assert "snc" in (refused(capsys, command, str(p)) or ""), (value, command)
+    assert run(capsys, "classify", str(write(tmp_path, "yes.yaml", quadric + "true}\n")))[0] == 0
+    refusal = refused(capsys, "classify", str(write(tmp_path, "no.yaml", quadric + "false}\n"))) or ""
+    assert "simple normal crossings" in refusal

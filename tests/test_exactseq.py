@@ -608,35 +608,68 @@ def brute_force_solve(ev, node, twist):
 P2, TW = L.projective_space(2), (0,)
 
 
+def around(draw, v: int, bound) -> Iv:
+    """An interval holding v: its lower end up to 2 below v, its upper end
+    `bound` above v, or open where `bound` draws None."""
+    above = draw(bound)
+    return Iv(v - draw(st.integers(0, min(v, 2))), None if above is None else v + above)
+
+
+def shifted(v: Iv, by: int) -> Iv:
+    return Iv(max(0, v.lo + by), None if v.hi is None else max(0, v.hi + by))
+
+
 @st.composite
 def bounded_sequences(draw, widened=2, max_width=2, opened=0):
-    """A sequence with bounded flanks (exact, at most `widened` entries
-    widened by 1..`max_width`), random rank hints and pins; the unknown slot
-    at a random place.  With `opened`, one to `opened` flank entries then
-    lose their upper bound."""
+    """A sequence drawn from a rank path, so that most draws are feasible.
+
+    The ranks r_k of the maps out of the terms A_0, B_0, C_0, A_1, ..., C_n
+    of the long exact sequence come first; term k then has dimension
+    r_{k-1} + r_k, and the unknown slot, at a random place, vanishes above
+    cdim.  The flanks are exact at those dimensions, except that at most
+    `widened` entries widen to intervals of width 1..`max_width` holding
+    them, and with `opened` one to `opened` entries lose their upper bound.
+    Rank hints hold their connecting rank and pins the unknown's dimension.
+    Some draws are perturbed: the unknown is pinned to its
+    dimension at every degree, then one flank entry, hint or pin moves by
+    one, which leaves no admissible rank path unless a wide entry takes up
+    the shift."""
     n = draw(st.integers(1, 4))
-    slot = draw(st.sampled_from([LEFT, MIDDLE, RIGHT]))
-    flanks = [[[v, v] for v in draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))] for _ in range(2)]
-    widths = st.tuples(st.integers(0, 2 * n + 1), st.integers(1, max_width))
-    for pos, width in draw(st.lists(widths, max_size=widened)):
-        flanks[pos % 2][pos // 2][1] += width
+    slot = draw(st.integers(0, 2))  # LEFT, MIDDLE or RIGHT
+    cdim = draw(st.integers(n - 1, n))
+    length = 3 * (n + 1)
+    ranks = draw(st.lists(st.integers(0, 3), min_size=length - 1, max_size=length - 1)) + [0]
+    for k in range(3 * (cdim + 1) + slot, length, 3):  # the unknown above cdim: no rank in or out
+        ranks[k] = ranks[k - 1] = 0
+    dims = [ranks[k] + (ranks[k - 1] if k else 0) for k in range(length)]
+
+    flanks = [[Iv(dims[3 * i + j], dims[3 * i + j]) for i in range(n + 1)] for j in range(3) if j != slot]
+    for pos, width in draw(st.lists(st.tuples(st.integers(0, 2 * n + 1), st.integers(1, max_width)), max_size=widened)):
+        v = flanks[pos % 2][pos // 2].lo
+        lo = v - draw(st.integers(0, min(v, width)))
+        flanks[pos % 2][pos // 2] = Iv(lo, lo + width)
     if opened:
         for pos in draw(st.lists(st.integers(0, 2 * n + 1), min_size=1, max_size=opened)):
-            flanks[pos % 2][pos // 2][1] = None
-    terms = [FixedE(P2, [Iv(lo, hi) for lo, hi in f]) for f in flanks]
-    terms.insert([LEFT, MIDDLE, RIGHT].index(slot), None)
+            flanks[pos % 2][pos // 2] = Iv(flanks[pos % 2][pos // 2].lo, None)
     bound = st.one_of(st.none(), st.integers(0, 3))
-    hints = tuple(
-        RankHint(TW, d, Iv(lo, None if w is None else lo + w), "test")
-        for d, lo, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2), bound), max_size=2))
-    )
-    pins = [
-        None if p is None else Iv(p[0], None if p[1] is None else p[0] + p[1])
-        for p in draw(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 4), bound)), min_size=n + 1, max_size=n + 1))
-    ]
-    cdim = draw(st.integers(n - 1, n))
-    pinned = {TW: pins[: cdim + 1]} if draw(st.booleans()) else None
-    return SeqE(P2, *terms, cdim, name="random", hints=hints, pins=pinned)
+    hints = [(d, around(draw, ranks[3 * d + 2], bound)) for d in draw(st.lists(st.integers(0, n - 1), max_size=2))]
+    pins = [around(draw, dims[3 * i + slot], bound) if draw(st.booleans()) else None for i in range(cdim + 1)]
+    pinned = draw(st.booleans())
+
+    if draw(st.integers(0, 2)) == 2:
+        pins, pinned = [iv(dims[3 * i + slot]) for i in range(cdim + 1)], True
+        target, pos, by = draw(st.tuples(st.sampled_from("fhp"), st.integers(0, 2 * n + 1), st.sampled_from([-1, 1])))
+        if target == "f":
+            flanks[pos % 2][pos // 2] = shifted(flanks[pos % 2][pos // 2], by)
+        elif target == "h":
+            hints.append((pos % n, iv(max(0, ranks[3 * (pos % n) + 2] + by))))
+        else:
+            pins[pos % (cdim + 1)] = shifted(pins[pos % (cdim + 1)], by)
+
+    terms = [FixedE(P2, f) for f in flanks]
+    terms.insert(slot, None)
+    hints = tuple(RankHint(TW, d, h, "test") for d, h in hints)
+    return SeqE(P2, *terms, cdim, name="random", hints=hints, pins={TW: pins} if pinned else None)
 
 
 def solve_or_raise(solve, *args):
@@ -646,11 +679,32 @@ def solve_or_raise(solve, *args):
         return InconsistentHints
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(bounded_sequences())
-def test_solve_matches_brute_force(node):
-    ev = FixedEvaluator()
-    assert solve_or_raise(ev._solve, node, TW) == solve_or_raise(brute_force_solve, ev, node, TW)
+def check_drawn(sequences, max_examples, check):
+    """Run `check` on `max_examples` drawn sequences; it returns whether the
+    sequence was feasible.  At least half of the draws must be, and some
+    must not, so that both the solve and its refusal are tested."""
+    feasible = []
+
+    @settings(derandomize=True, max_examples=max_examples, deadline=None)
+    @given(sequences)
+    def run(node):
+        feasible.append(check(node))
+
+    run()
+    assert len(feasible) > sum(feasible) >= len(feasible) / 2, (sum(feasible), len(feasible))
+
+
+def matches_brute_force(node, ev=None):
+    """Whether node is feasible, after asserting that the solve and the
+    brute force agree on it."""
+    ev = ev or FixedEvaluator()
+    got = solve_or_raise(ev._solve, node, TW)
+    assert got == solve_or_raise(brute_force_solve, ev, node, TW)
+    return got is not InconsistentHints
+
+
+def test_solve_matches_brute_force():
+    check_drawn(bounded_sequences(), 300, matches_brute_force)
 
 
 class RelationCountingEvaluator(FixedEvaluator):
@@ -663,21 +717,20 @@ class RelationCountingEvaluator(FixedEvaluator):
         return Evaluator._apply_relation(*args)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(bounded_sequences(widened=0))
-def test_solve_with_exact_flanks_matches_brute_force(node):
+def test_solve_with_exact_flanks_matches_brute_force():
     """Every flank exact: the solve builds one relation per degree."""
-    ev = RelationCountingEvaluator()
-    got = solve_or_raise(ev._solve, node, TW)
-    assert got == solve_or_raise(brute_force_solve, ev, node, TW)
-    assert ev.relations == node.amb + 1 or (got is InconsistentHints and ev.relations == 0)
+
+    def check(node):
+        ev = RelationCountingEvaluator()
+        feasible = matches_brute_force(node, ev)
+        assert ev.relations == node.amb + 1 or (not feasible and ev.relations == 0)
+        return feasible
+
+    check_drawn(bounded_sequences(widened=0), 300, check)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(bounded_sequences(widened=4, max_width=3))
-def test_solve_with_wide_flanks_matches_brute_force(node):
-    ev = FixedEvaluator()
-    assert solve_or_raise(ev._solve, node, TW) == solve_or_raise(brute_force_solve, ev, node, TW)
+def test_solve_with_wide_flanks_matches_brute_force():
+    check_drawn(bounded_sequences(widened=4, max_width=3), 150, matches_brute_force)
 
 
 def truncated(node, cut):
@@ -691,21 +744,24 @@ def truncated(node, cut):
     return SeqE(P2, *terms, node.cdim, name="truncated", hints=node.hints, pins=node.pins)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(bounded_sequences(opened=2))
-def test_solve_with_open_flanks_matches_truncated_solves(node):
+def test_solve_with_open_flanks_matches_truncated_solves():
     """An open flank entry reads as the limit of ever larger bounds: every
     lower end is that of the solves with the open entries cut far above
     their values, and an upper end is open exactly where two such cuts
     disagree."""
-    ev = FixedEvaluator()
-    got, near, far = (solve_or_raise(ev._solve, m, TW) for m in (node, truncated(node, 1000), truncated(node, 2000)))
-    if InconsistentHints in (got, near, far):
-        assert got is near is far is InconsistentHints
-        return
-    for g, a, b in zip(got, near, far):
-        assert g.lo == a.lo == b.lo
-        assert g.hi == (None if a.hi != b.hi else a.hi)
+
+    def check(node):
+        ev = FixedEvaluator()
+        got, near, far = (solve_or_raise(ev._solve, m, TW) for m in (node, truncated(node, 1000), truncated(node, 2000)))
+        if InconsistentHints in (got, near, far):
+            assert got is near is far is InconsistentHints
+            return False
+        for g, a, b in zip(got, near, far):
+            assert g.lo == a.lo == b.lo
+            assert g.hi == (None if a.hi != b.hi else a.hi)
+        return True
+
+    check_drawn(bounded_sequences(opened=2), 300, check)
 
 
 def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):

@@ -1,10 +1,14 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logacm as L
 from logacm.errors import InputError, NonGeneralConfig, NotVeryAmple
-from logacm.varieties import KIND_PN, VarietyModel, matrix_rank, rat0_case, vneg, vscale, vsub
+from logacm.exactseq import CurveE, Evaluator
+from logacm.varieties import KIND_PN, Component, VarietyModel, matrix_rank, rat0_case, vneg, vscale, vsub
 
 from conftest import catalog_surfaces, random_class, run_optimized
 
@@ -160,8 +164,27 @@ def test_blowup_validation():
 
 
 def test_class_length_validation():
+    f1 = L.hirzebruch(1)
+    curve = CurveE(f1, 0, 0, klass=(1, 0))
+    public_entries = [
+        lambda: f1.intersect((1, 0, 0), (0, 1)),
+        lambda: f1.intersect((0, 1), (1,)),
+        lambda: f1.adjunction_genus((1, 0, 0)),
+        lambda: f1.riemann_roch_chi((1,)),
+        lambda: f1.chi_cotangent_twist((1, 2, 3)),
+        lambda: L.component_from_class(f1, (1, 1, 1)),
+        lambda: CurveE(f1, 0, 0, klass=(1,)),
+        lambda: Evaluator().cohom(curve, (1, 0, 0)),
+    ]
+    for call in public_entries:
+        with pytest.raises(InputError):
+            call()
+    # the pairing stays a surface notion on every path
+    p3 = L.projective_space(3)
     with pytest.raises(InputError):
-        L.hirzebruch(1).intersect((1, 0, 0), (0, 1))
+        p3.intersect((1,), (1,))
+    with pytest.raises(InputError):
+        Component((2,), 0, True).normal_degree(p3)
 
 
 def test_arrangement_span_rank():
@@ -175,10 +198,54 @@ def test_arrangement_span_rank():
         L.arrangement(x, comps, span_rank=4)
 
 
+def fraction_rank(rows) -> int:
+    """Reference rank over Q: Gauss-Jordan elimination on Fractions."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [v / m[rank][col] for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices whose extra rows are zero or integer combinations of
+    the drawn ones, in a drawn order."""
+    cols = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(st.integers(-50, 50), min_size=cols, max_size=cols), max_size=4))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        if base and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(cols)])
+        else:
+            rows.append([0] * cols)
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
 def test_matrix_rank():
     assert matrix_rank([[1, 0], [0, 1]]) == 2
     assert matrix_rank([[1, 1], [2, 2]]) == 1
     assert matrix_rank([[0, 0]]) == 0
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert matrix_rank([[0, 2, 4], [0, 3, 6], [1, 0, 0], [1, 2, 4]]) == 2
+    assert matrix_rank([(1, 0, 0), (0, 1, 0), (1, -1, -1), (0, 0, 1)]) == 3
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_matrix_rank_matches_fraction_reference(rows):
+    assert matrix_rank(rows) == fraction_rank(rows)
 
 
 def test_subcanonical_detection():

@@ -34,7 +34,10 @@ from .varieties import (
     component_from_class,
     hirzebruch,
     rational_classes_on_Fe,
+    vadd,
+    vneg,
     vscale,
+    vsub,
 )
 
 YES, NO, UNKNOWN = "Yes", "No", "Unknown"
@@ -214,10 +217,10 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
 def _first_positive(ev: Evaluator, expr: Expr, h, n: int, i: int, twists):
     """(witness, blocking) for degree i over `twists`, in the order given:
     witness is the first slot whose h^i is exactly positive, blocking the
-    first undecided interval slot before it."""
+    first undecided interval slot before it.  H is a checked class."""
     blocking = None
     for t in twists:
-        val = pad_vec(ev.cohom(expr, vscale(t, h)), n + 1)[i]
+        val = pad_vec(ev._cohom(expr, vscale(t, h)), n + 1)[i]
         if val.lo >= 1:
             return (i, t, val), blocking
         if blocking is None and not val.is_zero:
@@ -285,6 +288,7 @@ def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Eva
     """(verdict, first failing rule): the rule is the first filter that
     fails, else the first certificate of a No, else ""."""
     ev = ev or default_evaluator()
+    arr = _orbit_rep(x, h, arr, ev)
     violations, skipped = necessary_conditions(x, h, arr, side, ev)
     if violations:
         # the first witness any violation carries, every rule with its
@@ -306,6 +310,86 @@ def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Eva
             verdict = cross
     first = verdict.certificates[0] if verdict.status == NO and verdict.certificates else ""
     return verdict, first
+
+
+# -- Weyl-group orbits of (-1)-curve arrangements on Bl_k P^2 ----------------
+
+
+class _WeylOrbits:
+    """The Weyl group of Bl_k P^2 as permutations of its (-1)-curves, and
+    the orbit memo of ``_orbit_rep``: one per variety on an evaluator.
+
+    W is generated by the reflections v -> v + (v.a)a in the simple roots
+    a = E_i - E_{i+1} and, for k >= 3, a = H - E_1 - E_2 - E_3.  An
+    arrangement of distinct (-1)-curves is a bitmask over
+    ``negative_curves``, and ``least`` maps each mask met so far to the
+    least mask of its orbit."""
+
+    def __init__(self, x: VarietyModel):
+        curves = x.negative_curves
+        index = {c: i for i, c in enumerate(curves)}
+        k = x.param
+        unit = [tuple(int(j == i) for j in range(k + 1)) for i in range(k + 1)]
+        roots = [vsub(unit[i], unit[i + 1]) for i in range(1, k)]
+        if k >= 3:
+            roots.append((1, -1, -1, -1) + (0,) * (k - 3))
+        gens = [tuple(index[vadd(c, vscale(x.intersect(c, a), a))] for c in curves) for a in roots]
+        perms, frontier = {tuple(range(len(curves)))}, [tuple(range(len(curves)))]
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                q = tuple(g[j] for j in p)
+                if q not in perms:
+                    perms.add(q)
+                    frontier.append(q)
+        self.perms = tuple(perms)
+        self.comps = tuple(component_from_class(x, c) for c in curves)
+        self.index = {c: i for i, c in enumerate(self.comps)}
+        self.least: dict[int, int] = {}
+
+
+def _orbit_rep(x: VarietyModel, h, arr: Arrangement, ev: Evaluator) -> Arrangement:
+    """The least member of arr's Weyl-group orbit, when arr is a set of
+    distinct (-1)-curves on Bl_k P^2 (k >= 2) and H a positive multiple of
+    -K; arr itself otherwise.
+
+    For k <= 4 general points every element of the Weyl group W is induced
+    by an automorphism of Bl_k P^2, which fixes K and permutes the
+    (-1)-curves (Dolgachev, *Classical Algebraic Geometry*, Cambridge
+    2012, Ch. 8).  An automorphism s with s(D) = D' carries the log pair
+    of D to that of D' and the twist tH to itself when H is a multiple of
+    -K, so D and D' have the same cohomology at every tH: the same verdict,
+    witness and certificates.  Classifying the representative lets the
+    evaluator's cache and ``log_pairs`` memo serve the whole orbit.  H is
+    never moved, so nothing needs transport back.  The members are
+    compared as bitmasks over ``negative_curves`` (``_WeylOrbits``); an
+    orbit's images are computed on its first member and recorded for
+    every member."""
+    if x.kind != KIND_BLOWUP or x.param < 2:
+        return arr
+    h = x.check_class(h)
+    mk = vneg(x.canonical_class)
+    c = h[0] // mk[0]
+    if c < 1 or h != vscale(c, mk):
+        return arr
+    table = ev.orbits.get(x)
+    if table is None:
+        table = ev.orbits.setdefault(x, _WeylOrbits(x))
+    mask = 0
+    for comp in arr.components:
+        i = table.index.get(comp)
+        if i is None or mask >> i & 1:
+            return arr  # not a (-1)-curve, or a repeated one
+        mask |= 1 << i
+    least = table.least.get(mask)
+    if least is None:
+        bits = [i for i in range(len(table.comps)) if mask >> i & 1]
+        images = {sum(1 << p[i] for i in bits) for p in table.perms}
+        least = min(images)
+        for image in images:
+            table.least[image] = least
+    comps = tuple(comp for i, comp in enumerate(table.comps) if least >> i & 1)
+    return Arrangement(comps, arr.span_rank, arr.snc, arr.span_asserted)
 
 
 # -- polarization-free degree-0 notions --------------------------------------
@@ -370,6 +454,7 @@ def deficiency_table(
     if not 1 <= degree <= x.dim - 1:
         raise InputError(f"deficiency degree must be in 1..{x.dim - 1}")
     h = x.check_class(h)
+    arr = _orbit_rep(x, h, arr, ev)
     expr = log_pair(x, arr, ev).for_side(side)
     window = vanishing_window(expr, h, cap=cap, ev=ev)
     entries = {}

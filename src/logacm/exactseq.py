@@ -394,6 +394,15 @@ def _meet_each(cons: tuple, given) -> tuple:
     )
 
 
+def _meet(a: tuple, b: tuple, expr: Expr, twist) -> tuple:
+    """``meet_vecs`` of two models of expr at twist; expr and twist are
+    named in the message of an empty meet, and formatted only then."""
+    try:
+        return meet_vecs(a, b)
+    except InconsistentHints as exc:
+        raise InconsistentHints(f"{exc} at {expr!r}@{twist}") from None
+
+
 def _ends(v: Iv) -> tuple:
     """v as a (lo, hi) pair, with hi = _INF for an open end."""
     return (v.lo, _INF if v.hi is None else v.hi)
@@ -419,8 +428,9 @@ class Evaluator:
     the expressions themselves, so every evaluator sees the same duality.
     ``log_pairs`` is ``logbundles.log_pair``'s memo of the pairs built
     here, keyed by (variety, arrangement): per-evaluator state, so a fresh
-    evaluator builds its pairs again.  Only ``cohom`` checks its twist; the
-    steps inside (``_cohom``) take checked classes.
+    evaluator builds its pairs again.  ``orbits`` holds, per variety,
+    ``classify._orbit_rep``'s Weyl group and orbit memo.  Only ``cohom``
+    checks its twist; the steps inside (``_cohom``) take checked classes.
     """
 
     def __init__(self):
@@ -428,6 +438,7 @@ class Evaluator:
         self.partners: dict[int, Expr] = {}  # expression key -> partner
         self.partner_names: list[tuple[str, str]] = []
         self.log_pairs: dict = {}  # (variety, arrangement) -> LogPair
+        self.orbits: dict = {}  # variety -> classify._WeylOrbits
         self._lock = threading.Lock()  # guards the partner record
         self._local = threading.local()
 
@@ -486,7 +497,7 @@ class Evaluator:
             if partner is not None:
                 k = expr.variety.canonical_class
                 w = self._cohom(partner, vsub(k, twist))
-                v = meet_vecs(v, transpose_vec(pad_vec(w, expr.cdim + 1)), f"{expr!r}@{twist}")
+                v = _meet(v, transpose_vec(pad_vec(w, expr.cdim + 1)), expr, twist)
         finally:
             del depth[key]
             mark = low.pop()
@@ -520,7 +531,7 @@ class Evaluator:
         if isinstance(expr, MeetE):
             v = top_vec(expr.cdim + 1)
             for p in expr.parts:
-                v = meet_vecs(v, pad_vec(self._cohom(p, twist), expr.cdim + 1), f"{expr!r}@{twist}")
+                v = _meet(v, pad_vec(self._cohom(p, twist), expr.cdim + 1), expr, twist)
             return v
         if isinstance(expr, BlowupCotE):
             return self._blowup_cotangent(expr.variety, twist)

@@ -52,7 +52,7 @@ def iv_add(a: Iv, b: Iv) -> Iv:
     return Iv(a.lo + b.lo, hi)
 
 
-def iv_meet(a: Iv, b: Iv, context: str = "") -> Iv:
+def iv_meet(a: Iv, b: Iv) -> Iv:
     """Intersection of two enclosures of the same value."""
     lo = max(a.lo, b.lo)
     if a.hi is None:
@@ -62,7 +62,7 @@ def iv_meet(a: Iv, b: Iv, context: str = "") -> Iv:
     else:
         hi = min(a.hi, b.hi)
     if hi is not None and hi < lo:
-        raise InconsistentHints(f"empty meet {a} & {b}" + (f" at {context}" if context else ""))
+        raise InconsistentHints(f"empty meet {a} & {b}")
     return Iv(lo, hi)
 
 
@@ -89,10 +89,10 @@ def add_vecs(a: tuple[Iv, ...], b: tuple[Iv, ...]) -> tuple[Iv, ...]:
     return tuple(iv_add(x, y) for x, y in zip(a, b))
 
 
-def meet_vecs(a: tuple[Iv, ...], b: tuple[Iv, ...], context: str = "") -> tuple[Iv, ...]:
+def meet_vecs(a: tuple[Iv, ...], b: tuple[Iv, ...]) -> tuple[Iv, ...]:
     n = max(len(a), len(b))
     a, b = pad_vec(a, n), pad_vec(b, n)
-    return tuple(iv_meet(x, y, context) for x, y in zip(a, b))
+    return tuple(iv_meet(x, y) for x, y in zip(a, b))
 
 
 def transpose_vec(v: tuple[Iv, ...]) -> tuple[Iv, ...]:

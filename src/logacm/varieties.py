@@ -7,7 +7,6 @@ basis; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
@@ -203,13 +202,11 @@ class VarietyModel:
         k = self.canonical_class
         if is_zero_cls(k):
             return 0
-        ratios = {Fraction(a, b) for a, b in zip(k, h) if b != 0}
-        if any(b == 0 and a != 0 for a, b in zip(k, h)):
+        j = next((j for j, b in enumerate(h) if b), None)
+        if j is None:
             return None
-        if len(ratios) != 1:
-            return None
-        r = ratios.pop()
-        return int(r) if r.denominator == 1 else None
+        e = k[j] // h[j]  # K = e*H is checked below, at j too
+        return e if all(a == e * b for a, b in zip(k, h)) else None
 
 
 def projective_space(n: int) -> VarietyModel:

@@ -386,6 +386,25 @@ def test_unknown_side_is_rejected():
     assert pair.for_side("cot") is pair.cotangent_log and pair.for_side("tan") is pair.tangent_log
 
 
+def test_first_positive_checks_no_twist(monkeypatch):
+    """``_first_positive`` reads multiples of a checked H through the
+    unchecked step: it adds no ``check_class`` call."""
+    from logacm.classify import _first_positive
+    from logacm.logbundles import log_pair
+    from logacm.varieties import VarietyModel
+
+    x, h = L.hirzebruch(1), (1, 2)
+    ev = Evaluator()
+    expr = log_pair(x, L.arrangement(x, [L.component_from_class(x, (0, 1))]), ev).for_side("tan")
+    want = [ev.cohom(expr, (t, 2 * t)) for t in range(-2, 3)]
+    checks = []
+    check_class = VarietyModel.check_class
+    monkeypatch.setattr(VarietyModel, "check_class", lambda self, c: checks.append(c) or check_class(self, c))
+    witness, _ = _first_positive(ev, expr, h, 2, 1, range(-2, 3))
+    assert checks == []
+    assert witness == next((1, t, v[1]) for t, v in zip(range(-2, 3), want) if v[1].lo >= 1)
+
+
 def window_first_classify_expr(x, h, expr, cap, ev):
     """Reference for ``classify._classify_expr``: certify the window first,
     then scan every residual slot (the order before the witness probe)."""
@@ -490,3 +509,196 @@ def test_witness_probe_skips_a_failing_window(monkeypatch):
     got = C._classify_expr(x, h, expr, 8, ev)
     assert calls == []
     assert (got.status, got.witness, got.certificates) == (want.status, want.witness, want.certificates)
+
+
+# -- Weyl-group orbits of (-1)-curve arrangements on Bl_k P^2 -----------------
+
+
+def blowup_space():
+    """(x, arrangement) for every set of at most three (-1)-curves on
+    Bl_1..Bl_4: the arrangements of the blowup benchmark."""
+    from itertools import combinations
+
+    out = []
+    for k in (1, 2, 3, 4):
+        x = L.blowup_p2(k)
+        for m in range(4):
+            for sub in combinations(x.negative_curves, m):
+                out.append((x, L.arrangement(x, [L.component_from_class(x, c) for c in sub])))
+    return out
+
+
+def simple_roots(k):
+    """E_i - E_{i+1}, and H - E_1 - E_2 - E_3 for k >= 3."""
+    unit = [tuple(int(j == i) for j in range(k + 1)) for i in range(k + 1)]
+    roots = [tuple(a - b for a, b in zip(unit[i], unit[i + 1])) for i in range(1, k)]
+    return roots + ([(1, -1, -1, -1) + (0,) * (k - 3)] if k >= 3 else [])
+
+
+def reflect(x, a, v):
+    return tuple(vi + x.intersect(v, a) * ai for vi, ai in zip(v, a))
+
+
+def reflect_arrangement(x, a, arr):
+    return L.arrangement(x, [L.component_from_class(x, reflect(x, a, c.klass)) for c in arr.components])
+
+
+def without_orbits(monkeypatch):
+    import logacm.classify as C
+
+    monkeypatch.setattr(C, "_orbit_rep", lambda x, h, arr, ev: arr)
+
+
+def test_weyl_group_orders_and_generators():
+    """|W| = 2, 12, 120; each simple reflection fixes K, preserves the
+    intersection form and permutes the (-1)-curves, and the table holds
+    exactly the closure of the permutations they induce."""
+    from logacm.classify import _WeylOrbits
+
+    for k, order in ((2, 2), (3, 12), (4, 120)):
+        x = L.blowup_p2(k)
+        table = _WeylOrbits(x)
+        assert len(table.perms) == order
+        curves = x.negative_curves
+        basis = [tuple(int(j == i) for j in range(k + 1)) for i in range(k + 1)]
+        gens = []
+        for a in simple_roots(k):
+            assert x.intersect(a, a) == -2
+            assert reflect(x, a, x.canonical_class) == x.canonical_class
+            for u in basis:
+                for v in basis:
+                    assert x.intersect(reflect(x, a, u), reflect(x, a, v)) == x.intersect(u, v)
+            image = [reflect(x, a, c) for c in curves]
+            assert sorted(image) == sorted(curves)
+            gens.append(tuple(curves.index(c) for c in image))
+        closure = {tuple(range(len(curves)))}
+        while True:
+            grown = closure | {tuple(g[j] for j in p) for p in closure for g in gens}
+            if grown == closure:
+                break
+            closure = grown
+        assert set(table.perms) == closure
+        for p in table.perms:  # every element preserves the curves' intersections
+            for i, c in enumerate(curves):
+                for j, d in enumerate(curves):
+                    assert x.intersect(curves[p[i]], curves[p[j]]) == x.intersect(c, d)
+
+
+def test_blowup_space_has_24_orbits():
+    from logacm.classify import _orbit_rep
+
+    space = blowup_space()
+    assert len(space) == 228
+    ev = Evaluator()
+    reps = {(x.param, _orbit_rep(x, vneg(x.canonical_class), arr, ev)) for x, arr in space}
+    assert len(reps) == 24
+    assert sorted(k for k, _ in reps) == [1] * 2 + [2] * 6 + [3] * 8 + [4] * 8
+
+
+def test_reflected_arrangements_have_equal_tables():
+    """Metamorphic oracle, through ``log_pair`` alone: D and sigma D have the
+    same table on both sides at t(-K), |t| <= 4, for every simple
+    reflection sigma."""
+    from logacm.logbundles import log_pair
+
+    ev = Evaluator()
+
+    def table(x, arr):
+        mk = vneg(x.canonical_class)
+        pair = log_pair(x, arr, ev)
+        return [ev.cohom(pair.for_side(side), tuple(t * a for a in mk)) for side in ("cot", "tan") for t in range(-4, 5)]
+
+    compared = 0
+    for x, arr in blowup_space():
+        for a in simple_roots(x.param):
+            image = reflect_arrangement(x, a, arr)
+            assert table(x, image) == table(x, arr), (x.param, arr, a)
+            compared += 1
+    assert compared == 8 * 1 + 42 * 3 + 176 * 4
+
+
+def verdict_data(call):
+    """(status, witness, certificates) of a verdict, or the error raised."""
+    try:
+        v = call()
+    except Exception as exc:  # noqa: BLE001 - both paths must raise alike
+        return type(exc), str(exc)
+    v = v[0] if isinstance(v, tuple) else v
+    return v.status, v.witness, v.certificates
+
+
+def test_orbit_verdicts_equal_the_uncanonicalized_path(monkeypatch):
+    """``deficiency_concentrated_at_zero`` over the blowup space and
+    ``_classify`` over every multiset of at most three (-1)-curves, both
+    sides, H = -K (and -2K on Bl_3): the same verdicts, witnesses and certificates with and
+    without orbit sharing."""
+    from itertools import combinations_with_replacement
+
+    from logacm.classify import _classify
+
+    calls = [
+        (lambda x=x, arr=arr, side=side, ev=None: L.deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, side=side, ev=ev))
+        for x, arr in blowup_space()
+        for side in ("cot", "tan")
+    ]
+    for k in (1, 2, 3, 4):
+        x = L.blowup_p2(k)
+        for m in (1, 2, 3):
+            for combo in combinations_with_replacement(x.negative_curves, m):
+                arr = L.arrangement(x, [L.component_from_class(x, c) for c in combo])
+                for side in ("cot", "tan"):
+                    for h in (vneg(x.canonical_class), tuple(-2 * a for a in x.canonical_class))[: 1 + (k == 3)]:
+                        calls.append(lambda x=x, h=h, arr=arr, side=side, ev=None: _classify(x, h, arr, side, 8, ev))
+    shared = Evaluator()
+    got = [verdict_data(lambda: call(ev=shared)) for call in calls]
+    without_orbits(monkeypatch)
+    reference = Evaluator()
+    want = [verdict_data(lambda: call(ev=reference)) for call in calls]
+    assert len(got) == 456 + 2 * (3 + 19 + 2 * 83 + 285)
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+    assert {g[0] for g in got} >= {YES, NO, InputError}
+
+
+def test_orbit_verdicts_do_not_depend_on_the_order_asked():
+    import random
+
+    space = blowup_space()
+
+    def verdicts(order, ev_for):
+        out = {}
+        for i in order:
+            x, arr = space[i]
+            for side in ("cot", "tan"):
+                out[i, side] = verdict_data(
+                    lambda: L.deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, side=side, ev=ev_for())
+                )
+        return out
+
+    indices = list(range(len(space)))
+    shuffled = random.Random(16).sample(indices, len(indices))
+    runs = []
+    for order in (indices, indices[::-1], shuffled):
+        ev = Evaluator()
+        runs.append(verdicts(order, lambda: ev))
+    runs.append(verdicts(indices, Evaluator))  # each arrangement alone on a fresh evaluator
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_orbit_rep_leaves_other_inputs_unchanged():
+    """Out of scope, the arrangement itself comes back: H not a multiple of
+    -K, a component that is not a (-1)-curve, a repeated class."""
+    from logacm.classify import _orbit_rep
+
+    ev = Evaluator()
+    bl2 = L.blowup_p2(2)
+    lines = L.arrangement(bl2, [L.component_from_class(bl2, c) for c in [(0, 0, 1), (1, -1, -1)]])
+    assert _orbit_rep(bl2, (4, -1, -1), lines, ev) is lines
+    assert _orbit_rep(bl2, (3, -1, -1), lines, ev) is not lines  # in scope: the representative
+
+    bl3 = L.blowup_p2(3)
+    mk = vneg(bl3.canonical_class)
+    fibre = L.arrangement(bl3, [L.component_from_class(bl3, c) for c in [(0, 0, 1, 0), (1, -1, 0, 0)]])
+    assert _orbit_rep(bl3, mk, fibre, ev) is fibre
+    repeated = L.arrangement(bl3, [L.component_from_class(bl3, (0, 0, 1, 0))] * 2)
+    assert _orbit_rep(bl3, mk, repeated, ev) is repeated
+    assert _orbit_rep(bl3, (6, -2, -2, -2), repeated, ev) is repeated

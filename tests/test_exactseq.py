@@ -141,6 +141,28 @@ def test_inconsistent_hint_raises():
         ev.cohom(bad, (0, 0))
 
 
+def test_empty_meet_names_the_expression_and_twist(monkeypatch):
+    """An empty meet names expr@twist; a meet that is not empty formats
+    nothing."""
+    x = L.projective_space(2)
+    conflict = MeetE((LineE(x, (0,)), LineE(x, (1,))))
+    with pytest.raises(InconsistentHints) as exc:
+        Evaluator().cohom(conflict, (0,))
+    assert str(exc.value) == "empty meet 1 & 3 at O(0,) == O(1,)@(0,)"
+
+    a, b = LineE(x, (0,)), LineE(x, (1,))
+    serre_pair(a, b)  # h^0(O) = 1 against h^2(O(1)(K)) = 0
+    with pytest.raises(InconsistentHints) as exc:
+        Evaluator().cohom(a, (0,))
+    assert str(exc.value) == "empty meet 1 & 0 at O(0,)@(0,)"
+
+    reprs = []
+    monkeypatch.setattr(LineE, "__repr__", lambda self: reprs.append(self) or "O")
+    agree = MeetE((LineE(x, (0,)), SumE((LineE(x, (0,)),))))
+    assert Evaluator().cohom(agree, (1,))[0] == iv(3)
+    assert reprs == []
+
+
 def test_serre_dual_pairs_registry(monkeypatch):
     import logacm.exactseq as E
 

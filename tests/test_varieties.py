@@ -257,6 +257,33 @@ def test_subcanonical_detection():
     assert L.hirzebruch(1).is_subcanonical((2, 3)) == -1
 
 
+def fraction_subcanonical(x, h):
+    """Reference for ``is_subcanonical``: the set of ratios K_i / H_i."""
+    k = x.canonical_class
+    if all(a == 0 for a in k):
+        return 0
+    if any(b == 0 and a != 0 for a, b in zip(k, h)):
+        return None
+    ratios = {Fraction(a, b) for a, b in zip(k, h) if b != 0}
+    if len(ratios) != 1:
+        return None
+    r = ratios.pop()
+    return int(r) if r.denominator == 1 else None
+
+
+def test_subcanonical_matches_fraction_reference():
+    """Every catalog kind, every class with entries in [-4, 4]."""
+    varieties = catalog_surfaces() + [L.projective_space(3), L.projective_space(4)]
+    assert {x.kind for x in varieties} == {KIND_PN, "quadric", "hirzebruch", "blowup_p2", "surface_p3", "abelian"}
+    subcanonical = 0
+    for x in varieties:
+        for h in product(range(-4, 5), repeat=x.lattice_rank):
+            got = x.is_subcanonical(h)
+            assert got == fraction_subcanonical(x, h), (x.kind, x.param, h)
+            subcanonical += got is not None
+    assert subcanonical > 0
+
+
 BAD_CANONICAL = (KIND_PN, 2, 1, ((1,),), (-2,), 1, 8, 0, 1, 8)  # P^2 data with K = -2H: passes Noether
 
 

@@ -42,12 +42,14 @@ So the scan that starts above s + n finds the same first r as a scan from
 -cap.
 
 Serre partners make evaluation cyclic.  A call that meets a (key, twist)
-already being evaluated on its thread contributes no information (a cut),
-and each frame keeps a low mark: the lowest depth any cut below it reached,
-as in Tarjan's lowlink.  A frame whose mark is not below its own depth is
+already being evaluated contributes no information (a cut), and each
+frame keeps a low mark: the lowest depth any cut below it reached, as in
+Tarjan's lowlink.  A frame whose mark is not below its own depth is
 the root of every cycle it saw, and sees exactly the cuts it would see as
 the outermost call, so its value is cached; a frame inside a cycle rooted
-further down is not cached, and passes its mark to its parent.
+further down is not cached, and passes its mark to its parent.  The
+frame table is a plain attribute of the evaluator, so an evaluator serves
+one thread at a time: each thread takes its own.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from itertools import zip_longest
 
 from .errors import InconsistentHints, InputError, WindowNotFound
 from .intervals import (
+    TOP,
+    ZERO,
     Iv,
     add_vecs,
     exact_vec,
@@ -403,13 +407,8 @@ def _meet(a: tuple, b: tuple, expr: Expr, twist) -> tuple:
         raise InconsistentHints(f"{exc} at {expr!r}@{twist}") from None
 
 
-def _ends(v: Iv) -> tuple:
-    """v as a (lo, hi) pair, with hi = _INF for an open end."""
-    return (v.lo, _INF if v.hi is None else v.hi)
-
-
 class _Frames:
-    """One thread's evaluation stack: the depth of each (key, twist) being
+    """An evaluator's evaluation stack: the depth of each (key, twist) being
     evaluated, and per frame the lowest depth a cycle cut below it reached."""
 
     __slots__ = ("depth", "low")
@@ -420,7 +419,9 @@ class _Frames:
 
 
 class Evaluator:
-    """Memoizing evaluator; cache writes are idempotent, reads concurrent-safe.
+    """Memoizing evaluator, for one thread: its cache, partner record and
+    frame table are plain attributes, so each thread takes its own
+    evaluator.
 
     Cache keys are (expression key, twist), so the cache is shared by every
     rebuild of a structure.  ``partners`` and ``partner_names`` record the
@@ -434,33 +435,22 @@ class Evaluator:
     """
 
     def __init__(self):
-        self.cache: dict = {}  # idempotent writes; safe to share across threads
+        self.cache: dict = {}  # (expression key, twist) -> value
         self.partners: dict[int, Expr] = {}  # expression key -> partner
         self.partner_names: list[tuple[str, str]] = []
         self.log_pairs: dict = {}  # (variety, arrangement) -> LogPair
         self.orbits: dict = {}  # variety -> classify._WeylOrbits
-        self._lock = threading.Lock()  # guards the partner record
-        self._local = threading.local()
-
-    @property
-    def _frames(self) -> _Frames:
-        """This thread's table of the (key, twist) pairs being evaluated."""
-        try:
-            return self._local.frames
-        except AttributeError:
-            frames = self._local.frames = _Frames()
-            return frames
+        self._frames = _Frames()  # the (key, twist) pairs being evaluated
 
     # -- duality record -----------------------------------------------------
 
     def register_dual(self, a: Expr, b: Expr):
         """Pair a and b (``serre_pair``) and record the pair here once."""
         serre_pair(a, b)
-        with self._lock:
-            if a.key() not in self.partners:
-                self.partner_names.append((repr(a), repr(b)))
-            self.partners[a.key()] = b
-            self.partners[b.key()] = a
+        if a.key() not in self.partners:
+            self.partner_names.append((repr(a), repr(b)))
+        self.partners[a.key()] = b
+        self.partners[b.key()] = a
 
     def serre_dual_pairs(self) -> list[tuple[str, str]]:
         return list(self.partner_names)
@@ -508,36 +498,10 @@ class Evaluator:
         return v
 
     def _raw(self, expr: Expr, twist) -> tuple[Iv, ...]:
-        if isinstance(expr, LineE):
-            return exact_vec(line_cohom(expr.variety, vadd(expr.klass, twist)))
-        if isinstance(expr, CurveE):
-            h0, h1 = cohom_line_curve(expr.genus, expr.degree_at(twist))
-            return (h0, h1)
-        if isinstance(expr, HyperE):
-            return exact_vec(cohom_ci(expr.variety.dim, (expr.d,), expr.shift + twist[0]))
-        if isinstance(expr, BottE):
-            return exact_vec(cohom_bott(expr.n, expr.p, expr.shift + twist[0]))
-        if isinstance(expr, SumE):
-            total = (iv(0),) * (expr.cdim + 1)
-            for p in expr.parts:
-                total = add_vecs(total, pad_vec(self._cohom(p, twist), expr.cdim + 1))
-            return total
-        if isinstance(expr, TwistE):
-            return self._cohom(expr.inner, vadd(twist, expr.by))
-        if isinstance(expr, DualE):
-            k = expr.variety.canonical_class
-            w = self._cohom(expr.inner, vsub(k, twist))
-            return transpose_vec(pad_vec(w, expr.cdim + 1))
-        if isinstance(expr, MeetE):
-            v = top_vec(expr.cdim + 1)
-            for p in expr.parts:
-                v = _meet(v, pad_vec(self._cohom(p, twist), expr.cdim + 1), expr, twist)
-            return v
-        if isinstance(expr, BlowupCotE):
-            return self._blowup_cotangent(expr.variety, twist)
-        if isinstance(expr, SeqE):
-            return self._solve(expr, twist)
-        raise InputError(f"cannot evaluate {expr!r}")
+        rule = _RAW.get(type(expr))
+        if rule is None:
+            raise InputError(f"cannot evaluate {expr!r}")
+        return rule(self, expr, twist)
 
     def _blowup_cotangent(self, x: VarietyModel, twist) -> tuple[Iv, ...]:
         h0 = self._blowup_cot_h0(x, twist)
@@ -566,52 +530,108 @@ class Evaluator:
         known = [None if t is None else pad_vec(self._cohom(t, twist), n + 1) for t in seq]
         cons, hints = node.constraints_at(twist)
         apply = self._apply_relation
-        # the terms A_0, B_0, C_0, A_1, ..., C_n of the long exact sequence;
-        # term k has dimension r_{k-1} + r_k, r_k the rank of the map out of
-        # it, with r_{-1} = r_last = 0, so the constraints form a path
-        terms = [t for i in range(n + 1) for t in apply(*(v and v[i] for v in known), cons[i])]
-        boxes = [(0, _INF)] * (len(terms) - 1) + [(0, 0)]
+        a, b, c = known
+        # the terms A_0, B_0, C_0, A_1, ..., C_n of the long exact sequence,
+        # as flat lists of their ends (his[k] = _INF for an open end); term k
+        # has dimension r_{k-1} + r_k, r_k the rank of the map out of it,
+        # with r_{-1} = r_last = 0, so the constraints form a path
+        los, his = [], []
+        for i in range(n + 1):
+            for v in apply(a and a[i], b and b[i], c and c[i], cons[i]):
+                los.append(v.lo)
+                his.append(_INF if v.hi is None else v.hi)
+        m = len(los)
+        blo, bhi = [0] * m, [_INF] * m  # the box of each rank r_k
+        bhi[-1] = 0
         for i, h in enumerate(hints):
             if h is not None:  # the connecting rank C_i -> A_{i+1}
-                boxes[3 * i + 2] = _ends(h)
+                blo[3 * i + 2], bhi[3 * i + 2] = h.lo, _INF if h.hi is None else h.hi
 
         # A forward pass keeps the r_k consistent with terms 0..k, a backward
         # pass narrows them to those consistent with every term; each such
         # set is an integer interval (module docstring).
-        reach, (xlo, xhi) = [], (0, 0)
-        for (lo, hi), (blo, bhi) in zip(terms, boxes):
-            xlo, xhi = max(blo, lo - xhi), min(bhi, hi - xlo)
-            if xlo > xhi:
+        rlo, rhi = [0] * m, [0] * m  # the reachable interval of each r_k
+        xlo = xhi = 0
+        for k in range(m):
+            lo, hi = los[k] - xhi, his[k] - xlo
+            if lo < blo[k]:
+                lo = blo[k]
+            if hi > bhi[k]:
+                hi = bhi[k]
+            if lo > hi:
                 raise InconsistentHints(f"{node.name}@{twist}: no admissible rank assignment")
-            reach.append((xlo, xhi))
-        for k in range(len(terms) - 1, 0, -1):
-            (lo, hi), (ylo, yhi), (xlo, xhi) = terms[k], reach[k], reach[k - 1]
-            reach[k - 1] = (max(xlo, lo - yhi), min(xhi, hi - ylo))
+            rlo[k] = xlo = lo
+            rhi[k] = xhi = hi
+        for k in range(m - 1, 0, -1):
+            lo, hi = los[k] - xhi, his[k] - xlo  # (xlo, xhi): r_k's interval
+            xlo, xhi = rlo[k - 1], rhi[k - 1]
+            if lo > xlo:
+                rlo[k - 1] = xlo = lo
+            if hi < xhi:
+                rhi[k - 1] = xhi = hi
 
         # the unknown at degree i: its interval met with the sums of a
         # reachable rank into it and a reachable rank out of it
         out = []
-        for k in range(known.index(None), len(terms), 3)[: node.cdim + 1]:
-            (lo, hi), (xlo, xhi), (ylo, yhi) = terms[k], reach[k - 1] if k else (0, 0), reach[k]
-            hi = min(hi, xhi + yhi)
-            out.append(Iv(max(lo, xlo + ylo), None if hi == _INF else hi))
+        for k in range(known.index(None), m, 3)[: node.cdim + 1]:
+            lo, hi = los[k], his[k]
+            if k:
+                xlo, xhi = rlo[k - 1], rhi[k - 1]
+            else:
+                xlo = xhi = 0
+            if xlo + rlo[k] > lo:
+                lo = xlo + rlo[k]
+            if xhi + rhi[k] < hi:
+                hi = xhi + rhi[k]
+            out.append(Iv(lo, None) if hi == _INF else iv(lo, hi))
         return tuple(out)
 
     @staticmethod
     def _apply_relation(a, b, c, con):
         """The intervals of the terms A_i, B_i, C_i of the long exact
-        sequence at one degree, as (lo, hi) pairs with hi = _INF for an open
-        end.  a, b and c are the known terms' values and None for the
-        unknown, whose interval is its constraint ``con``, or [0, _INF)
-        without one."""
-        free = (0, _INF) if con is None else _ends(con)
-        return tuple(free if v is None else _ends(v) for v in (a, b, c))
+        sequence at one degree.  a, b and c are the known terms' values and
+        None for the unknown, whose interval is its constraint ``con``, or
+        [0, ?) without one."""
+        free = TOP if con is None else con
+        return (free if a is None else a, free if b is None else b, free if c is None else c)
 
     # Nothing calls this: every solve takes the one pass above.  The
     # benchmark's tracer (bench/tracing.py) wraps it by name, so it stays
     # until the benchmark revision of ROADMAP item 7 deletes it.
     _solve_coarse = None
 
+
+def _sum(ev: Evaluator, expr: SumE, twist) -> tuple[Iv, ...]:
+    total = (ZERO,) * (expr.cdim + 1)
+    for p in expr.parts:
+        total = add_vecs(total, pad_vec(ev._cohom(p, twist), expr.cdim + 1))
+    return total
+
+
+def _meet_parts(ev: Evaluator, expr: MeetE, twist) -> tuple[Iv, ...]:
+    v = top_vec(expr.cdim + 1)
+    for p in expr.parts:
+        v = _meet(v, pad_vec(ev._cohom(p, twist), expr.cdim + 1), expr, twist)
+    return v
+
+
+# node type -> rule of (evaluator, node, twist); a rule reads the evaluator's
+# steps at call time, so a replaced ``_solve`` or ``_blowup_cotangent`` is the
+# one it calls
+_RAW = {
+    LineE: lambda ev, e, t: exact_vec(line_cohom(e.variety, vadd(e.klass, t))),
+    CurveE: lambda ev, e, t: cohom_line_curve(e.genus, e.degree_at(t)),
+    HyperE: lambda ev, e, t: exact_vec(cohom_ci(e.variety.dim, (e.d,), e.shift + t[0])),
+    BottE: lambda ev, e, t: exact_vec(cohom_bott(e.n, e.p, e.shift + t[0])),
+    SumE: _sum,
+    TwistE: lambda ev, e, t: ev._cohom(e.inner, vadd(t, e.by)),
+    DualE: lambda ev, e, t: transpose_vec(
+        pad_vec(ev._cohom(e.inner, vsub(e.variety.canonical_class, t)), e.cdim + 1)
+    ),
+    MeetE: _meet_parts,
+    BlowupCotE: lambda ev, e, t: ev._blowup_cotangent(e.variety, t),
+    SeqE: lambda ev, e, t: ev._solve(e, t),
+}
 
 _DEFAULT = Evaluator()
 

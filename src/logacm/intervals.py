@@ -39,31 +39,43 @@ class Iv:
         return f"{self.lo}..{self.hi}"
 
 
+# exact values below 512, built once: most dimensions the engine meets are
+# small and exact, and an Iv is immutable, so one instance serves them all
+_EXACT = tuple(Iv(k, k) for k in range(512))
+
+
 def iv(lo: int, hi: int | None = None) -> Iv:
     """Exact interval [lo, lo], or [lo, hi] when hi is given."""
-    return Iv(lo, lo if hi is None else hi)
+    if hi is None or hi == lo:
+        return _EXACT[lo] if 0 <= lo < 512 else Iv(lo, lo)
+    return Iv(lo, hi)
 
 
 TOP = Iv(0, None)  # no information
+ZERO = iv(0)
 
 
 def iv_add(a: Iv, b: Iv) -> Iv:
-    hi = None if a.hi is None or b.hi is None else a.hi + b.hi
-    return Iv(a.lo + b.lo, hi)
+    if a.hi is None or b.hi is None:
+        return Iv(a.lo + b.lo, None)
+    return iv(a.lo + b.lo, a.hi + b.hi)
 
 
 def iv_meet(a: Iv, b: Iv) -> Iv:
-    """Intersection of two enclosures of the same value."""
-    lo = max(a.lo, b.lo)
-    if a.hi is None:
+    """Intersection of two enclosures of the same value; an operand when the
+    intersection equals it."""
+    lo, hi = a.lo, a.hi
+    if b.lo > lo:
+        lo = b.lo
+    if hi is None or (b.hi is not None and b.hi < hi):
         hi = b.hi
-    elif b.hi is None:
-        hi = a.hi
-    else:
-        hi = min(a.hi, b.hi)
     if hi is not None and hi < lo:
         raise InconsistentHints(f"empty meet {a} & {b}")
-    return Iv(lo, hi)
+    if lo == a.lo and hi == a.hi:
+        return a
+    if lo == b.lo and hi == b.hi:
+        return b
+    return iv(lo, hi)  # both ends bounded: an open meet equals an operand
 
 
 # An IVec is a tuple of Iv indexed by cohomological degree 0..n.
@@ -80,7 +92,7 @@ def pad_vec(v: tuple[Iv, ...], length: int) -> tuple[Iv, ...]:
     """Extend with exact zeros: degrees above the support dimension vanish."""
     if len(v) >= length:
         return v[:length]
-    return v + (iv(0),) * (length - len(v))
+    return v + (ZERO,) * (length - len(v))
 
 
 def add_vecs(a: tuple[Iv, ...], b: tuple[Iv, ...]) -> tuple[Iv, ...]:

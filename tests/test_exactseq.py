@@ -716,11 +716,90 @@ def check_drawn(sequences, max_examples, check):
     assert len(feasible) > sum(feasible) >= len(feasible) / 2, (sum(feasible), len(feasible))
 
 
+# -- the flat-list kernel against the rank-path solve it replaced -------------
+
+_INF = float("inf")
+
+
+def _ends(v: Iv) -> tuple:
+    """v as a (lo, hi) pair, with hi = _INF for an open end."""
+    return (v.lo, _INF if v.hi is None else v.hi)
+
+
+def _apply_relation(a, b, c, con):
+    """The intervals of the terms A_i, B_i, C_i of the long exact
+    sequence at one degree, as (lo, hi) pairs with hi = _INF for an open
+    end.  a, b and c are the known terms' values and None for the
+    unknown, whose interval is its constraint ``con``, or [0, _INF)
+    without one."""
+    free = (0, _INF) if con is None else _ends(con)
+    return tuple(free if v is None else _ends(v) for v in (a, b, c))
+
+
+def rank_path_solve(self, node: SeqE, twist) -> tuple[Iv, ...]:
+    """The rank-path solve that the flat-list ``Evaluator._solve`` replaced,
+    verbatim but for ``apply``, which is this module's ``_apply_relation``
+    (the evaluator's returns intervals, not (lo, hi) pairs): the reference the
+    kernel must equal, tuple for tuple and error text for error text."""
+    n = node.amb
+    seq = (node.left, node.middle, node.right)
+    known = [None if t is None else pad_vec(self._cohom(t, twist), n + 1) for t in seq]
+    cons, hints = node.constraints_at(twist)
+    apply = _apply_relation
+    # the terms A_0, B_0, C_0, A_1, ..., C_n of the long exact sequence;
+    # term k has dimension r_{k-1} + r_k, r_k the rank of the map out of
+    # it, with r_{-1} = r_last = 0, so the constraints form a path
+    terms = [t for i in range(n + 1) for t in apply(*(v and v[i] for v in known), cons[i])]
+    boxes = [(0, _INF)] * (len(terms) - 1) + [(0, 0)]
+    for i, h in enumerate(hints):
+        if h is not None:  # the connecting rank C_i -> A_{i+1}
+            boxes[3 * i + 2] = _ends(h)
+
+    # A forward pass keeps the r_k consistent with terms 0..k, a backward
+    # pass narrows them to those consistent with every term; each such
+    # set is an integer interval (module docstring).
+    reach, (xlo, xhi) = [], (0, 0)
+    for (lo, hi), (blo, bhi) in zip(terms, boxes):
+        xlo, xhi = max(blo, lo - xhi), min(bhi, hi - xlo)
+        if xlo > xhi:
+            raise InconsistentHints(f"{node.name}@{twist}: no admissible rank assignment")
+        reach.append((xlo, xhi))
+    for k in range(len(terms) - 1, 0, -1):
+        (lo, hi), (ylo, yhi), (xlo, xhi) = terms[k], reach[k], reach[k - 1]
+        reach[k - 1] = (max(xlo, lo - yhi), min(xhi, hi - ylo))
+
+    # the unknown at degree i: its interval met with the sums of a
+    # reachable rank into it and a reachable rank out of it
+    out = []
+    for k in range(known.index(None), len(terms), 3)[: node.cdim + 1]:
+        (lo, hi), (xlo, xhi), (ylo, yhi) = terms[k], reach[k - 1] if k else (0, 0), reach[k]
+        hi = min(hi, xhi + yhi)
+        out.append(Iv(max(lo, xlo + ylo), None if hi == _INF else hi))
+    return tuple(out)
+
+
+def solved(solve, *args):
+    """(value, None), or (InconsistentHints, its message) if solve raises."""
+    try:
+        return solve(*args), None
+    except InconsistentHints as exc:
+        return InconsistentHints, str(exc)
+
+
+def kernel_solve(ev, node, twist=TW):
+    """ev._solve(node, twist), or InconsistentHints if it raises, after
+    asserting that ``rank_path_solve`` returns the same tuple or raises with
+    the same message."""
+    got = solved(ev._solve, node, twist)
+    assert got == solved(rank_path_solve, ev, node, twist), (node, twist)
+    return got[0]
+
+
 def matches_brute_force(node, ev=None):
     """Whether node is feasible, after asserting that the solve and the
     brute force agree on it."""
     ev = ev or FixedEvaluator()
-    got = solve_or_raise(ev._solve, node, TW)
+    got = kernel_solve(ev, node)
     assert got == solve_or_raise(brute_force_solve, ev, node, TW)
     return got is not InconsistentHints
 
@@ -774,7 +853,7 @@ def test_solve_with_open_flanks_matches_truncated_solves():
 
     def check(node):
         ev = FixedEvaluator()
-        got, near, far = (solve_or_raise(ev._solve, m, TW) for m in (node, truncated(node, 1000), truncated(node, 2000)))
+        got, near, far = (kernel_solve(ev, m) for m in (node, truncated(node, 1000), truncated(node, 2000)))
         if InconsistentHints in (got, near, far):
             assert got is near is far is InconsistentHints
             return False
@@ -807,6 +886,68 @@ def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
     assert calls["relation"] == node.amb + 1
     unpinned = SeqE(P2, a, None, c, 2, name="wide")
     assert FixedEvaluator()._solve(unpinned, TW) == (Iv(0, big), Iv(0, 2 * big + 2), Iv(0, big))
+
+
+def test_kernel_matches_rank_path_solve_on_searches(monkeypatch):
+    """Every (node, twist) solved while searching F_1 at H = (1, 2), and F_0
+    and the quadric at H = (1, 1), on both sides, solves to the same value
+    or error with the kernel and with ``rank_path_solve``."""
+    seen = {}
+    kernel = Evaluator._solve
+
+    def recorded(self, node, twist):
+        seen[node, twist] = None
+        return kernel(self, node, twist)
+
+    monkeypatch.setattr(Evaluator, "_solve", recorded)
+    ev = Evaluator()
+    for x, h in ((L.hirzebruch(1), (1, 2)), (L.hirzebruch(0), (1, 1)), (L.quadric_surface(), (1, 1))):
+        for side in ("cot", "tan"):
+            L.search(x, h, 1, 2, side, ev=ev)
+    monkeypatch.undo()
+    assert len(seen) > 300
+    for node, twist in seen:
+        kernel_solve(ev, node, twist)
+
+
+@dataclass(eq=False)
+class UnmodelledE(Expr):
+    """A node type that no evaluation rule models."""
+
+    variety: object
+
+    def __post_init__(self):
+        self.cdim = self.variety.dim
+
+
+def test_raw_dispatches_on_the_node_type(monkeypatch):
+    """An unmodelled node type is refused by name, leaving no frame behind,
+    and a ``_solve`` replaced on the class is the one evaluation calls."""
+    ev = Evaluator()
+    with pytest.raises(InputError, match=r"^cannot evaluate "):
+        ev.cohom(UnmodelledE(P2), TW)
+    assert ev._frames.depth == {} and ev._frames.low == []
+
+    x = L.hirzebruch(1)
+    pair = log_pair(x, L.arrangement(x, [L.component_from_class(x, (1, 1))]), ev)
+    calls = Counter()
+    raw, solve = Evaluator._raw, Evaluator._solve
+
+    def dispatched(self, expr, twist):
+        calls["sequences"] += isinstance(expr, SeqE)
+        return raw(self, expr, twist)
+
+    def counted(self, node, twist):
+        calls["solves"] += 1
+        return solve(self, node, twist)
+
+    monkeypatch.setattr(Evaluator, "_raw", dispatched)
+    monkeypatch.setattr(Evaluator, "_solve", counted)
+    got = ev.cohom(pair.tangent_log, (1, 2))
+    assert calls["solves"] == calls["sequences"] >= 4, calls
+    monkeypatch.undo()
+    fresh = Evaluator()
+    assert got == fresh.cohom(log_pair(x, pair.arrangement, fresh).tangent_log, (1, 2))
 
 
 # -- the probed regularity scan against a scan from -cap ---------------------

@@ -52,12 +52,6 @@ class Verdict:
     def __bool__(self):
         return self.status == YES
 
-    def describe(self) -> str:
-        if self.witness is None:
-            return self.status
-        i, t, val = self.witness
-        return f"{self.status} (h^{i} at t={t}: {val})"
-
 
 @dataclass
 class Violation:

@@ -1,13 +1,10 @@
 """Graded exact-sequence interval solver.
 
 Sheaf expressions form immutable trees whose leaves have exact backends.
-Each node is a dataclass, and its fields are its structure: ``Expr.key``
-hash-conses the node type and field values (a child by its key) into a
-small integer, so every rebuild of the same sheaf shares one cache entry in
-every evaluator.  One node, ``SeqE``, holds a short exact sequence with its
-unknown term, rank hints, value pins and one per-twist rule that returns
-more of both.  The unknown is evaluated from the
-long exact sequence at the given twist.  In an exact sequence each term's
+One node, ``SeqE``, holds a short exact sequence with its unknown term,
+rank hints, value pins and one per-twist rule that returns more of both.
+The unknown is evaluated from the long exact sequence at the given twist.
+In an exact sequence each term's
 dimension is the sum of the ranks of the maps into and out of it, so the
 terms A_0, B_0, C_0, A_1, ..., C_amb form a path of ranks r_k (the map out
 of term k) with r_{-1} = r_last = 0: each term's interval (a known value,
@@ -21,7 +18,7 @@ the rank ranges, and an open end (a Serre-cycle cut, or a rule without an
 upper bound such as ``BlowupCotE``) passes through as infinity, so bounded
 and half-open sequences take the same pass.  Serre
 duality is applied at expression level: a Serre partner is data on the
-expression (``serre_pair``), part of its key, and read by every evaluator.
+expression (``serre_pair``), read by every evaluator.
 Twists are checked once, where they enter: ``Evaluator.cohom``,
 ``cm_regularity_certify`` and ``vanishing_window`` check a class against
 the lattice, and every twist built inside the evaluator from checked
@@ -41,8 +38,8 @@ sound engine never reports an exact 0 where the true value is positive.
 So the scan that starts above s + n finds the same first r as a scan from
 -cap.
 
-Serre partners make evaluation cyclic.  A call that meets a (key, twist)
-already being evaluated contributes no information (a cut), and each
+Serre partners make evaluation cyclic.  A call that meets an (expression,
+twist) already being evaluated contributes no information (a cut), and each
 frame keeps a low mark: the lowest depth any cut below it reached, as in
 Tarjan's lowlink.  A frame whose mark is not below its own depth is
 the root of every cycle it saw, and sees exactly the cuts it would see as
@@ -54,7 +51,6 @@ one thread at a time: each thread takes its own.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -80,84 +76,36 @@ LEFT, MIDDLE, RIGHT = "left", "middle", "right"
 
 _INF = float("inf")  # an open end of a term interval or rank box
 
-# hash-cons table: structural tuple -> key; a key is never given to two
-# structures, so inserts take the lock (check-then-insert on a shared table)
-_KEYS: dict[tuple, int] = {}
-_KEYS_LOCK = threading.Lock()
-
-# stands for the Serre partner inside its partner's structural tuple
-_PARTNER = ("partner",)
-
-
-def _intern(shape: tuple) -> int:
-    k = _KEYS.get(shape)
-    if k is None:
-        with _KEYS_LOCK:
-            k = _KEYS.setdefault(shape, len(_KEYS))
-    return k
-
 
 class Expr:
     """Base class of sheaf expressions: every node is a dataclass whose
     fields are what it was built from, and it is immutable after
-    construction except for ``partner``, which ``serre_pair`` sets before the
-    first key.  Attributes derived from the fields (``cdim``, and
-    ``variety`` on composite nodes) are set in ``__post_init__``.
+    construction except for ``partner``, which ``serre_pair`` sets once.
+    Attributes derived from the fields (``cdim``, and ``variety`` on
+    composite nodes) are set in ``__post_init__``.
 
-    The fields are the structure: ``key`` interns the node type and each
-    field value, so two nodes with the same fields have the same key.  A
-    child enters by its key, the Serre partner by a marker (a pair whose
-    sides refer to each other keys without recursion), and a dict by its
-    sorted items.  A Serre partner is part of the structure: the two sides
-    of a pair are keyed jointly, by (own shape, partner shape), because each
-    side's value is met with the other's.
+    Nodes compare and hash by identity (``eq=False``), so a node is its own
+    cache key: a rebuilt node is a new key, and builders that reuse nodes
+    memoize them.
     """
 
     variety: VarietyModel
     cdim: int  # top cohomological degree of the support
     partner: Expr | None = None  # Serre partner, set once by serre_pair
-    _key: int | None = None
-
-    def _shape(self) -> tuple:
-        shape = [type(self)]
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, Expr):
-                value = self._ref(value)
-            elif type(value) is tuple and value and isinstance(value[0], Expr):
-                value = tuple(map(self._ref, value))
-            elif type(value) is dict:
-                value = tuple(sorted(value.items()))
-            shape.append(value)
-        return tuple(shape)
-
-    def _ref(self, child: Expr):
-        return _PARTNER if child is self.partner else child.key()
-
-    def key(self) -> int:
-        k = self._key
-        if k is None:
-            shape, partner = self._shape(), self.partner
-            if partner is None:
-                k = self._key = _intern(shape)
-            else:  # key both sides from the two shapes
-                other = partner._shape()
-                k = self._key = _intern((serre_pair, shape, other))
-                partner._key = _intern((serre_pair, other, shape))
-        return k
 
 
 def serre_pair(a: Expr, b: Expr) -> None:
     """Make a and b Serre-dual partners: h^i(a(t)) = h^{n-i}(b(K - t)).
 
     Each side may contain the other only as a direct child.  Pairing again
-    with the same partner is a no-op; any other re-pairing, or pairing an
-    expression already keyed, would change a key in use and is refused.
+    with the same partner is a no-op; any other re-pairing is refused.  The
+    builders pair their nodes before they return them, so no value is
+    computed before its node has its partner.
     """
     if a.partner is b and b.partner is a:
         return
-    if a.partner is not None or b.partner is not None or a._key is not None or b._key is not None:
-        raise InputError("an expression gets its Serre partner once, before it is keyed")
+    if a.partner is not None or b.partner is not None:
+        raise InputError("an expression gets its Serre partner once")
     a.partner = b
     b.partner = a
 
@@ -337,11 +285,10 @@ class SeqE(Expr):
     twists.  ``pins`` maps a twist class to a per-degree list of Iv
     constraints on the unknown (None = unconstrained); they take part in the
     rank solve, so a pinned slot can force connecting ranks at the same
-    twist.  ``rule`` computes both kinds from the twist: a module-level
-    function of (variety, twist), so that it is part of the structure by
-    identity, returning (pins, ranks): a per-degree list of constraints on
-    the unknown and a per-connecting-degree list of rank bounds, each None
-    when it has none.
+    twist.  ``rule`` computes both kinds from the twist: a callable of
+    (variety, twist) returning (pins, ranks): a per-degree list of
+    constraints on the unknown and a per-connecting-degree list of rank
+    bounds, each None when it has none.
     """
 
     variety: VarietyModel
@@ -408,8 +355,9 @@ def _meet(a: tuple, b: tuple, expr: Expr, twist) -> tuple:
 
 
 class _Frames:
-    """An evaluator's evaluation stack: the depth of each (key, twist) being
-    evaluated, and per frame the lowest depth a cycle cut below it reached."""
+    """An evaluator's evaluation stack: the depth of each (expression,
+    twist) being evaluated, and per frame the lowest depth a cycle cut below
+    it reached."""
 
     __slots__ = ("depth", "low")
 
@@ -423,10 +371,11 @@ class Evaluator:
     frame table are plain attributes, so each thread takes its own
     evaluator.
 
-    Cache keys are (expression key, twist), so the cache is shared by every
-    rebuild of a structure.  ``partners`` and ``partner_names`` record the
-    Serre pairs registered here, once each; evaluation reads partners from
-    the expressions themselves, so every evaluator sees the same duality.
+    Cache keys are (expression, twist), the expression by identity, so a
+    rebuilt node is a new entry.  ``partners`` maps each side of a Serre
+    pair registered here to the other side, and ``partner_names`` lists
+    each pair once; evaluation reads partners from the expressions
+    themselves, so every evaluator sees the same duality.
     ``log_pairs`` is ``logbundles.log_pair``'s memo of the pairs built
     here, keyed by (variety, arrangement): per-evaluator state, so a fresh
     evaluator builds its pairs again.  ``orbits`` holds, per variety,
@@ -435,22 +384,22 @@ class Evaluator:
     """
 
     def __init__(self):
-        self.cache: dict = {}  # (expression key, twist) -> value
-        self.partners: dict[int, Expr] = {}  # expression key -> partner
+        self.cache: dict = {}  # (expression, twist) -> value
+        self.partners: dict[Expr, Expr] = {}  # expression -> partner
         self.partner_names: list[tuple[str, str]] = []
         self.log_pairs: dict = {}  # (variety, arrangement) -> LogPair
         self.orbits: dict = {}  # variety -> classify._WeylOrbits
-        self._frames = _Frames()  # the (key, twist) pairs being evaluated
+        self._frames = _Frames()  # the (expression, twist) pairs being evaluated
 
     # -- duality record -----------------------------------------------------
 
     def register_dual(self, a: Expr, b: Expr):
         """Pair a and b (``serre_pair``) and record the pair here once."""
         serre_pair(a, b)
-        if a.key() not in self.partners:
+        if a not in self.partners:
             self.partner_names.append((repr(a), repr(b)))
-        self.partners[a.key()] = b
-        self.partners[b.key()] = a
+        self.partners[a] = b
+        self.partners[b] = a
 
     def serre_dual_pairs(self) -> list[tuple[str, str]]:
         return list(self.partner_names)
@@ -463,7 +412,7 @@ class Evaluator:
 
     def _cohom(self, expr: Expr, twist) -> tuple[Iv, ...]:
         """``cohom`` at a twist already checked against the lattice."""
-        key = (expr.key(), twist)
+        key = (expr, twist)
         v = self.cache.get(key)
         if v is not None:
             return v
@@ -659,16 +608,28 @@ def cm_regularity_certify(expr: Expr, r: int, h, ev: Evaluator | None = None) ->
     """
     hh = expr.variety.check_class(h)
     expr.variety.very_ample_multiple(hh)  # raises NotVeryAmple
-    return _is_regular(expr, r, hh, ev or _DEFAULT)
+    return _is_regular(expr, False, 0, 1, r, hh, ev or _DEFAULT)
 
 
-def _is_regular(expr: Expr, r: int, h, ev: Evaluator) -> bool:
-    """``cm_regularity_certify`` for a checked H already certified very
-    ample."""
-    n = expr.variety.dim
-    for i in range(1, n + 1):
-        v = pad_vec(ev._cohom(expr, vscale(r - i, h)), n + 1)
-        if not v[i].is_zero:
+def _slot(ev: Evaluator, expr: Expr, dual: bool, t: int, h, i: int) -> Iv:
+    """h^i at twist tH of expr, or with ``dual`` of its Serre transform
+    E^v tensor omega, without building the transform: (E^v tensor
+    omega)(s) has h^i = h^{c-i}(E(-s)), c = cdim, as ``DualE`` reads it.
+    A degree outside the value is an exact zero."""
+    if dual:
+        v = ev._cohom(expr, vscale(-t, h))
+        i = expr.cdim - i
+    else:
+        v = ev._cohom(expr, vscale(t, h))
+    return v[i] if 0 <= i < len(v) else ZERO
+
+
+def _is_regular(expr: Expr, dual: bool, t0: int, nu: int, r: int, h, ev: Evaluator) -> bool:
+    """``cm_regularity_certify`` along B = nu*H of the sheaf ``_slot``
+    reads, twisted by t0*H, for a checked H with B certified very ample:
+    h^i vanishes at (t0 + nu(r - i))H for i = 1..dim."""
+    for i in range(1, expr.variety.dim + 1):
+        if not _slot(ev, expr, dual, t0 + nu * (r - i), h, i).is_zero:
             return False
     return True
 
@@ -685,9 +646,10 @@ class WindowCert:
         return range(self.lower_upto[i] + 1, self.upper_from[i])
 
 
-def _top_degree_start(shifted: Expr, big, cap: int, ev: Evaluator) -> int:
-    """Where the regularity scan of `shifted` along B = `big` starts: -cap,
-    or above every r the top-degree lemma rules out.
+def _top_degree_start(expr: Expr, dual: bool, t0: int, nu: int, h, cap: int, ev: Evaluator) -> int:
+    """Where the regularity scan along B = nu*H of the sheaf ``_slot``
+    reads, twisted by t0*H, starts: -cap, or above every r the top-degree
+    lemma rules out.
 
     h^n(F(sB)) is non-increasing in s, so once h^n is certified nonzero at
     sB, every r <= s + n fails the degree-n condition of
@@ -695,34 +657,36 @@ def _top_degree_start(shifted: Expr, big, cap: int, ev: Evaluator) -> int:
     stops at the first such s.  The lemma is about degree n of a sheaf on
     X, so the probe runs only when cdim == dim.  The start may exceed cap,
     and then the scan is empty."""
-    n = shifted.variety.dim
-    if shifted.cdim == n:
+    n = expr.variety.dim
+    if expr.cdim == n:
         for s in range(-1, -cap - 1, -1):
-            if pad_vec(ev._cohom(shifted, vscale(s, big)), n + 1)[n].lo > 0:
+            if _slot(ev, expr, dual, t0 + nu * s, h, n).lo > 0:
                 return max(-cap, s + n + 1)
     return -cap
 
 
-def _one_sided_regularity(expr: Expr, h, cap: int, nu: int, ev: Evaluator) -> dict[int, int]:
-    """Thresholds U_i with h^i(expr(tH)) = 0 for t >= U_i, via nu residue
-    classes when only nu*H is very ample; H is checked and nu comes from
-    the caller's ``very_ample_multiple``, so no scan step checks H again.
+def _one_sided_regularity(expr: Expr, dual: bool, h, cap: int, nu: int, ev: Evaluator) -> dict[int, int]:
+    """Thresholds U_i with h^i(F(tH)) = 0 for t >= U_i, F = expr or with
+    ``dual`` its Serre transform, via nu residue classes when only nu*H is
+    very ample; H is checked and nu comes from the caller's
+    ``very_ample_multiple``, so no scan step checks H again.
 
     Each class scans r upward from ``_top_degree_start``, which skips only
     r that the top-degree lemma shows cannot be regular; the first certified
     r is the one a scan from -cap would find."""
     n = expr.variety.dim
-    big = vscale(nu, h)
     thresholds = {i: None for i in range(1, n + 1)}
     for t0 in range(nu):
-        shifted = TwistE(expr, vscale(t0, h)) if t0 else expr
         found = None
-        for r in range(_top_degree_start(shifted, big, cap, ev), cap + 1):
-            if _is_regular(shifted, r, big, ev):
+        for r in range(_top_degree_start(expr, dual, t0, nu, h, cap, ev), cap + 1):
+            if _is_regular(expr, dual, t0, nu, r, h, ev):
                 found = r
                 break
         if found is None:
-            raise WindowNotFound(cap, f"{expr!r} residue class {t0}")
+            side = expr
+            if dual:  # named as the Serre transform's expression prints
+                side = TwistE(expr.inner if isinstance(expr, DualE) else DualE(expr), expr.variety.canonical_class)
+            raise WindowNotFound(cap, f"{side!r} residue class {t0}")
         for i in range(1, n + 1):
             bound = t0 + nu * (found - i)
             if thresholds[i] is None or bound > thresholds[i]:
@@ -738,16 +702,15 @@ def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -
     through h^i(E(t)) = h^{n-i}((E^v tensor omega)(-t)).  Each side's scan
     starts above the twists where h^n is certified nonzero (top-degree
     lemma, module docstring); the thresholds are those of a scan from -cap.
+    Both sides read the values of expr itself (``_slot``).
     """
     ev = ev or _DEFAULT
     x = expr.variety
     hh = x.check_class(h)
     nu = x.very_ample_multiple(hh)
     n = x.dim
-    upper = _one_sided_regularity(expr, hh, cap, nu, ev)
-    dual = expr.inner if isinstance(expr, DualE) else DualE(expr)  # E^vv = E
-    dual_side = TwistE(dual, x.canonical_class)
-    lower_raw = _one_sided_regularity(dual_side, hh, cap, nu, ev)
+    upper = _one_sided_regularity(expr, False, hh, cap, nu, ev)
+    lower_raw = _one_sided_regularity(expr, True, hh, cap, nu, ev)
     return WindowCert(
         {i: upper[i] for i in range(1, n)},
         {i: -lower_raw[n - i] for i in range(1, n)},

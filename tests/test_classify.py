@@ -1,7 +1,7 @@
 import pytest
 
 import logacm as L
-from logacm.classify import NO, YES, f0_split_acm_oracle
+from logacm.classify import NO, YES, deficiency_concentrated_at_zero, f0_split_acm_oracle
 from logacm.errors import InputError, IntervalPresent, NotAmple, OutOfScope
 from logacm.exactseq import Evaluator
 from logacm.varieties import vneg
@@ -163,8 +163,9 @@ def test_search_p2_hyperplanes():
 
 
 def test_repeated_search_adds_no_entries():
-    """A rebuilt arrangement is the same structure, so the second pass is
-    answered from the first pass's cache and partner record."""
+    """A rebuilt arrangement finds its log pair in the evaluator's memo, and
+    the window scan builds no node, so the second pass is answered from the
+    first pass's cache and partner record."""
     ev = Evaluator()
     x = L.quadric_surface()
     first = L.search(x, (1, 1), 4, 8, ev=ev)
@@ -173,6 +174,21 @@ def test_repeated_search_adds_no_entries():
     second = L.search(x, (1, 1), 4, 8, ev=ev)
     assert (len(ev.cache), len(ev.partners), len(ev.serre_dual_pairs())) == sizes
     assert [(c, v.status, v.witness) for c, v, _ in second] == [(c, v.status, v.witness) for c, v, _ in first]
+
+
+def test_repeated_blowup_deficiency_adds_no_entries():
+    """A second deficiency verdict on a Bl_3 arrangement, on the same
+    evaluator, reads the first one's cache: the memoized log pair is the
+    same node, and the window scan builds no node of its own."""
+    x = L.blowup_p2(3)
+    arr = L.arrangement(x, [L.component_from_class(x, x.negative_curves[i]) for i in (0, 3)])
+    ev = Evaluator()
+    for side, status in (("cot", YES), ("tan", NO)):
+        first = deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, side=side, ev=ev)
+        sizes = (len(ev.cache), len(ev.partners))
+        again = deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, side=side, ev=ev)
+        assert (len(ev.cache), len(ev.partners)) == sizes
+        assert (again.status, again.witness) == (first.status, first.witness) and first.status == status
 
 
 def test_search_filters_each_candidate_once(monkeypatch):

@@ -1,9 +1,7 @@
 import itertools
-import os
 import sys
-import threading
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -20,12 +18,10 @@ from logacm.exactseq import (
     MIDDLE,
     RIGHT,
     BlowupCotE,
-    BottE,
     CurveE,
     DualE,
     Evaluator,
     Expr,
-    HyperE,
     LineE,
     MeetE,
     RankHint,
@@ -176,96 +172,26 @@ def test_serre_dual_pairs_registry(monkeypatch):
     cot, tan = L.cotangent_tangent_pair(x)
     log_pair(x, L.arrangement(x, []), ev)
     assert ev.serre_dual_pairs() == [(repr(cot), repr(tan))]
-    assert ev.partners[cot.key()] is tan
-    assert ev.partners[tan.key()] is cot
+    assert ev.partners[cot] is tan
+    assert ev.partners[tan] is cot
 
 
-def test_structure_built_twice_has_one_key_and_cache_entry():
+def test_log_pair_built_once_per_evaluator():
+    """An evaluator keeps the log pair it built and records each Serre pair
+    once; a fresh evaluator builds its own nodes, and a side of one pair
+    cannot take a side of the other as a second partner."""
     x = L.hirzebruch(1)
-    pins = {(0, 0): [iv(x.h0_tangent), None, None]}
-    a, b = eqy1_middle(x, pins), eqy1_middle(x, dict(pins))
-    assert a is not b and a.key() == b.key()
-    assert eqy1_middle(x).key() != a.key()  # the pins are part of the structure
-    ev = Evaluator()
-    ev.cohom(a, (1, 1))
-    entries = len(ev.cache)
-    assert ev.cohom(b, (1, 1)) == ev.cohom(a, (1, 1))
-    assert len(ev.cache) == entries
-
     arr = L.arrangement(x, [L.component_from_class(x, c) for c in [(1, 0), (0, 1), (1, 1)]])
+    ev = Evaluator()
     p = log_pair(x, arr, ev)
     pairs = ev.serre_dual_pairs()
     assert log_pair(x, arr, ev) is p  # built once per evaluator
     q = log_pair(x, arr, Evaluator())  # a fresh evaluator builds the pair again
     assert p.cotangent_log is not q.cotangent_log
-    assert (p.cotangent_log.key(), p.tangent_log.key()) == (q.cotangent_log.key(), q.tangent_log.key())
     assert len(pairs) == 2  # the Omega^1/T pair and the log pair, once each
     assert ev.serre_dual_pairs() == pairs
-    ev.cohom(p.cotangent_log, (1, 1))
-    entries = len(ev.cache)
-    assert ev.cohom(q.cotangent_log, (1, 1)) == ev.cohom(p.cotangent_log, (1, 1))
-    assert len(ev.cache) == entries  # the rebuilt pair shares the cache entry
-    with pytest.raises(InputError):  # a partner set after keying would change a key in use
-        serre_pair(a, b)
-
-
-def _no_rule(x, tw):
-    return None, None
-
-
-def field_changes():
-    """(node type, constructor arguments, field, another value) covering
-    every field of every catalog node type."""
-    x, y = L.hirzebruch(1), L.hirzebruch(2)
-    p2, p3 = L.projective_space(2), L.projective_space(3)
-    a, b = LineE(x, (1, 0)), LineE(x, (0, 1))
-    seq = dict(variety=x, left=a, middle=SumE([a, b]), right=None, cdim=2, name="s")
-    changes = {
-        LineE: (dict(variety=x, klass=(1, 0)), dict(variety=y, klass=(0, 1))),
-        CurveE: (
-            dict(variety=x, genus=0, base_deg=1, klass=(1, 0), deg_h=None),
-            dict(variety=y, genus=1, base_deg=2, klass=(0, 1), deg_h=1),
-        ),
-        HyperE: (dict(variety=p3, d=2, shift=0), dict(variety=p2, d=3, shift=1)),
-        BottE: (dict(variety=p2, p=1, shift=0, n=None), dict(variety=p3, p=2, shift=1, n=3)),
-        SumE: (dict(parts=(a, b)), dict(parts=(a, a))),
-        TwistE: (dict(inner=a, by=(1, 0)), dict(inner=b, by=(0, 1))),
-        DualE: (dict(inner=a), dict(inner=b)),
-        MeetE: (dict(parts=(a, b)), dict(parts=(b, a))),
-        BlowupCotE: (dict(variety=L.blowup_p2(1)), dict(variety=L.blowup_p2(2))),
-        SeqE: (
-            seq,
-            dict(
-                variety=y,
-                left=b,
-                middle=SumE([a, a]),
-                cdim=1,
-                name="t",
-                amb=3,
-                hints=(RankHint((0, 0), 0, iv(1), "test"),),
-                pins={(0, 0): [iv(6), None, None]},
-                rule=_no_rule,
-            ),
-        ),
-    }
-    for cls, (base, other) in changes.items():
-        for name, value in other.items():
-            yield cls, base, name, value
-    yield SeqE, dict(seq, left=None, right=b), "right", a  # the unknown moves with another field
-
-
-def test_every_field_is_part_of_the_key():
-    """Changing any one field changes the key, and building a node again
-    from the same fields gives the same key."""
-    covered = set()
-    for cls, base, name, value in field_changes():
-        node = cls(**base)
-        assert cls(**base).key() == node.key() and cls(**base) is not node, cls
-        changed = dict(base, **{name: value})
-        assert cls(**changed).key() not in (node.key(), cls(**base).key()), (cls, name)
-        covered.add((cls, name))
-    catalog = {c for c in Expr.__subclasses__() if c.__module__ == exactseq.__name__}
-    assert covered == {(c, f.name) for c in catalog for f in fields(c)}
+    with pytest.raises(InputError):  # an expression gets its Serre partner once
+        serre_pair(p.cotangent_log, q.tangent_log)
 
 
 def test_pn_tangent_is_the_dual_of_its_cotangent():
@@ -279,54 +205,6 @@ def test_pn_tangent_is_the_dual_of_its_cotangent():
         table = L.deficiency_table(x, (1,), L.arrangement(x, []), 1, side="tan")
         assert all(v.exact for v in table.entries.values())
         assert table.nonzero_twists() == ([-3] if n == 2 else [])  # h^1(TP^2(-3)) = h^1(Omega^1) = 1
-
-
-def test_log_pair_sides_keyed_jointly():
-    """The span-rank hint sits on the residue side only; the tangent side is
-    keyed with its partner, so span ranks 19 and 20 do not share a key."""
-    x = L.surface_in_p3(4)
-    comps = [L.component_from_degree(x, 1, 0) for _ in range(20)]
-    p19, p20 = (log_pair(x, L.arrangement(x, comps, span_rank=r), Evaluator()) for r in (19, 20))
-    assert p19.tangent_log.key() != p20.tangent_log.key()
-    assert p19.cotangent_log.key() != p20.cotangent_log.key()
-
-
-def test_key_assignment_under_thread_contention():
-    """Threads key new structures at once, two threads per structure set:
-    a structure gets one key and distinct structures never share one."""
-    x = L.hirzebruch(2)
-    n_threads = 4 * (os.cpu_count() or 1) + 4
-    per_thread = 3000
-
-    def build(group, j):
-        line = LineE(x, (7919 + group, -7919 - j))  # classes no other test keys
-        return TwistE(SumE([line, line]), (1, 0)) if j % 2 else line
-
-    start = threading.Barrier(n_threads)
-    seen = [None] * n_threads
-
-    def work(i):
-        start.wait(timeout=30)
-        seen[i] = {(i // 2, j): build(i // 2, j).key() for j in range(per_thread)}
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    keys = {}
-    for got in seen:
-        assert got is not None
-        for st, k in got.items():
-            assert keys.setdefault(st, k) == k
-    assert len(set(keys.values())) == len(keys)
-    assert all(build(*st).key() == k for st, k in keys.items())
 
 
 def bl4_negative_curves(*which):
@@ -348,8 +226,8 @@ def test_value_met_inside_a_cycle_is_cached_at_its_root():
     (rules,) = [p for p in cot.parts if isinstance(p, BlowupCotE)]
     zero = (0,) * x.lattice_rank
     ev.cohom(pair.cotangent_log, zero)
-    assert (cot.key(), zero) in ev.cache
-    assert (rules.key(), zero) in ev.cache
+    assert (cot, zero) in ev.cache
+    assert (rules, zero) in ev.cache
 
 
 def test_cycle_members_are_not_recomputed_per_visit():
@@ -953,19 +831,26 @@ def test_raw_dispatches_on_the_node_type(monkeypatch):
 # -- the probed regularity scan against a scan from -cap ---------------------
 
 
-def linear_regularity_scan(expr, h, cap, nu, ev):
+def serre_transform(expr):
+    """E^v tensor omega as an expression (E^vv = E)."""
+    return TwistE(expr.inner if isinstance(expr, DualE) else DualE(expr), expr.variety.canonical_class)
+
+
+def linear_regularity_scan(expr, dual, h, cap, nu, ev):
     """The thresholds of ``_one_sided_regularity`` by trying every r from -cap
-    upward, with no top-degree probe: the oracle of the probed scan."""
+    upward, with no top-degree probe, on expr or with ``dual`` on its Serre
+    transform built as an expression: the oracle of the probed scan."""
     x = expr.variety
     n = x.dim
     hh = x.check_class(h)
     big = vscale(nu, hh)
+    side = serre_transform(expr) if dual else expr
     thresholds = {i: None for i in range(1, n + 1)}
     for t0 in range(nu):
-        shifted = TwistE(expr, vscale(t0, hh)) if t0 else expr
+        shifted = TwistE(side, vscale(t0, hh)) if t0 else side
         found = next((r for r in range(-cap, cap + 1) if exactseq.cm_regularity_certify(shifted, r, big, ev)), None)
         if found is None:
-            raise WindowNotFound(cap, f"{expr!r} residue class {t0}")
+            raise WindowNotFound(cap, f"{side!r} residue class {t0}")
         for i in range(1, n + 1):
             bound = t0 + nu * (found - i)
             if thresholds[i] is None or bound > thresholds[i]:
@@ -983,13 +868,11 @@ def outcome(fn, *args):
 def window_outcomes(expr, h, cap, ev):
     """Both one-sided scans and the window of expr, each as its value or the
     error it raised, through whatever ``exactseq._one_sided_regularity`` is."""
-    x = expr.variety
-    nu = x.very_ample_multiple(h)
-    dual = expr.inner if isinstance(expr, DualE) else DualE(expr)
+    nu = expr.variety.very_ample_multiple(h)
     scan = exactseq._one_sided_regularity
     return (
-        outcome(scan, expr, h, cap, nu, ev),
-        outcome(scan, TwistE(dual, x.canonical_class), h, cap, nu, ev),
+        outcome(scan, expr, False, h, cap, nu, ev),
+        outcome(scan, expr, True, h, cap, nu, ev),
         outcome(vanishing_window, expr, h, cap, ev),
     )
 
@@ -1001,8 +884,8 @@ def assert_probe_matches_linear_scan(monkeypatch, cases):
     starts = Counter()
     probe = exactseq._top_degree_start
 
-    def recorded(shifted, big, cap, ev):
-        r = probe(shifted, big, cap, ev)
+    def recorded(expr, dual, t0, nu, h, cap, ev):
+        r = probe(expr, dual, t0, nu, h, cap, ev)
         starts["past cap" if r > cap else "moved" if r > -cap else "at -cap"] += 1
         return r
 
@@ -1139,8 +1022,35 @@ def test_probe_reads_only_the_top_degree_of_x():
     is 2-regular at every r, so its scan must start at -cap."""
     ev = TableEvaluator()
     surface = TableE(P2, 2, (((-1,), (iv(0), iv(0), iv(1))),))
-    assert exactseq._top_degree_start(surface, (1,), 8, ev) == 2
-    assert exactseq._top_degree_start(surface, (1,), 1, ev) == 2  # past the cap: the scan is empty
+    assert exactseq._top_degree_start(surface, False, 0, 1, (1,), 8, ev) == 2
+    assert exactseq._top_degree_start(surface, False, 0, 1, (1,), 1, ev) == 2  # past the cap: the scan is empty
     solid = TableE(P2, 3, (((-1,), (iv(0), iv(0), iv(1), iv(0))),))
-    assert exactseq._top_degree_start(solid, (1,), 8, ev) == -8
-    assert exactseq._one_sided_regularity(solid, (1,), 8, 1, ev) == {1: -9, 2: -10}
+    assert exactseq._top_degree_start(solid, False, 0, 1, (1,), 8, ev) == -8
+    assert exactseq._one_sided_regularity(solid, False, (1,), 8, 1, ev) == {1: -9, 2: -10}
+
+
+def test_slot_reads_the_serre_transform_from_expr():
+    """``_slot`` reads degree i of expr at tH, or with ``dual`` of its Serre
+    transform built as an expression, as a fresh evaluator gives it, for
+    |t| <= 8 + nu: on the P^2 tangent (a DualE), a sum of curve leaves on a
+    surface (cdim < dim) and the abelian surface, whose scan reads nu = 3
+    residue classes t0 + 3m."""
+    p2, f1, ab = L.projective_space(2), L.hirzebruch(1), L.abelian_surface(2)
+    curves = SumE([CurveE(f1, 0, -1, klass=(1, 0)), CurveE(f1, 1, 0, klass=(0, 1))])
+    cases = [
+        (L.cotangent_tangent_pair(p2)[1], (1,)),
+        (curves, (1, 2)),
+        (LineE(ab, (1,)), (1,)),
+        (L.cotangent_tangent_pair(ab)[0], (1,)),
+    ]
+    assert isinstance(cases[0][0], DualE) and curves.cdim < f1.dim and ab.very_ample_multiple((1,)) == 3
+    for expr, h in cases:
+        x = expr.variety
+        reach = 8 + x.very_ample_multiple(h)
+        transform = serre_transform(expr)
+        ev = Evaluator()
+        for t in range(-reach, reach + 1):
+            for dual, sheaf in ((False, expr), (True, transform)):
+                want = pad_vec(Evaluator().cohom(sheaf, vscale(t, h)), x.dim + 1)
+                got = tuple(exactseq._slot(ev, expr, dual, t, h, i) for i in range(x.dim + 1))
+                assert got == want, (expr, dual, t)

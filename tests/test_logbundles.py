@@ -353,11 +353,11 @@ def test_log_pair_records_both_serre_pairs_on_its_evaluator():
     cot, tan = cotangent_tangent_pair(x)
     pairs = ev.serre_dual_pairs()
     assert len(pairs) == 2 and (repr(cot), repr(tan)) in pairs
-    assert ev.partners[cot.key()] is tan and ev.partners[tan.key()] is cot
-    partners = {k: p.key() for k, p in ev.partners.items()}
+    assert ev.partners[cot] is tan and ev.partners[tan] is cot
+    partners = dict(ev.partners)
     assert is_acm(x, (1, 1), arr, ev=ev) == first
     assert ev.serre_dual_pairs() == pairs
-    assert {k: p.key() for k, p in ev.partners.items()} == partners
+    assert ev.partners == partners
 
 
 def test_invalid_arrangement_raises_on_every_call_and_is_not_kept():
@@ -384,15 +384,20 @@ def test_log_pair_hit_restores_a_cleared_partner_record():
     record is cleared it reads as a fresh build leaves it."""
     x = L.hirzebruch(2)
     arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
+    cot, tan = cotangent_tangent_pair(x)
+
+    def record(pair):  # each side of both Serre pairs -> the other side
+        return {cot: tan, tan: cot, pair.cotangent_log: pair.tangent_log, pair.tangent_log: pair.cotangent_log}
+
     fresh = Evaluator()
-    log_pair(x, arr, fresh)
+    fresh_pair = log_pair(x, arr, fresh)
     ev = Evaluator()
     pair = log_pair(x, arr, ev)
     ev.partners.clear()
     ev.partner_names.clear()
     assert log_pair(x, arr, ev) is pair
     assert ev.serre_dual_pairs() == fresh.serre_dual_pairs() and len(fresh.serre_dual_pairs()) == 2
-    assert {k: p.key() for k, p in ev.partners.items()} == {k: p.key() for k, p in fresh.partners.items()}
+    assert ev.partners == record(pair) and fresh.partners == record(fresh_pair)
 
 
 def test_shared_log_pair_cannot_be_mutated():

@@ -28,7 +28,7 @@ class NotRulingArrangement(EngineError):
 
 class InconsistentHints(EngineError):
     """No admissible connecting-rank assignment exists; the sequence model
-    or an installed hint is wrong."""
+    or a fact its rule gives is wrong."""
 
 
 class WindowNotFound(EngineError):

@@ -1,22 +1,22 @@
 """Graded exact-sequence interval solver.
 
 Sheaf expressions form immutable trees whose leaves have exact backends.
-One node, ``SeqE``, holds a short exact sequence with its unknown term,
-rank hints, value pins and one per-twist rule that returns more of both.
-The unknown is evaluated from the long exact sequence at the given twist.
-In an exact sequence each term's
+One node, ``SeqE``, holds a short exact sequence with its unknown term and
+one per-twist rule: the facts known at a twist, as value pins on the
+unknown and bounds on connecting ranks.  The unknown is evaluated from the
+long exact sequence at the given twist.  In an exact sequence each term's
 dimension is the sum of the ranks of the maps into and out of it, so the
 terms A_0, B_0, C_0, A_1, ..., C_amb form a path of ranks r_k (the map out
 of term k) with r_{-1} = r_last = 0: each term's interval (a known value,
 or the unknown's pins) bounds r_{k-1} + r_k, and each connecting rank
-C_i -> A_{i+1} lies in its hint box.  The constraint matrix has
+C_i -> A_{i+1} lies in its rank bound.  The constraint matrix has
 consecutive ones, so it is totally unimodular (Fulkerson and Gross,
 Pacific J. Math. 15(3), 1965): every reachable rank set is an integer
 interval, and a forward and a backward pass of rank intervals give each
 degree's exact min/max over the feasible set.  The cost does not depend on
-the rank ranges, and an open end (a Serre-cycle cut, or a rule without an
-upper bound such as ``BlowupCotE``) passes through as infinity, so bounded
-and half-open sequences take the same pass.  Serre
+the rank ranges, and an open end (which in the engine comes only from a
+Serre-cycle cut) passes through as infinity, so bounded and half-open
+sequences take the same pass.  Serre
 duality is applied at expression level: a Serre partner is data on the
 expression (``serre_pair``), read by every evaluator.
 Twists are checked once, where they enter: ``Evaluator.cohom``,
@@ -70,7 +70,7 @@ from .intervals import (
     transpose_vec,
 )
 from .linebundles import cohom_bott, cohom_ci, cohom_line_curve, line_cohom
-from .varieties import VarietyModel, vadd, vneg, vscale, vsub
+from .varieties import VarietyModel, vadd, vscale, vsub
 
 LEFT, MIDDLE, RIGHT = "left", "middle", "right"
 
@@ -251,44 +251,17 @@ class MeetE(Expr):
 
 
 @dataclass(eq=False)
-class BlowupCotE(Expr):
-    """Rule-based cotangent leaf on Bl_k P^2 (k <= 4).
-
-    Away from the multiples of -K its rules leave h^0, h^1 and h^2
-    unbounded; the catalog cotangent (``cotangent_tangent_pair``) meets it
-    with the blow-up sequence, whose terms are all bounded."""
-
-    variety: VarietyModel
-
-    def __post_init__(self):
-        self.cdim = 2
-
-    def __repr__(self):
-        return f"Omega^1_Bl{self.variety.param}"
-
-
-@dataclass(frozen=True)
-class RankHint:
-    twist: tuple
-    degree: int
-    rank: Iv
-    provenance: str
-
-
-@dataclass(eq=False)
 class SeqE(Expr):
     """The unknown term of 0 -> left -> middle -> right -> 0, where exactly
     one of the three terms is None.
 
     ``amb`` is the top degree of the long exact sequence (by default the
-    largest known term's).  ``hints`` bound connecting ranks at given
-    twists.  ``pins`` maps a twist class to a per-degree list of Iv
-    constraints on the unknown (None = unconstrained); they take part in the
-    rank solve, so a pinned slot can force connecting ranks at the same
-    twist.  ``rule`` computes both kinds from the twist: a callable of
-    (variety, twist) returning (pins, ranks): a per-degree list of
+    largest known term's).  ``rule`` holds what else is known: a callable
+    of (variety, twist) returning (pins, ranks), a per-degree list of Iv
     constraints on the unknown and a per-connecting-degree list of rank
-    bounds, each None when it has none.
+    bounds, each None (or an entry None) where nothing is known.  Both take
+    part in the rank solve, so a pinned slot can force connecting ranks at
+    the same twist.
     """
 
     variety: VarietyModel
@@ -298,8 +271,6 @@ class SeqE(Expr):
     cdim: int
     name: str = "seq"
     amb: int | None = None
-    hints: tuple[RankHint, ...] = ()
-    pins: dict | None = None
     rule: Callable | None = None
 
     def __post_init__(self):
@@ -309,28 +280,21 @@ class SeqE(Expr):
         self.unknown_slot = (LEFT, MIDDLE, RIGHT)[terms.index(None)]
         if self.amb is None:
             self.amb = max(t.cdim for t in terms if t is not None)
-        self.pins = {tuple(tw): tuple(con) for tw, con in (self.pins or {}).items()}
         n = self.amb
         # built once, read by every solve: the unknown vanishes above cdim
         self._support = tuple(iv(0) if i > self.cdim else None for i in range(n + 1))
-        self._no_hints = (None,) * n
-        self._hints_at: dict[tuple, list[RankHint]] = {}
-        for h in self.hints:
-            if 0 <= h.degree < n:
-                self._hints_at.setdefault(tuple(h.twist), []).append(h)
+        self._no_ranks = (None,) * n
 
     def constraints_at(self, twist) -> tuple[tuple, tuple]:
         """(constraint on the unknown for each degree 0..amb, rank bound for
         each connecting degree 0..amb-1) at twist; None = unconstrained."""
-        pins, ranks = self.rule(self.variety, twist) if self.rule is not None else (None, None)
-        cons, bounds = self._support, self._no_hints
-        for given in (self.pins.get(twist), pins):
-            if given:
-                cons = _meet_each(cons, given)
-        for h in self._hints_at.get(twist, ()):
-            bounds = _meet_each(bounds, (None,) * h.degree + (h.rank,))
-        if ranks:
-            bounds = _meet_each(bounds, ranks)
+        cons, bounds = self._support, self._no_ranks
+        if self.rule is not None:
+            pins, ranks = self.rule(self.variety, twist)
+            if pins:
+                cons = _meet_each(cons, pins)
+            if ranks:
+                bounds = _meet_each(bounds, ranks)
         return cons, bounds
 
     def __repr__(self):
@@ -452,25 +416,6 @@ class Evaluator:
             raise InputError(f"cannot evaluate {expr!r}")
         return rule(self, expr, twist)
 
-    def _blowup_cotangent(self, x: VarietyModel, twist) -> tuple[Iv, ...]:
-        h0 = self._blowup_cot_h0(x, twist)
-        h2 = self._blowup_cot_h0(x, vneg(twist))
-        chi = x.chi_cotangent_twist(twist)
-        lo = max(0, h0.lo + h2.lo - chi)
-        hi = None if h0.hi is None or h2.hi is None else max(lo, h0.hi + h2.hi - chi)
-        return (h0, Iv(lo, hi), h2)
-
-    def _blowup_cot_h0(self, x: VarietyModel, t) -> Iv:
-        """h^0(Omega^1 (t)) rules on a del Pezzo blow-up."""
-        mk = vneg(x.canonical_class)
-        if x.is_effective(vneg(t)):
-            return iv(0)  # h^0 <= h^0(Omega^1) = q = 0
-        if t == mk:
-            return iv(x.h0_tangent)  # Omega^1(-K) = TX
-        if x.is_effective(vsub(mk, t)):
-            return Iv(0, x.h0_tangent)  # Omega^1(t) embeds in TX after an effective twist
-        return Iv(0, None)
-
     # -- the long-exact-sequence solve --------------------------------------
 
     def _solve(self, node: SeqE, twist) -> tuple[Iv, ...]:
@@ -565,8 +510,8 @@ def _meet_parts(ev: Evaluator, expr: MeetE, twist) -> tuple[Iv, ...]:
 
 
 # node type -> rule of (evaluator, node, twist); a rule reads the evaluator's
-# steps at call time, so a replaced ``_solve`` or ``_blowup_cotangent`` is the
-# one it calls
+# steps at call time, so a replaced ``_cohom`` or ``_solve`` is the one it
+# calls
 _RAW = {
     LineE: lambda ev, e, t: exact_vec(line_cohom(e.variety, vadd(e.klass, t))),
     CurveE: lambda ev, e, t: cohom_line_curve(e.genus, e.degree_at(t)),
@@ -578,7 +523,6 @@ _RAW = {
         pad_vec(ev._cohom(e.inner, vsub(e.variety.canonical_class, t)), e.cdim + 1)
     ),
     MeetE: _meet_parts,
-    BlowupCotE: lambda ev, e, t: ev._blowup_cotangent(e.variety, t),
     SeqE: lambda ev, e, t: ev._solve(e, t),
 }
 

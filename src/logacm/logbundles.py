@@ -1,10 +1,11 @@
 """Cotangent and log-sheaf expressions for every catalog variety.
 
-Builds the residue and log-tangent sequences of an arrangement, installs
-the known value pins and rank hints (Hodge numbers and tangent-section
-counts on F_e, the Jacobian-ring rank on surfaces in P^3, coboundary span
-rank) and the split-bundle upgrades for hyperplane arrangements on P^n and
-ruling arrangements on the quadric.
+Builds the residue and log-tangent sequences of an arrangement, gives each
+sequence its rule of known facts (Hodge numbers and tangent-section counts
+on F_e, section counts on the del Pezzo blow-ups, the Jacobian-ring rank on
+surfaces in P^3, the coboundary span rank) and installs the split-bundle
+upgrades for hyperplane arrangements on P^n and ruling arrangements on the
+quadric.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import prod
 
 from .errors import InputError, NotRulingArrangement
 from .exactseq import (
-    BlowupCotE,
     BottE,
     CurveE,
     DualE,
@@ -25,7 +25,6 @@ from .exactseq import (
     HyperE,
     LineE,
     MeetE,
-    RankHint,
     SeqE,
     SumE,
     TwistE,
@@ -61,24 +60,23 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
         tan = SumE([LineE(x, (2, 0)), LineE(x, (0, 2))])
     elif k == KIND_HIRZEBRUCH:
         e = x.param
-        pins = {
-            (0, 0): [iv(x.h0_tangent), None, None],
-            x.canonical_class: [iv(0), iv(x.h11), iv(x.q)],
-        }
-        rule = _f1_pullback_pin if e == 1 else None
-        tan = SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name=f"T_F{e}", pins=pins, rule=rule)
+        tan = SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name=f"T_F{e}", rule=_fe_tangent_rule)
         cot = TwistE(tan, x.canonical_class)
     elif k == KIND_BLOWUP:
         # 0 -> pi^*Omega_{P^2} -> Omega^1 -> (+) O_{E_i}(-2) -> 0 for the
         # point blow-up pi, with pi^*Omega_{P^2} the kernel of the pulled-back
         # Euler map O(-H)^3 -> O (it bounds h^0 at sH below by the Bott count
-        # s^2 - 1); met with the rules of BlowupCotE
+        # s^2 - 1), pinned by the del Pezzo section-count rules
         origin = (0,) * x.lattice_rank
         minus_h = (-1,) + origin[1:]
         pulled = SeqE(x, None, SumE([LineE(x, minus_h)] * 3), LineE(x, origin), 2, name="pi^*Omega_P2")
         quotient = SumE([CurveE(x, 0, -2, klass=e) for e in x.negative_curves[: x.param]])
-        blown = SeqE(x, pulled, None, quotient, 2, name=f"Omega_Bl{x.param}")
-        cot = MeetE([blown, BlowupCotE(x)])
+        blown = SeqE(x, pulled, None, quotient, 2, name=f"Omega_Bl{x.param}", rule=_blowup_cotangent_rule)
+        # The Serre partner goes on a view of the sequence, not on the
+        # sequence: a partnered node evaluated inside a Serre cycle rooted
+        # further down is not cached, and as the partner the sequence would
+        # be solved again on every such visit.
+        cot = TwistE(blown, origin)
         tan = TwistE(cot, vneg(x.canonical_class))
     elif k == KIND_SURFACE_P3:
         cot = _surface_p3_cotangent(x)
@@ -92,14 +90,47 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
     return cot, tan
 
 
-def _f1_pullback_pin(x: VarietyModel, tw):
-    """Sections of Omega^1_{F_1} along pullbacks of O_{P^2}(s) are bounded
-    below by the Bott count (s-1)(s+1); a rule of the tangent expression."""
-    rel = vsub(tw, x.canonical_class)  # tangent at tw is cotangent at tw - K
-    if rel[0] == rel[1] and rel[0] >= 2:
-        s = rel[0]
-        return [Iv(s * s - 1, None), None, None], None
+def _fe_tangent_rule(x: VarietyModel, tw):
+    """Known values of T_{F_e}(tw); the rule of the tangent extension.
+
+    At tw = 0, h^0 is the tangent-section count; at tw = K, T(K) = Omega^1
+    has the Hodge numbers h^{1,0}, h^{1,1}, h^{1,2}.  On F_1, sections of
+    Omega^1 along pullbacks of O_{P^2}(s) are bounded below by the Bott
+    count (s-1)(s+1); those twists are neither 0 nor K."""
+    if tw == x.canonical_class:
+        return [iv(0), iv(x.h11), iv(x.q)], None
+    if not any(tw):
+        return [iv(x.h0_tangent), None, None], None
+    if x.param == 1:
+        rel = vsub(tw, x.canonical_class)  # tangent at tw is cotangent at tw - K
+        if rel[0] == rel[1] and rel[0] >= 2:
+            s = rel[0]
+            return [Iv(s * s - 1, None), None, None], None
     return None, None
+
+
+def _blowup_cotangent_rule(x: VarietyModel, tw):
+    """Section counts of Omega^1(tw) on a del Pezzo blow-up Bl_k P^2 (k <= 4);
+    the rule of the blow-up sequence.  h^2(Omega^1(t)) = h^0(Omega^1(-t)) by
+    Serre duality (TX(K) = Omega^1), and h^1 follows from chi."""
+    h0 = _del_pezzo_sections(x, tw)
+    h2 = _del_pezzo_sections(x, vneg(tw))
+    chi = x.chi_cotangent_twist(tw)
+    lo = max(0, h0.lo + h2.lo - chi)
+    hi = None if h0.hi is None or h2.hi is None else max(lo, h0.hi + h2.hi - chi)
+    return [h0, Iv(lo, hi), h2], None
+
+
+def _del_pezzo_sections(x: VarietyModel, t) -> Iv:
+    """h^0(Omega^1(t)) on a del Pezzo blow-up."""
+    mk = vneg(x.canonical_class)
+    if x.is_effective(vneg(t)):
+        return iv(0)  # h^0 <= h^0(Omega^1) = q = 0
+    if t == mk:
+        return iv(x.h0_tangent)  # Omega^1(-K) = TX
+    if x.is_effective(vsub(mk, t)):
+        return Iv(0, x.h0_tangent)  # Omega^1(t) embeds in TX after an effective twist
+    return Iv(0, None)
 
 
 def _jacobian_rank(x: VarietyModel, tw):
@@ -252,9 +283,13 @@ def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr) -> 
     else:
         span_hint = Iv(1, min(arr.size, x.h11))  # span not pinned by the input
         notes.append("span rank not asserted: coboundary rank left as an interval")
-    span = RankHint((0,) * x.lattice_rank, 0, span_hint, "coboundary spans the component classes")
+    zero = (0,) * x.lattice_rank
+
+    def span_rule(_x, tw):  # the coboundary at twist 0 spans the component classes
+        return (None, (span_hint,)) if tw == zero else (None, None)
+
     right = SumE(structure_leaves(x, arr, normal_twist=False))
-    cot_log: Expr = SeqE(x, cot, None, right, n, name="residue", hints=(span,))
+    cot_log: Expr = SeqE(x, cot, None, right, n, name="residue", rule=span_rule)
 
     if is_hyperplane_arrangement(x, arr):
         m = arr.size

@@ -124,15 +124,8 @@ class VarietyModel:
     def _intersect(self, x: Cls, y: Cls) -> int:
         """``intersect`` of two classes already checked against the lattice."""
         if self.dim != 2:
-            raise InputError("intersection pairing is defined for surfaces; use deg on P^n")
+            raise InputError(f"intersection pairing is defined for surfaces, not in dimension {self.dim}")
         return sum(x[i] * v * y[j] for i, j, v in self._pairing)
-
-    def deg(self, x: Cls) -> int:
-        """Degree of a rank-one class t*H (P^n, surfaces in P^3, abelian)."""
-        x = self.check_class(x)
-        if self.lattice_rank != 1:
-            raise InputError("deg applies to rank-one lattices only")
-        return x[0]
 
     def adjunction_genus(self, d: Cls) -> int:
         d = self.check_class(d)

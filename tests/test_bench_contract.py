@@ -6,7 +6,10 @@ This checks both still work against the current sources, and that the
 tracer's long-exact-sequence counters still see the solves they count: a
 renamed method would leave its per-layer metric reading 0.  The tracer still
 wraps ``_solve_coarse``, which nothing calls: a solve with an unbounded flank
-takes the same pass as any other, so the coarse counter reads 0.  It also checks
+takes the same pass as any other, so the coarse counter reads 0.  In the
+engine an open end now comes only from a Serre-cycle cut, so the check
+builds its unbounded flank from an open leaf of its own, evaluated by an
+``Evaluator`` subclass that inherits the traced ``_solve``.  It also checks
 that the default evaluator's ``log_pair`` memo, which ``reset_session``
 leaves in place, keeps both."""
 
@@ -21,18 +24,28 @@ ROOT = Path(__file__).resolve().parents[1]
 CODE = """
 import make_reference, tracing
 import logacm as L
-from logacm.exactseq import BlowupCotE, Evaluator, LineE, SeqE
+from dataclasses import dataclass
+from logacm.exactseq import Evaluator, Expr, LineE, SeqE
+from logacm.intervals import Iv
+
+@dataclass(eq=False)
+class OpenE(Expr):
+    variety: object
+    cdim = 2
+
+class OpenEvaluator(Evaluator):
+    def _raw(self, expr, twist):
+        return (Iv(0, None),) * 3 if isinstance(expr, OpenE) else super()._raw(expr, twist)
 
 make_reference.reset_session()
 tracer = tracing.Tracer()
 tracing.install(tracer)
-ev = Evaluator()
+ev = OpenEvaluator()
 f0 = L.hirzebruch(0)
 bounded = SeqE(f0, LineE(f0, (2, 0)), None, LineE(f0, (0, 2)), 2, name="bounded")
 ev.cohom(bounded, (0, 0))
-bl2 = L.blowup_p2(2)
-unbounded = SeqE(bl2, LineE(bl2, (0, 0, 0)), None, BlowupCotE(bl2), 2, name="unbounded")
-assert ev.cohom(unbounded, (3, 0, 0))[0].hi is None
+unbounded = SeqE(f0, LineE(f0, (0, 0)), None, OpenE(f0), 2, name="unbounded")
+assert ev.cohom(unbounded, (3, 0))[0].hi is None
 calls, _ = tracer.summary()
 assert tracer.counts["exactseq.solve.points"] > 0, tracer.counts
 assert calls["exactseq.solve"] >= 2 and calls["exactseq.solve_coarse"] == 0, calls

@@ -17,14 +17,12 @@ from logacm.exactseq import (
     LEFT,
     MIDDLE,
     RIGHT,
-    BlowupCotE,
     CurveE,
     DualE,
     Evaluator,
     Expr,
     LineE,
     MeetE,
-    RankHint,
     SeqE,
     SumE,
     TwistE,
@@ -42,10 +40,19 @@ from conftest import catalog_surfaces, random_class
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
-def eqy1_middle(x, pins=None):
-    """The tangent-bundle extension on F_e, optionally unpinned."""
+def at(twist, pins=None, ranks=None):
+    """A sequence rule that gives pins and rank bounds at one twist only."""
+
+    def rule(_x, tw):
+        return (pins, ranks) if tw == twist else (None, None)
+
+    return rule
+
+
+def eqy1_middle(x, rule=None):
+    """The tangent-bundle extension on F_e, unpinned unless given a rule."""
     e = x.param
-    return SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name="tan ext", pins=pins or {})
+    return SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name="tan ext", rule=rule)
 
 
 def test_tangent_f0_exact_without_pins():
@@ -60,7 +67,7 @@ def test_tangent_fe_h1_with_pin():
     for e in range(2, 7):
         x = L.hirzebruch(e)
         ev = Evaluator()
-        mid = eqy1_middle(x, pins={(0, 0): [iv(x.h0_tangent), None, None]})
+        mid = eqy1_middle(x, rule=at((0, 0), pins=[iv(x.h0_tangent), None, None]))
         v = ev.cohom(mid, (0, 0))
         assert v[1].exact and v[1].lo == e - 1, e
 
@@ -111,7 +118,7 @@ def test_rank_hint_narrows_never_widens():
 
     right = SumE([CurveE(x, 0, 0, klass=c.klass) for c in leaves])
     free = SeqE(x, cot, None, right, 2, name="residue-free")
-    hinted = SeqE(x, cot, None, right, 2, name="residue-hint", hints=(RankHint((0, 0, 0), 0, iv(3), "span"),))
+    hinted = SeqE(x, cot, None, right, 2, name="residue-hint", rule=at((0, 0, 0), ranks=[iv(3)]))
     ev = Evaluator()
     v_free = ev.cohom(free, (0, 0, 0))
     v_hint = ev.cohom(hinted, (0, 0, 0))
@@ -130,7 +137,7 @@ def test_inconsistent_hint_raises():
         LineE(x, (0, 2)),
         2,
         name="bad",
-        hints=(RankHint((0, 0), 0, iv(5), "impossible"),),
+        rule=at((0, 0), ranks=[iv(5)]),  # impossible
     )
     ev = Evaluator()
     with pytest.raises(InconsistentHints):
@@ -216,46 +223,48 @@ def bl4_negative_curves(*which):
 def test_value_met_inside_a_cycle_is_cached_at_its_root():
     """Omega^1 of Bl_4 at twist zero is first asked inside the log pair's
     evaluation, not as the outermost call; it roots the Serre cycle through
-    its partner, so its value is cached there, and so is the value of its
-    rule leaf, met with the blow-up sequence."""
+    its partner, so its value is cached there, and so is the value of the
+    blow-up sequence it views, whose rule ran once at that twist."""
     x, arr = bl4_negative_curves(0, 4, 9)
     ev = Evaluator()
     pair = log_pair(x, arr, ev)
     cot, tan = L.cotangent_tangent_pair(x)
-    assert isinstance(cot, MeetE) and cot.partner is tan
-    (rules,) = [p for p in cot.parts if isinstance(p, BlowupCotE)]
+    assert isinstance(cot, TwistE) and isinstance(cot.inner, SeqE) and cot.partner is tan
     zero = (0,) * x.lattice_rank
     ev.cohom(pair.cotangent_log, zero)
     assert (cot, zero) in ev.cache
-    assert (rules, zero) in ev.cache
+    assert (cot.inner, zero) in ev.cache
 
 
-def test_cycle_members_are_not_recomputed_per_visit():
+def test_cycle_members_are_not_recomputed_per_visit(monkeypatch):
     """A value computed inside a cycle rooted elsewhere is recomputed when it
-    is asked as a root of its own, and not again: the Bl_4 cotangent rule
-    runs at most twice per twist over a whole deficiency verdict."""
+    is asked as a root of its own, and not again: the rule of the Bl_4
+    blow-up sequence runs at most twice per twist over a whole deficiency
+    verdict."""
     x, arr = bl4_negative_curves(0, 4, 9)
     ev = Evaluator()
     runs = Counter()
-    rule = ev._blowup_cotangent
+    seq = L.cotangent_tangent_pair(x)[0].inner
+    rule = seq.rule
 
     def counted(variety, twist):
         runs[twist] += 1
         return rule(variety, twist)
 
-    ev._blowup_cotangent = counted
+    monkeypatch.setattr(seq, "rule", counted)
     assert deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, ev=ev).status == YES
     assert runs and max(runs.values()) <= 2
 
 
-def test_frames_released_when_evaluation_raises():
+def test_frames_released_when_evaluation_raises(monkeypatch):
     """An error raised several frames deep leaves no frame behind: a later
     call sees no stale cycle cut and agrees with a fresh evaluator."""
     x, arr = bl4_negative_curves(0, 4, 9)
     h = vneg(x.canonical_class)
     ev = Evaluator()
     pair = log_pair(x, arr, ev)
-    rule = ev._blowup_cotangent
+    seq = L.cotangent_tangent_pair(x)[0].inner
+    rule = seq.rule
     depth_at_raise = []
 
     def failing(variety, twist):
@@ -265,13 +274,13 @@ def test_frames_released_when_evaluation_raises():
             raise InconsistentHints("injected mid-evaluation")
         return rule(variety, twist)
 
-    ev._blowup_cotangent = failing
+    monkeypatch.setattr(seq, "rule", failing)
     with pytest.raises(InconsistentHints):
         for t in range(-3, 4):
             ev.cohom(pair.tangent_log, vscale(t, h))
     assert depth_at_raise
     assert ev._frames.depth == {} and ev._frames.low == []
-    del ev._blowup_cotangent
+    monkeypatch.undo()
     fresh = Evaluator()
     for side in (pair.cotangent_log, pair.tangent_log):
         for t in range(-3, 4):
@@ -447,23 +456,20 @@ def brute_force_solve(ev, node, twist):
     """The unknown term of a bounded sequence by enumerating every rank
     vector and every flank value: the min/max of b_i = (a_i - rho_{i-1}) +
     (c_i - rho_i) over all assignments with 0 <= rho_i <= c_i, a_{i+1}, the
-    unknown >= 0, and the ranks and unknown inside the hints and pins."""
+    unknown >= 0, and the ranks and unknown inside the bounds and pins of
+    the node's rule."""
     n = node.amb
     terms = {LEFT: node.left, MIDDLE: node.middle, RIGHT: node.right}
     slot = next(name for name, term in terms.items() if term is None)
     known = {name: pad_vec(ev.cohom(term, twist), n + 1) for name, term in terms.items() if term is not None}
     cons = [None if i <= node.cdim else iv(0) for i in range(n + 1)]
     pins, ranks = node.rule(node.variety, twist) if node.rule is not None else (None, None)
-    for given in (node.pins.get(twist), pins):
-        for i, p in enumerate((given or ())[: n + 1]):
-            if p is not None:
-                cons[i] = p if cons[i] is None else iv_meet(cons[i], p)
+    for i, p in enumerate((pins or ())[: n + 1]):
+        if p is not None:
+            cons[i] = p if cons[i] is None else iv_meet(cons[i], p)
     hints = [None] * n
-    given = [(h.degree, h.rank) for h in node.hints if tuple(h.twist) == tuple(twist)]
-    given += [(d, r) for d, r in enumerate(ranks or ()) if r is not None]
-    for d, r in given:
-        if 0 <= d < n:
-            hints[d] = r if hints[d] is None else iv_meet(hints[d], r)
+    for d, r in enumerate((ranks or ())[:n]):
+        hints[d] = r
     a, c = known.get(LEFT), known.get(RIGHT)
     ranges = []
     for i in range(n):
@@ -529,11 +535,13 @@ def bounded_sequences(draw, widened=2, max_width=2, opened=0):
     cdim.  The flanks are exact at those dimensions, except that at most
     `widened` entries widen to intervals of width 1..`max_width` holding
     them, and with `opened` one to `opened` entries lose their upper bound.
-    Rank hints hold their connecting rank and pins the unknown's dimension.
-    Some draws are perturbed: the unknown is pinned to its
-    dimension at every degree, then one flank entry, hint or pin moves by
-    one, which leaves no admissible rank path unless a wide entry takes up
-    the shift."""
+    Rank hints hold their connecting rank and pins the unknown's dimension;
+    both are installed as the sequence's rule at TW, which meets hints of
+    one degree when it is called.  Some draws are perturbed: the unknown is
+    pinned to its dimension at every degree, then one flank entry, hint or
+    pin moves by one, which leaves no admissible rank path unless a wide
+    entry takes up the shift (or the moved hint conflicts with another of
+    its degree, and the rule raises)."""
     n = draw(st.integers(1, 4))
     slot = draw(st.integers(0, 2))  # LEFT, MIDDLE or RIGHT
     cdim = draw(st.integers(n - 1, n))
@@ -568,8 +576,16 @@ def bounded_sequences(draw, widened=2, max_width=2, opened=0):
 
     terms = [FixedE(P2, f) for f in flanks]
     terms.insert(slot, None)
-    hints = tuple(RankHint(TW, d, h, "test") for d, h in hints)
-    return SeqE(P2, *terms, cdim, name="random", hints=hints, pins={TW: pins} if pinned else None)
+
+    def rule(_x, twist):
+        if twist != TW:
+            return None, None
+        ranks = [None] * n
+        for d, h in hints:
+            ranks[d] = h if ranks[d] is None else iv_meet(ranks[d], h)
+        return (pins if pinned else None), ranks
+
+    return SeqE(P2, *terms, cdim, name="random", rule=rule)
 
 
 def solve_or_raise(solve, *args):
@@ -720,7 +736,7 @@ def truncated(node, cut):
         return FixedE(P2, [Iv(v.lo, v.lo + cut) if v.hi is None else v for v in term.vec])
 
     terms = (cut_term(t) for t in (node.left, node.middle, node.right))
-    return SeqE(P2, *terms, node.cdim, name="truncated", hints=node.hints, pins=node.pins)
+    return SeqE(P2, *terms, node.cdim, name="truncated", rule=node.rule)
 
 
 def test_solve_with_open_flanks_matches_truncated_solves():
@@ -751,7 +767,7 @@ def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
     big = 100_000
     a = FixedE(P2, [iv(0), Iv(big, big + 2), iv(big)])
     c = FixedE(P2, [iv(big), iv(big), iv(0)])
-    node = SeqE(P2, a, None, c, 2, name="wide", pins={TW: [None, iv(0), None]})
+    node = SeqE(P2, a, None, c, 2, name="wide", rule=at(TW, pins=[None, iv(0), None]))
     calls = Counter()
     relation = Evaluator._apply_relation
 

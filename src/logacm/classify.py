@@ -177,7 +177,7 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
         cot, _ = cotangent_tangent_pair(x)
         for t in range(1, 7):
             tw = vscale(-t, h)
-            v = pad_vec(ev.cohom(cot, tw), 3)
+            v = pad_vec(ev._cohom(cot, tw), 3)  # tw is a multiple of the checked H
             if not v[1].is_zero:
                 if not v[1].exact:
                     skipped.append(f"h^1(Omega^1({-t}H)) not exactly known; residue-injectivity test skipped")
@@ -278,11 +278,32 @@ def is_tacm(x: VarietyModel, h, arr: Arrangement, cap: int = 8, ev: Evaluator | 
     return _classify(x, h, arr, "tan", cap, ev)[0]
 
 
+def _remembered(ev: Evaluator, key: tuple, compute) -> tuple[Verdict, str]:
+    """compute()'s (verdict, first rule), kept in ``ev.cache`` under key as
+    an immutable snapshot.  Every call returns a fresh ``Verdict``, since
+    callers extend its certificates.  An exception is not kept: it raises
+    again on every call."""
+    snap = ev.cache.get(key)
+    if snap is None:
+        verdict, first = compute()
+        snap = ev.cache[key] = (verdict.status, verdict.witness, tuple(verdict.certificates), first)
+    status, witness, certificates, first = snap
+    return Verdict(status, witness, list(certificates)), first
+
+
 def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator | None) -> tuple[Verdict, str]:
     """(verdict, first failing rule): the rule is the first filter that
-    fails, else the first certificate of a No, else ""."""
+    fails, else the first certificate of a No, else "".  Each verdict is
+    computed once per evaluator, for the Weyl-orbit representative of arr
+    (``_remembered``)."""
     ev = ev or default_evaluator()
+    h = x.check_class(h)
     arr = _orbit_rep(x, h, arr, ev)
+    return _remembered(ev, ("verdict", x, h, arr, side, cap), lambda: _decide(x, h, arr, side, cap, ev))
+
+
+def _decide(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> tuple[Verdict, str]:
+    """``_classify``'s verdict, computed."""
     violations, skipped = necessary_conditions(x, h, arr, side, ev)
     if violations:
         # the first witness any violation carries, every rule with its
@@ -311,7 +332,8 @@ def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Eva
 
 class _WeylOrbits:
     """The Weyl group of Bl_k P^2 as permutations of its (-1)-curves, and
-    the orbit memo of ``_orbit_rep``: one per variety on an evaluator.
+    the orbit memo of ``_orbit_rep``: one per variety in an evaluator's
+    cache.
 
     W is generated by the reflections v -> v + (v.a)a in the simple roots
     a = E_i - E_{i+1} and, for k >= 3, a = H - E_1 - E_2 - E_3.  An
@@ -354,11 +376,12 @@ def _orbit_rep(x: VarietyModel, h, arr: Arrangement, ev: Evaluator) -> Arrangeme
     of D to that of D' and the twist tH to itself when H is a multiple of
     -K, so D and D' have the same cohomology at every tH: the same verdict,
     witness and certificates.  Classifying the representative lets the
-    evaluator's cache and ``log_pairs`` memo serve the whole orbit.  H is
-    never moved, so nothing needs transport back.  The members are
-    compared as bitmasks over ``negative_curves`` (``_WeylOrbits``); an
-    orbit's images are computed on its first member and recorded for
-    every member."""
+    evaluator's cache (its log pairs, values and verdicts) serve the whole
+    orbit.  H is never moved, so nothing needs transport back.  The members
+    are compared as bitmasks over ``negative_curves`` (``_WeylOrbits``,
+    kept in ``ev.cache`` under ("orbits", x), so a cleared cache builds it
+    again); an orbit's images are computed on its first member and recorded
+    for every member."""
     if x.kind != KIND_BLOWUP or x.param < 2:
         return arr
     h = x.check_class(h)
@@ -366,9 +389,10 @@ def _orbit_rep(x: VarietyModel, h, arr: Arrangement, ev: Evaluator) -> Arrangeme
     c = h[0] // mk[0]
     if c < 1 or h != vscale(c, mk):
         return arr
-    table = ev.orbits.get(x)
+    key = ("orbits", x)
+    table = ev.cache.get(key)
     if table is None:
-        table = ev.orbits.setdefault(x, _WeylOrbits(x))
+        table = ev.cache.setdefault(key, _WeylOrbits(x))
     mask = 0
     for comp in arr.components:
         i = table.index.get(comp)
@@ -474,8 +498,18 @@ def deficiency_concentrated_at_zero(
     This is the polarization-dependent sense in which exceptional-curve
     sub-arrangements on small blow-ups are trivial: the only surviving
     graded piece sits at t = 0, so the one-degree Buchsbaum rule applies.
+    Each verdict is computed once per evaluator, for the Weyl-orbit
+    representative of arr, as ``_classify``'s are.
     """
     ev = ev or default_evaluator()
+    h = x.check_class(h)
+    arr = _orbit_rep(x, h, arr, ev)
+    key = ("deficiency", x, h, arr, side, cap)
+    return _remembered(ev, key, lambda: (_concentration(x, h, arr, cap, side, ev), ""))[0]
+
+
+def _concentration(x: VarietyModel, h, arr: Arrangement, cap: int, side: str, ev: Evaluator) -> Verdict:
+    """``deficiency_concentrated_at_zero``'s verdict, computed."""
     certs = []
     for i in range(1, x.dim):
         table = deficiency_table(x, h, arr, i, cap, side, ev)

@@ -23,8 +23,10 @@ Twists are checked once, where they enter: ``Evaluator.cohom``,
 ``cm_regularity_certify`` and ``vanishing_window`` check a class against
 the lattice, and every twist built inside the evaluator from checked
 classes (``vadd``, ``vsub``, ``vscale``) goes to the unchecked step
-``Evaluator._cohom``.  An evaluator also keeps the log pairs that
-``logbundles.log_pair`` built on it (per-evaluator state, like its cache).
+``Evaluator._cohom``.  An evaluator's ``cache`` is its session: every
+result it can reuse, from a cohomology vector to a verdict, is kept there
+keyed by what it was computed from (``Evaluator``), so clearing it makes
+the session cold.
 Vanishing outside finite twist windows is certified via
 Castelnuovo-Mumford regularity (Mumford, *Lectures on Curves on an
 Algebraic Surface*, Lecture 14), by an upward scan over r for the first
@@ -47,6 +49,17 @@ the outermost call, so its value is cached; a frame inside a cycle rooted
 further down is not cached, and passes its mark to its parent.  The
 frame table is a plain attribute of the evaluator, so an evaluator serves
 one thread at a time: each thread takes its own.
+
+A frame of a partnered node that is not cached still keeps part of its
+work.  Its value is its own model (``_raw``) met with its partner's, and
+the cycle closes only through the partner.  If the frame's mark is still
+not below its depth right after ``_raw`` returns, no cut in the raw
+subtree reached a frame below this one: the raw subtree saw only its own
+frames and the cache, as it would under an outermost call, so the raw
+value is the one a root evaluation computes.  It is kept under ("raw",
+expression, twist), and a later visit skips ``_raw`` and does only the
+partner meet; the partner side may still be cut, so the full value stays
+uncached.  Once the node's full value is cached its raw entry is dropped.
 """
 
 from __future__ import annotations
@@ -335,24 +348,35 @@ class Evaluator:
     frame table are plain attributes, so each thread takes its own
     evaluator.
 
-    Cache keys are (expression, twist), the expression by identity, so a
-    rebuilt node is a new entry.  ``partners`` maps each side of a Serre
-    pair registered here to the other side, and ``partner_names`` lists
-    each pair once; evaluation reads partners from the expressions
-    themselves, so every evaluator sees the same duality.
-    ``log_pairs`` is ``logbundles.log_pair``'s memo of the pairs built
-    here, keyed by (variety, arrangement): per-evaluator state, so a fresh
-    evaluator builds its pairs again.  ``orbits`` holds, per variety,
-    ``classify._orbit_rep``'s Weyl group and orbit memo.  Only ``cohom``
-    checks its twist; the steps inside (``_cohom``) take checked classes.
+    ``cache`` is the session memo, and the only one: every result the
+    evaluator can reuse is kept there, keyed by what it was computed from,
+    so ``cache.clear()`` makes the session cold.  Expressions are keys by
+    identity, so a rebuilt node is a new entry.  A key is
+    (expression, twist) for a cohomology vector; every other key is a
+    tuple that starts with a tag string, so it cannot collide with one:
+
+    * ("raw", expression, twist): the raw value of a partnered node inside
+      a Serre cycle rooted further down (module docstring);
+    * ("log_pair", variety, arrangement): ``logbundles.log_pair``'s pair;
+    * ("leaf", variety, component, normal_twist): a component's leaf of
+      ``logbundles.structure_leaves``, shared by every arrangement on it;
+    * ("orbits", variety): ``classify._orbit_rep``'s Weyl group and orbit
+      memo;
+    * ("verdict", variety, H, arrangement, side, cap) and ("deficiency",
+      variety, H, arrangement, side, cap): snapshots of the verdicts of
+      ``classify._classify`` and ``deficiency_concentrated_at_zero``.
+
+    ``partners`` maps each side of a Serre pair registered here to the
+    other side, and ``partner_names`` lists each pair once; evaluation
+    reads partners from the expressions themselves, so every evaluator sees
+    the same duality.  Only ``cohom`` checks its twist; the steps inside
+    (``_cohom``) take checked classes.
     """
 
     def __init__(self):
-        self.cache: dict = {}  # (expression, twist) -> value
+        self.cache: dict = {}  # the session memo: keys in the class docstring
         self.partners: dict[Expr, Expr] = {}  # expression -> partner
         self.partner_names: list[tuple[str, str]] = []
-        self.log_pairs: dict = {}  # (variety, arrangement) -> LogPair
-        self.orbits: dict = {}  # variety -> classify._WeylOrbits
         self._frames = _Frames()  # the (expression, twist) pairs being evaluated
 
     # -- duality record -----------------------------------------------------
@@ -377,7 +401,8 @@ class Evaluator:
     def _cohom(self, expr: Expr, twist) -> tuple[Iv, ...]:
         """``cohom`` at a twist already checked against the lattice."""
         key = (expr, twist)
-        v = self.cache.get(key)
+        cache = self.cache
+        v = cache.get(key)
         if v is not None:
             return v
         frames = self._frames
@@ -394,10 +419,18 @@ class Evaluator:
         d = len(low)
         depth[key] = d
         low.append(d)
+        partner = expr.partner
+        raw = None
         try:
-            v = self._raw(expr, twist)
-            partner = expr.partner
-            if partner is not None:
+            if partner is None:
+                v = self._raw(expr, twist)
+            else:
+                raw_key = ("raw", expr, twist)
+                v = raw = cache.get(raw_key)
+                if raw is None:
+                    v = self._raw(expr, twist)
+                    if low[-1] >= d:
+                        raw = v  # no cut below this frame: a root's raw value
                 k = expr.variety.canonical_class
                 w = self._cohom(partner, vsub(k, twist))
                 v = _meet(v, transpose_vec(pad_vec(w, expr.cdim + 1)), expr, twist)
@@ -407,7 +440,11 @@ class Evaluator:
             if mark < d and mark < low[-1]:
                 low[-1] = mark  # inside a cycle rooted below: so is the parent
         if mark >= d:
-            self.cache[key] = v  # root of every cycle it met: a stable fixpoint
+            cache[key] = v  # root of every cycle it met: a stable fixpoint
+            if raw is not None:
+                cache.pop(raw_key, None)
+        elif raw is not None:
+            cache[raw_key] = raw  # a later visit does only the partner meet
         return v
 
     def _raw(self, expr: Expr, twist) -> tuple[Iv, ...]:

@@ -176,20 +176,31 @@ class LogPair:
         return self.cotangent_log if check_side(side) == "cot" else self.tangent_log
 
 
-def structure_leaves(x: VarietyModel, arr: Arrangement, normal_twist: bool) -> list[Expr]:
-    """O_{D_i} (residue right term) or O_{D_i}(D_i) (log-tangent right term)."""
+def structure_leaves(x: VarietyModel, arr: Arrangement, normal_twist: bool, ev: Evaluator) -> list[Expr]:
+    """O_{D_i} (residue right term) or O_{D_i}(D_i) (log-tangent right term).
+
+    Each leaf is built once per evaluator, kept in ``ev.cache`` under
+    ("leaf", x, component, normal_twist), so arrangements that share a
+    component share its leaf and the leaf's cache entries."""
+    cache = ev.cache
     leaves = []
     for c in arr.components:
-        if x.kind == KIND_PN:
-            d = c.klass[0]
-            leaves.append(HyperE(x, d, d if normal_twist else 0))  # O_D(D) = O_D(d)
-            continue
-        base = c.normal_degree(x) if normal_twist else 0
-        if c.klass is not None:
-            leaves.append(CurveE(x, c.genus, base, klass=c.klass))
-        else:
-            leaves.append(CurveE(x, c.genus, base, deg_h=c.deg_h))
+        key = ("leaf", x, c, normal_twist)
+        leaf = cache.get(key)
+        if leaf is None:
+            leaf = cache[key] = _leaf(x, c, normal_twist)
+        leaves.append(leaf)
     return leaves
+
+
+def _leaf(x: VarietyModel, c, normal_twist: bool) -> Expr:
+    if x.kind == KIND_PN:
+        d = c.klass[0]
+        return HyperE(x, d, d if normal_twist else 0)  # O_D(D) = O_D(d)
+    base = c.normal_degree(x) if normal_twist else 0
+    if c.klass is not None:
+        return CurveE(x, c.genus, base, klass=c.klass)
+    return CurveE(x, c.genus, base, deg_h=c.deg_h)
 
 
 def is_hyperplane_arrangement(x: VarietyModel, arr: Arrangement) -> bool:
@@ -245,22 +256,24 @@ def repeated_rigid_class(x: VarietyModel, classes) -> tuple | None:
 def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> LogPair:
     """Residue and log-tangent sequence models for (X, D).
 
-    Built once per evaluator: ``ev.log_pairs`` keeps each pair built, keyed
-    by (x, arr), and a later call returns it.  Every call registers the
-    Omega^1/T pair and the log pair on ``ev`` (a no-op once recorded), so a
-    cleared partner record is filled again as a fresh build would fill it.
-    An invalid arrangement raises on every call and is not kept."""
+    Built once per evaluator: ``ev.cache`` keeps each pair built under
+    ("log_pair", x, arr), and a later call returns it, until the cache is
+    cleared.  Every call registers the Omega^1/T pair and the log pair on
+    ``ev`` (a no-op once recorded), so a cleared partner record is filled
+    again as a fresh build would fill it.  An invalid arrangement raises on
+    every call and leaves nothing in the cache."""
     ev = ev or default_evaluator()
     cot, tan = cotangent_tangent_pair(x)
-    pair = ev.log_pairs.get((x, arr))
+    key = ("log_pair", x, arr)
+    pair = ev.cache.get(key)
     if pair is None:
-        pair = ev.log_pairs.setdefault((x, arr), _build_log_pair(x, arr, cot, tan))
+        pair = ev.cache.setdefault(key, _build_log_pair(x, arr, cot, tan, ev))
     ev.register_dual(cot, tan)  # the Omega^1/T pair, on the caller's evaluator
     ev.register_dual(pair.cotangent_log, pair.tangent_log)
     return pair
 
 
-def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr) -> LogPair:
+def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr, ev: Evaluator) -> LogPair:
     notes = []
     if not arr.snc:
         raise InputError("arrangement must assert simple normal crossings")
@@ -288,7 +301,7 @@ def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr) -> 
     def span_rule(_x, tw):  # the coboundary at twist 0 spans the component classes
         return (None, (span_hint,)) if tw == zero else (None, None)
 
-    right = SumE(structure_leaves(x, arr, normal_twist=False))
+    right = SumE(structure_leaves(x, arr, normal_twist=False, ev=ev))
     cot_log: Expr = SeqE(x, cot, None, right, n, name="residue", rule=span_rule)
 
     if is_hyperplane_arrangement(x, arr):
@@ -301,7 +314,7 @@ def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr) -> 
         notes.append(f"quadric ruling arrangement ({rc[0]},{rc[1]}): split model installed")
         cot_log = MeetE([_ruling_split(x, *rc), cot_log])
 
-    tan_log = SeqE(x, None, tan, SumE(structure_leaves(x, arr, normal_twist=True)), n, name="log tangent")
+    tan_log = SeqE(x, None, tan, SumE(structure_leaves(x, arr, normal_twist=True, ev=ev)), n, name="log tangent")
     serre_pair(cot_log, tan_log)
     return LogPair(x, arr, cot_log, tan_log, tuple(notes))
 

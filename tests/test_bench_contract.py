@@ -10,8 +10,9 @@ takes the same pass as any other, so the coarse counter reads 0.  In the
 engine an open end now comes only from a Serre-cycle cut, so the check
 builds its unbounded flank from an open leaf of its own, evaluated by an
 ``Evaluator`` subclass that inherits the traced ``_solve``.  It also checks
-that the default evaluator's ``log_pair`` memo, which ``reset_session``
-leaves in place, keeps both."""
+that ``reset_session`` makes the default evaluator's session cold: its log
+pairs, like every other memo, live in the cache that the reset clears, and
+the tracer still counts each ``log_pair`` call."""
 
 import os
 import subprocess
@@ -51,9 +52,10 @@ assert tracer.counts["exactseq.solve.points"] > 0, tracer.counts
 assert calls["exactseq.solve"] >= 2 and calls["exactseq.solve_coarse"] == 0, calls
 """
 
-# the default evaluator keeps each log pair it built, and reset_session does
-# not clear that memo: a hit must fill the cleared partner record as the
-# first build in a fresh interpreter did, and the tracer must count it
+# the default evaluator keeps each log pair it built in its cache, so
+# reset_session clears that memo with every other: the next call builds the
+# pair again and fills the cleared partner record as the first build did,
+# and the tracer counts every call, hit or build
 MEMO_CODE = """
 import make_reference, tracing
 import logacm as L
@@ -65,15 +67,17 @@ ev = L.default_evaluator()
 pair = L.log_pair(x, arr)
 fresh = ev.serre_dual_pairs()
 assert len(fresh) == 2, fresh
-make_reference.reset_session()
-assert ev.serre_dual_pairs() == []
 assert L.log_pair(x, arr) is pair
+make_reference.reset_session()
+assert ev.serre_dual_pairs() == [] and ev.cache == {}
+rebuilt = L.log_pair(x, arr)
+assert rebuilt is not pair
 assert ev.serre_dual_pairs() == fresh
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
 for _ in range(3):
-    assert logbundles.log_pair(x, arr) is pair
+    assert logbundles.log_pair(x, arr) is rebuilt
 L.is_acm(x, (1, 2), arr)
 calls, _ = tracer.summary()
 assert calls["logbundles.log_pair"] == 4, calls

@@ -2,7 +2,7 @@ import pytest
 
 import logacm as L
 from logacm.classify import NO, YES, deficiency_concentrated_at_zero, f0_split_acm_oracle
-from logacm.errors import InputError, IntervalPresent, NotAmple, OutOfScope
+from logacm.errors import InputError, IntervalPresent, NotAmple, NotVeryAmple, OutOfScope
 from logacm.exactseq import Evaluator
 from logacm.varieties import vneg
 
@@ -718,3 +718,128 @@ def test_orbit_rep_leaves_other_inputs_unchanged():
     repeated = L.arrangement(bl3, [L.component_from_class(bl3, (0, 0, 1, 0))] * 2)
     assert _orbit_rep(bl3, mk, repeated, ev) is repeated
     assert _orbit_rep(bl3, (6, -2, -2, -2), repeated, ev) is repeated
+
+
+# -- the evaluator's session memo ---------------------------------------------
+
+
+def bench_workloads():
+    """The benchmark's input spaces (``bench/workloads.py``), loaded by path."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # registered first: its dataclasses look their module up
+    return module
+
+
+def search_data(x, h, cb, mb, side, ev):
+    return [(combo, v.status, v.witness, v.certificates, first) for combo, v, first in L.search(x, h, cb, mb, side, ev=ev)]
+
+
+def test_memoized_search_equals_a_fresh_evaluator_in_either_order():
+    """Every sweep spec, asked on one shared evaluator in listed and then in
+    reversed order, gives the combos, verdicts, witnesses, certificates and
+    first rules that a fresh evaluator per spec gives."""
+    specs = bench_workloads().sweep_space()
+    assert len(specs) == 56
+
+    def inputs(spec):
+        name, h, cb, mb, side = spec
+        x = L.quadric_surface() if name == "quadric" else L.hirzebruch(int(name[1:]))
+        return x, h, cb, mb, side
+
+    alone = [search_data(*inputs(s), Evaluator()) for s in specs]
+    ev = Evaluator()
+    shared = [search_data(*inputs(s), ev) for s in specs]
+    reverse = [search_data(*inputs(s), ev) for s in specs[::-1]][::-1]
+    assert [i for i, (a, s, r) in enumerate(zip(alone, shared, reverse)) if not a == s == r] == []
+
+
+def test_remembered_verdicts_are_fresh_copies():
+    """Extending a returned verdict's certificates changes no later answer."""
+    ev = Evaluator()
+    q = L.quadric_surface()
+    arr = L.arrangement(q, [L.component_from_class(q, (1, 0)), L.component_from_class(q, (0, 1))])
+    bl3 = L.blowup_p2(3)
+    mk = vneg(bl3.canonical_class)
+    for ask in (
+        lambda: L.is_acm(q, (1, 1), arr, ev=ev),
+        lambda: L.is_tacm(q, (2, 1), arr, ev=ev),
+        lambda: deficiency_concentrated_at_zero(bl3, mk, exceptional_arrangement(bl3), ev=ev),
+    ):
+        first = ask()
+        want = (first.status, first.witness, list(first.certificates))
+        first.certificates.append("changed by the caller")
+        again = ask()
+        assert (again.status, again.witness, again.certificates) == want
+        assert again is not first and again.certificates is not first.certificates
+
+
+def test_failed_verdicts_raise_again_and_are_not_kept():
+    """A non-ample H and an invalid arrangement raise on every call and keep
+    no verdict: the cache holds only what the steps that succeeded built
+    (the numeric filters' cohomology, a valid arrangement's log pair)."""
+    from logacm.classify import _classify
+
+    x = L.hirzebruch(1)
+    section, fibre = L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))
+    ev = Evaluator()
+    for _ in range(2):
+        with pytest.raises(NotAmple):
+            L.is_acm(x, (1, 1), L.arrangement(x, [fibre]), ev=ev)
+    assert ev.cache == {}
+    for _ in range(2):
+        with pytest.raises(NotVeryAmple):  # the window needs a very ample H
+            deficiency_concentrated_at_zero(x, (1, 1), L.arrangement(x, [fibre]), ev=ev)
+    built = Evaluator()
+    L.log_pair(x, L.arrangement(x, [fibre]), built)
+    assert ev.cache.keys() == built.cache.keys()
+
+    h = (1, 2)
+    for arr, reason in (
+        (L.arrangement(x, [section, section]), "rigid"),
+        (L.Arrangement((section, fibre), 2, snc=False), "normal crossings"),
+    ):
+        for side in ("cot", "tan"):
+            ev = Evaluator()
+            for _ in range(2):
+                with pytest.raises(InputError, match=reason):
+                    _classify(x, h, arr, side, 8, ev)
+                with pytest.raises(InputError, match=reason):
+                    deficiency_concentrated_at_zero(x, h, arr, side=side, ev=ev)
+            filters = Evaluator()
+            L.necessary_conditions(x, h, arr, side, filters)
+            assert ev.cache.keys() == filters.cache.keys()
+
+
+def test_cleared_cache_is_a_cold_session(monkeypatch):
+    """``ev.cache.clear()`` is the whole reset: afterwards ``log_pair``
+    builds new nodes and ``_orbit_rep`` builds its Weyl table again, and the
+    answers are the ones the first session gave."""
+    import logacm.classify as C
+
+    built = []
+
+    class Counted(C._WeylOrbits):
+        def __init__(self, x):
+            built.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(C, "_WeylOrbits", Counted)
+    x = L.blowup_p2(3)
+    mk = vneg(x.canonical_class)
+    arr = exceptional_arrangement(x, 2)
+    ev = Evaluator()
+    pair = L.log_pair(x, arr, ev)
+    first = deficiency_concentrated_at_zero(x, mk, arr, ev=ev)
+    assert L.log_pair(x, arr, ev) is pair and deficiency_concentrated_at_zero(x, mk, arr, ev=ev) == first
+    assert built == [x]
+    ev.cache.clear()
+    again = L.log_pair(x, arr, ev)
+    assert again is not pair and again.cotangent_log is not pair.cotangent_log
+    assert deficiency_concentrated_at_zero(x, mk, arr, ev=ev) == first
+    assert built == [x, x]

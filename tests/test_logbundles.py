@@ -391,8 +391,8 @@ def test_log_pair_records_both_serre_pairs_on_its_evaluator():
 
 def test_invalid_arrangement_raises_on_every_call_and_is_not_kept():
     """A non-effective class, a rigid class listed twice and a non-SNC
-    arrangement each raise on every call; the evaluator keeps no pair and
-    records no Serre pair for them."""
+    arrangement each raise on every call; the evaluator's cache keeps
+    nothing and its partner record no Serre pair for them."""
     x = L.hirzebruch(1)
     section, fibre = L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))
     invalid = [
@@ -405,7 +405,7 @@ def test_invalid_arrangement_raises_on_every_call_and_is_not_kept():
         for _ in range(2):
             with pytest.raises(InputError, match=reason):
                 log_pair(x, arr, ev)
-        assert ev.log_pairs == {} and ev.serre_dual_pairs() == [] and ev.partners == {}
+        assert ev.cache == {} and ev.serre_dual_pairs() == [] and ev.partners == {}
 
 
 def test_log_pair_hit_restores_a_cleared_partner_record():

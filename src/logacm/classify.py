@@ -467,11 +467,12 @@ def deficiency_table(
     ev: Evaluator | None = None,
 ) -> DeficiencyTable:
     """Graded dimensions of H^i_* over the certified window; entries outside
-    the window are zero by the regularity certificates."""
+    the window are zero by the regularity certificates; a non-ample H
+    raises ``NotAmple`` first."""
     ev = ev or default_evaluator()
     if not 1 <= degree <= x.dim - 1:
         raise InputError(f"deficiency degree must be in 1..{x.dim - 1}")
-    h = x.check_class(h)
+    h = x.check_ample(h)
     arr = _orbit_rep(x, h, arr, ev)
     expr = log_pair(x, arr, ev).for_side(side)
     window = vanishing_window(expr, h, cap=cap, ev=ev)
@@ -499,7 +500,9 @@ def deficiency_concentrated_at_zero(
     sub-arrangements on small blow-ups are trivial: the only surviving
     graded piece sits at t = 0, so the one-degree Buchsbaum rule applies.
     Each verdict is computed once per evaluator, for the Weyl-orbit
-    representative of arr, as ``_classify``'s are.
+    representative of arr, as ``_classify``'s are; a non-ample H raises
+    ``NotAmple`` before anything is built (``deficiency_table``), as in
+    ``is_acm``.
     """
     ev = ev or default_evaluator()
     h = x.check_class(h)

@@ -166,17 +166,16 @@ class CurveE(Expr):
 
 @dataclass(eq=False)
 class HyperE(Expr):
-    """Structure sheaf of a degree-d hypersurface in P^n, shifted by `shift`."""
+    """Structure sheaf of a degree-d hypersurface in P^n."""
 
     variety: VarietyModel
     d: int
-    shift: int = 0
 
     def __post_init__(self):
         self.cdim = self.variety.dim - 1
 
     def __repr__(self):
-        return f"O_D(deg {self.d};{self.shift:+d})"
+        return f"O_D(deg {self.d})"
 
 
 @dataclass(eq=False)
@@ -358,7 +357,7 @@ class Evaluator:
     * ("raw", expression, twist): the raw value of a partnered node inside
       a Serre cycle rooted further down (module docstring);
     * ("log_pair", variety, arrangement): ``logbundles.log_pair``'s pair;
-    * ("leaf", variety, component, normal_twist): a component's leaf of
+    * ("leaf", variety, component): a component's leaf of
       ``logbundles.structure_leaves``, shared by every arrangement on it;
     * ("orbits", variety): ``classify._orbit_rep``'s Weyl group and orbit
       memo;
@@ -552,7 +551,7 @@ def _meet_parts(ev: Evaluator, expr: MeetE, twist) -> tuple[Iv, ...]:
 _RAW = {
     LineE: lambda ev, e, t: exact_vec(line_cohom(e.variety, vadd(e.klass, t))),
     CurveE: lambda ev, e, t: cohom_line_curve(e.genus, e.degree_at(t)),
-    HyperE: lambda ev, e, t: exact_vec(cohom_ci(e.variety.dim, (e.d,), e.shift + t[0])),
+    HyperE: lambda ev, e, t: exact_vec(cohom_ci(e.variety.dim, (e.d,), t[0])),
     BottE: lambda ev, e, t: exact_vec(cohom_bott(e.n, e.p, e.shift + t[0])),
     SumE: _sum,
     TwistE: lambda ev, e, t: ev._cohom(e.inner, vadd(t, e.by)),

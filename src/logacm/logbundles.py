@@ -1,11 +1,14 @@
 """Cotangent and log-sheaf expressions for every catalog variety.
 
-Builds the residue and log-tangent sequences of an arrangement, gives each
-sequence its rule of known facts (Hodge numbers and tangent-section counts
-on F_e, section counts on the del Pezzo blow-ups, the Jacobian-ring rank on
-surfaces in P^3, the coboundary span rank) and installs the split-bundle
-upgrades for hyperplane arrangements on P^n and ruling arrangements on the
-quadric.
+Builds the residue sequence of an arrangement, gives each sequence its rule
+of known facts (Hodge numbers and tangent-section counts on F_e, section
+counts on the del Pezzo blow-ups, the Jacobian-ring rank on surfaces in
+P^3, the coboundary span rank) and installs the split-bundle upgrades for
+hyperplane arrangements on P^n and ruling arrangements on the quadric.
+T_X(-log D) is the dual of Omega^1_X(log D) for an SNC divisor (Esnault and
+Viehweg, *Lectures on Vanishing Theorems*, 1992, Section 2), so the
+log-tangent side is a ``DualE`` of the residue side and one solve serves
+both.
 """
 
 from __future__ import annotations
@@ -176,31 +179,27 @@ class LogPair:
         return self.cotangent_log if check_side(side) == "cot" else self.tangent_log
 
 
-def structure_leaves(x: VarietyModel, arr: Arrangement, normal_twist: bool, ev: Evaluator) -> list[Expr]:
-    """O_{D_i} (residue right term) or O_{D_i}(D_i) (log-tangent right term).
+def structure_leaves(x: VarietyModel, arr: Arrangement, ev: Evaluator) -> list[Expr]:
+    """The O_{D_i}, the residue sequence's right term.
 
     Each leaf is built once per evaluator, kept in ``ev.cache`` under
-    ("leaf", x, component, normal_twist), so arrangements that share a
-    component share its leaf and the leaf's cache entries."""
+    ("leaf", x, component), so arrangements that share a component share its
+    leaf and the leaf's cache entries."""
     cache = ev.cache
     leaves = []
     for c in arr.components:
-        key = ("leaf", x, c, normal_twist)
+        key = ("leaf", x, c)
         leaf = cache.get(key)
         if leaf is None:
-            leaf = cache[key] = _leaf(x, c, normal_twist)
+            leaf = cache[key] = _leaf(x, c)
         leaves.append(leaf)
     return leaves
 
 
-def _leaf(x: VarietyModel, c, normal_twist: bool) -> Expr:
+def _leaf(x: VarietyModel, c) -> Expr:
     if x.kind == KIND_PN:
-        d = c.klass[0]
-        return HyperE(x, d, d if normal_twist else 0)  # O_D(D) = O_D(d)
-    base = c.normal_degree(x) if normal_twist else 0
-    if c.klass is not None:
-        return CurveE(x, c.genus, base, klass=c.klass)
-    return CurveE(x, c.genus, base, deg_h=c.deg_h)
+        return HyperE(x, c.klass[0])
+    return CurveE(x, c.genus, 0, klass=c.klass, deg_h=c.deg_h)
 
 
 def is_hyperplane_arrangement(x: VarietyModel, arr: Arrangement) -> bool:
@@ -254,14 +253,15 @@ def repeated_rigid_class(x: VarietyModel, classes) -> tuple | None:
 
 
 def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> LogPair:
-    """Residue and log-tangent sequence models for (X, D).
+    """The residue sequence model of Omega^1(log D) and its dual view
+    T(-log D), which needs no Serre partner, for (X, D).
 
     Built once per evaluator: ``ev.cache`` keeps each pair built under
     ("log_pair", x, arr), and a later call returns it, until the cache is
-    cleared.  Every call registers the Omega^1/T pair and the log pair on
-    ``ev`` (a no-op once recorded), so a cleared partner record is filled
-    again as a fresh build would fill it.  An invalid arrangement raises on
-    every call and leaves nothing in the cache."""
+    cleared.  Every call registers the Omega^1/T pair on ``ev`` (a no-op
+    once recorded), so a cleared partner record is filled again as a fresh
+    build would fill it.  An invalid arrangement raises on every call and
+    leaves nothing in the cache."""
     ev = ev or default_evaluator()
     cot, tan = cotangent_tangent_pair(x)
     key = ("log_pair", x, arr)
@@ -269,7 +269,6 @@ def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> 
     if pair is None:
         pair = ev.cache.setdefault(key, _build_log_pair(x, arr, cot, tan, ev))
     ev.register_dual(cot, tan)  # the Omega^1/T pair, on the caller's evaluator
-    ev.register_dual(pair.cotangent_log, pair.tangent_log)
     return pair
 
 
@@ -301,7 +300,7 @@ def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr, ev:
     def span_rule(_x, tw):  # the coboundary at twist 0 spans the component classes
         return (None, (span_hint,)) if tw == zero else (None, None)
 
-    right = SumE(structure_leaves(x, arr, normal_twist=False, ev=ev))
+    right = SumE(structure_leaves(x, arr, ev))
     cot_log: Expr = SeqE(x, cot, None, right, n, name="residue", rule=span_rule)
 
     if is_hyperplane_arrangement(x, arr):
@@ -314,9 +313,7 @@ def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr, ev:
         notes.append(f"quadric ruling arrangement ({rc[0]},{rc[1]}): split model installed")
         cot_log = MeetE([_ruling_split(x, *rc), cot_log])
 
-    tan_log = SeqE(x, None, tan, SumE(structure_leaves(x, arr, normal_twist=True, ev=ev)), n, name="log tangent")
-    serre_pair(cot_log, tan_log)
-    return LogPair(x, arr, cot_log, tan_log, tuple(notes))
+    return LogPair(x, arr, cot_log, DualE(cot_log), tuple(notes))
 
 
 # -- fixed numeric ledger chains ---------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 import logacm as L
 from logacm.classify import NO, YES, deficiency_concentrated_at_zero, f0_split_acm_oracle
-from logacm.errors import InputError, IntervalPresent, NotAmple, NotVeryAmple, OutOfScope
+from logacm.errors import InputError, IntervalPresent, NotAmple, OutOfScope
 from logacm.exactseq import Evaluator
 from logacm.varieties import vneg
 
@@ -782,7 +782,8 @@ def test_remembered_verdicts_are_fresh_copies():
 def test_failed_verdicts_raise_again_and_are_not_kept():
     """A non-ample H and an invalid arrangement raise on every call and keep
     no verdict: the cache holds only what the steps that succeeded built
-    (the numeric filters' cohomology, a valid arrangement's log pair)."""
+    (the numeric filters' cohomology).  A non-ample H is refused before
+    anything is built, by the classifier and the deficiency verdicts alike."""
     from logacm.classify import _classify
 
     x = L.hirzebruch(1)
@@ -791,13 +792,11 @@ def test_failed_verdicts_raise_again_and_are_not_kept():
     for _ in range(2):
         with pytest.raises(NotAmple):
             L.is_acm(x, (1, 1), L.arrangement(x, [fibre]), ev=ev)
-    assert ev.cache == {}
-    for _ in range(2):
-        with pytest.raises(NotVeryAmple):  # the window needs a very ample H
+        with pytest.raises(NotAmple):
             deficiency_concentrated_at_zero(x, (1, 1), L.arrangement(x, [fibre]), ev=ev)
-    built = Evaluator()
-    L.log_pair(x, L.arrangement(x, [fibre]), built)
-    assert ev.cache.keys() == built.cache.keys()
+        with pytest.raises(NotAmple):
+            L.deficiency_table(x, (1, 1), L.arrangement(x, [fibre]), ev=ev)
+    assert ev.cache == {}
 
     h = (1, 2)
     for arr, reason in (

@@ -184,21 +184,25 @@ def test_serre_dual_pairs_registry(monkeypatch):
 
 
 def test_log_pair_built_once_per_evaluator():
-    """An evaluator keeps the log pair it built and records each Serre pair
-    once; a fresh evaluator builds its own nodes, and a side of one pair
-    cannot take a side of the other as a second partner."""
+    """An evaluator keeps the log pair it built and records the Omega^1/T
+    Serre pair once; the log tangent side is the dual view of the residue
+    side, with no Serre partner of its own; a fresh evaluator builds its own
+    nodes, and a side of the Omega^1/T pair cannot take a second partner."""
     x = L.hirzebruch(1)
     arr = L.arrangement(x, [L.component_from_class(x, c) for c in [(1, 0), (0, 1), (1, 1)]])
+    cot, tan = L.cotangent_tangent_pair(x)
     ev = Evaluator()
     p = log_pair(x, arr, ev)
     pairs = ev.serre_dual_pairs()
     assert log_pair(x, arr, ev) is p  # built once per evaluator
     q = log_pair(x, arr, Evaluator())  # a fresh evaluator builds the pair again
     assert p.cotangent_log is not q.cotangent_log
-    assert len(pairs) == 2  # the Omega^1/T pair and the log pair, once each
+    assert isinstance(p.tangent_log, DualE) and p.tangent_log.inner is p.cotangent_log
+    assert p.cotangent_log.partner is None and p.tangent_log.partner is None
+    assert pairs == [(repr(cot), repr(tan))]  # the Omega^1/T pair, once
     assert ev.serre_dual_pairs() == pairs
     with pytest.raises(InputError):  # an expression gets its Serre partner once
-        serre_pair(p.cotangent_log, q.tangent_log)
+        serre_pair(cot, q.tangent_log)
 
 
 def test_pn_tangent_is_the_dual_of_its_cotangent():
@@ -818,9 +822,10 @@ def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
 
 
 def test_kernel_matches_rank_path_solve_on_searches(monkeypatch):
-    """Every (node, twist) solved while searching F_1 at H = (1, 2), and F_0
-    and the quadric at H = (1, 1), on both sides, solves to the same value
-    or error with the kernel and with ``rank_path_solve``."""
+    """Every (node, twist) solved while searching F_1 at H = (1, 2), F_0
+    and the quadric at H = (1, 1), F_2 at H = (1, 3) and F_3 at H = (1, 4),
+    on both sides, solves to the same value or error with the kernel and
+    with ``rank_path_solve``."""
     seen = {}
     kernel = Evaluator._solve
 
@@ -830,7 +835,14 @@ def test_kernel_matches_rank_path_solve_on_searches(monkeypatch):
 
     monkeypatch.setattr(Evaluator, "_solve", recorded)
     ev = Evaluator()
-    for x, h in ((L.hirzebruch(1), (1, 2)), (L.hirzebruch(0), (1, 1)), (L.quadric_surface(), (1, 1))):
+    searches = (
+        (L.hirzebruch(1), (1, 2)),
+        (L.hirzebruch(0), (1, 1)),
+        (L.quadric_surface(), (1, 1)),
+        (L.hirzebruch(2), (1, 3)),
+        (L.hirzebruch(3), (1, 4)),
+    )
+    for x, h in searches:
         for side in ("cot", "tan"):
             L.search(x, h, 1, 2, side, ev=ev)
     monkeypatch.undo()
@@ -873,7 +885,9 @@ def test_raw_dispatches_on_the_node_type(monkeypatch):
     monkeypatch.setattr(Evaluator, "_raw", dispatched)
     monkeypatch.setattr(Evaluator, "_solve", counted)
     got = ev.cohom(pair.tangent_log, (1, 2))
-    assert calls["solves"] == calls["sequences"] >= 4, calls
+    # the residue sequence at K - t, and T_F1 at two twists: inside it as
+    # Omega^1 = T(K), and as Omega^1's Serre partner
+    assert calls["solves"] == calls["sequences"] >= 3, calls
     monkeypatch.undo()
     fresh = Evaluator()
     assert got == fresh.cohom(log_pair(x, pair.arrangement, fresh).tangent_log, (1, 2))

@@ -9,8 +9,20 @@ import logacm as L
 from logacm import classify, logbundles
 from logacm.classify import deficiency_concentrated_at_zero, is_acm
 from logacm.errors import InputError, NotRulingArrangement
-from logacm.exactseq import Evaluator, Expr, MeetE, TwistE, default_evaluator, serre_pair
-from logacm.intervals import pad_vec
+from logacm.exactseq import (
+    CurveE,
+    DualE,
+    Evaluator,
+    Expr,
+    HyperE,
+    MeetE,
+    SeqE,
+    SumE,
+    TwistE,
+    default_evaluator,
+    serre_pair,
+)
+from logacm.intervals import meet_vecs, pad_vec, transpose_vec
 from logacm.linebundles import binom
 from logacm.logbundles import (
     cotangent_tangent_pair,
@@ -19,7 +31,7 @@ from logacm.logbundles import (
     quadric_ruling_splitting,
     ruling_counts,
 )
-from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, Component, vneg, vscale
+from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, KIND_PN, Component, vneg, vscale, vsub
 
 from conftest import catalog_surfaces
 
@@ -245,6 +257,62 @@ def test_log_tangent_dual_consistency():
                 assert a[i].lo == b[2 - i].lo, (t, i)
 
 
+def _dual_check_arrangements():
+    """(X, twists, D) covering every leaf kind of the residue sequence: F_0..F_3
+    and the quadric at |a|, |b| <= 5; Bl_1..Bl_4 along multiples of K; P^2
+    and P^3 with curved components and hyperplanes, and surfaces in P^3 and
+    an abelian surface (positive-genus sections among them) at |t| <= 5."""
+    box = list(product(range(-5, 6), repeat=2))
+    line = [(t,) for t in range(-5, 6)]
+    out = []
+    for e in range(4):
+        x = L.hirzebruch(e)
+        for classes in ([(1, 0)], [(0, 1)], [(1, 0), (0, 1)], [(1, e), (0, 1), (0, 1)], [(1, e + 1)]):
+            out.append((x, box, [L.component_from_class(x, c) for c in classes]))
+    q = L.quadric_surface()
+    for classes in ([(1, 0), (1, 0), (0, 1)], [(1, 1)], [(1, 1), (1, 0)]):
+        out.append((q, box, [L.component_from_class(q, c) for c in classes]))
+    for k in range(1, 5):
+        x = L.blowup_p2(k)
+        along_k = [vscale(t, x.canonical_class) for t in range(-5, 6)]
+        for curves in (x.negative_curves[:1], x.negative_curves[:2], x.negative_curves[-2:]):
+            out.append((x, along_k, [L.component_from_class(x, c) for c in curves]))
+    for n, degrees in ((2, [2]), (2, [3]), (2, [2, 1]), (2, [1, 1, 1]), (3, [2]), (3, [3, 1]), (3, [1] * 6)):
+        x = L.projective_space(n)
+        out.append((x, line, [L.component_from_class(x, (d,)) for d in degrees]))
+    for d in (3, 4):
+        x = L.surface_in_p3(d)
+        out.append((x, line, [L.component_from_class(x, (1,))]))  # a plane section, genus (d-1)(d-2)/2
+        out.append((x, line, [L.component_from_degree(x, 1, 0), L.component_from_degree(x, 2, 0)]))
+    a = L.abelian_surface(2)
+    out.append((a, line, [L.component_from_class(a, (1,))]))
+    return [(x, twists, L.arrangement(x, comps)) for x, twists, comps in out]
+
+
+def test_log_tangent_side_is_the_dual_view_of_the_residue_side():
+    """T(-log D) is the dual of Omega^1(log D), so the log-tangent sequence
+    0 -> T(-log D) -> T -> (+) O_{D_i}(D_i) -> 0, solved on its own, never
+    narrows the residue side's transposed value: met with it, it gives the
+    ``tangent_log`` value, on a fresh evaluator."""
+    for x, twists, arr in _dual_check_arrangements():
+        ev = Evaluator()
+        pair = log_pair(x, arr, ev)
+        _, tan = cotangent_tangent_pair(x)
+        leaves = []
+        for c in arr.components:
+            if x.kind == KIND_PN:
+                leaves.append(TwistE(HyperE(x, c.klass[0]), c.klass))  # O_D(D) = O_D(d)
+            else:
+                leaves.append(CurveE(x, c.genus, c.normal_degree(x), klass=c.klass, deg_h=c.deg_h))
+        sequence = SeqE(x, None, tan, SumE(leaves), x.dim, name="log tangent")
+        k = x.canonical_class
+        for t in twists:
+            residue = ev.cohom(pair.cotangent_log, vsub(k, t))
+            dual = transpose_vec(pad_vec(residue, x.dim + 1))
+            solved = pad_vec(ev.cohom(sequence, t), x.dim + 1)
+            assert meet_vecs(solved, dual) == ev.cohom(pair.tangent_log, t), (x.kind, x.param, arr, t)
+
+
 def test_effectivity_validation():
     x = L.hirzebruch(2)
     with pytest.raises(InputError):
@@ -372,17 +440,20 @@ def test_catalog_tables_do_not_depend_on_evaluator_or_order():
     assert tables(Evaluator(), -1) == default
 
 
-def test_log_pair_records_both_serre_pairs_on_its_evaluator():
-    """The caller's evaluator lists the Omega^1/T pair it applies as well as
-    the log pair, and a repeated verdict adds neither again."""
+def test_log_pair_records_one_serre_pair_on_its_evaluator():
+    """The caller's evaluator lists the Omega^1/T pair it applies, and only
+    that: the log tangent side is the dual view of the residue side, not a
+    Serre partner.  A repeated verdict adds nothing again."""
     x = L.quadric_surface()
     arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
     ev = Evaluator()
     first = is_acm(x, (1, 1), arr, ev=ev)
     cot, tan = cotangent_tangent_pair(x)
+    pair = log_pair(x, arr, ev)
+    assert isinstance(pair.tangent_log, DualE) and pair.tangent_log.inner is pair.cotangent_log
     pairs = ev.serre_dual_pairs()
-    assert len(pairs) == 2 and (repr(cot), repr(tan)) in pairs
-    assert ev.partners[cot] is tan and ev.partners[tan] is cot
+    assert pairs == [(repr(cot), repr(tan))]
+    assert ev.partners == {cot: tan, tan: cot}
     partners = dict(ev.partners)
     assert is_acm(x, (1, 1), arr, ev=ev) == first
     assert ev.serre_dual_pairs() == pairs
@@ -409,14 +480,13 @@ def test_invalid_arrangement_raises_on_every_call_and_is_not_kept():
 
 
 def test_log_pair_hit_restores_a_cleared_partner_record():
-    """A memo hit registers both Serre pairs again, so after the partner
-    record is cleared it reads as a fresh build leaves it."""
+    """A memo hit registers the Omega^1/T Serre pair again, so after the
+    partner record is cleared it reads as a fresh build leaves it; the log
+    pair is one node and its dual view, with no record of its own."""
     x = L.hirzebruch(2)
     arr = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
     cot, tan = cotangent_tangent_pair(x)
-
-    def record(pair):  # each side of both Serre pairs -> the other side
-        return {cot: tan, tan: cot, pair.cotangent_log: pair.tangent_log, pair.tangent_log: pair.cotangent_log}
+    record = {cot: tan, tan: cot}  # each side of the Serre pair -> the other side
 
     fresh = Evaluator()
     fresh_pair = log_pair(x, arr, fresh)
@@ -425,8 +495,10 @@ def test_log_pair_hit_restores_a_cleared_partner_record():
     ev.partners.clear()
     ev.partner_names.clear()
     assert log_pair(x, arr, ev) is pair
-    assert ev.serre_dual_pairs() == fresh.serre_dual_pairs() and len(fresh.serre_dual_pairs()) == 2
-    assert ev.partners == record(pair) and fresh.partners == record(fresh_pair)
+    assert ev.serre_dual_pairs() == fresh.serre_dual_pairs() and len(fresh.serre_dual_pairs()) == 1
+    assert ev.partners == record and fresh.partners == record
+    for p in (pair, fresh_pair):
+        assert isinstance(p.tangent_log, DualE) and p.tangent_log.inner is p.cotangent_log
 
 
 def test_shared_log_pair_cannot_be_mutated():

@@ -1,6 +1,6 @@
 """Graded exact-sequence interval solver.
 
-Sheaf expressions form immutable trees whose leaves have exact backends.
+Sheaf expressions are immutable nodes whose leaves have exact backends.
 One node, ``SeqE``, holds a short exact sequence with its unknown term and
 one per-twist rule: the facts known at a twist, as value pins on the
 unknown and bounds on connecting ranks.  The unknown is evaluated from the
@@ -15,10 +15,12 @@ Pacific J. Math. 15(3), 1965): every reachable rank set is an integer
 interval, and a forward and a backward pass of rank intervals give each
 degree's exact min/max over the feasible set.  The cost does not depend on
 the rank ranges, and an open end (which in the engine comes only from a
-Serre-cycle cut) passes through as infinity, so bounded and half-open
-sequences take the same pass.  Serre
-duality is applied at expression level: a Serre partner is data on the
-expression (``serre_pair``), read by every evaluator.
+rule pin with no upper bound, and in the tests from open leaves) passes
+through as infinity, so bounded and half-open sequences take the same pass.
+Serre duality is an expression, ``DualE``, like any other.  A node refers
+only to nodes built before it, so expressions form a DAG: no evaluation
+asks for an (expression, twist) it is still computing, and every value is
+cached when it is first computed.
 Twists are checked once, where they enter: ``Evaluator.cohom``,
 ``cm_regularity_certify`` and ``vanishing_window`` check a class against
 the lattice, and every twist built inside the evaluator from checked
@@ -39,27 +41,6 @@ h^n is positive at every twist below, and no r <= s + n is regular.  A
 sound engine never reports an exact 0 where the true value is positive.
 So the scan that starts above s + n finds the same first r as a scan from
 -cap.
-
-Serre partners make evaluation cyclic.  A call that meets an (expression,
-twist) already being evaluated contributes no information (a cut), and each
-frame keeps a low mark: the lowest depth any cut below it reached, as in
-Tarjan's lowlink.  A frame whose mark is not below its own depth is
-the root of every cycle it saw, and sees exactly the cuts it would see as
-the outermost call, so its value is cached; a frame inside a cycle rooted
-further down is not cached, and passes its mark to its parent.  The
-frame table is a plain attribute of the evaluator, so an evaluator serves
-one thread at a time: each thread takes its own.
-
-A frame of a partnered node that is not cached still keeps part of its
-work.  Its value is its own model (``_raw``) met with its partner's, and
-the cycle closes only through the partner.  If the frame's mark is still
-not below its depth right after ``_raw`` returns, no cut in the raw
-subtree reached a frame below this one: the raw subtree saw only its own
-frames and the cache, as it would under an outermost call, so the raw
-value is the one a root evaluation computes.  It is kept under ("raw",
-expression, twist), and a later visit skips ``_raw`` and does only the
-partner meet; the partner side may still be cut, so the full value stays
-uncached.  Once the node's full value is cached its raw entry is dropped.
 """
 
 from __future__ import annotations
@@ -93,9 +74,8 @@ _INF = float("inf")  # an open end of a term interval or rank box
 class Expr:
     """Base class of sheaf expressions: every node is a dataclass whose
     fields are what it was built from, and it is immutable after
-    construction except for ``partner``, which ``serre_pair`` sets once.
-    Attributes derived from the fields (``cdim``, and ``variety`` on
-    composite nodes) are set in ``__post_init__``.
+    construction.  Attributes derived from the fields (``cdim``, and
+    ``variety`` on composite nodes) are set in ``__post_init__``.
 
     Nodes compare and hash by identity (``eq=False``), so a node is its own
     cache key: a rebuilt node is a new key, and builders that reuse nodes
@@ -104,23 +84,6 @@ class Expr:
 
     variety: VarietyModel
     cdim: int  # top cohomological degree of the support
-    partner: Expr | None = None  # Serre partner, set once by serre_pair
-
-
-def serre_pair(a: Expr, b: Expr) -> None:
-    """Make a and b Serre-dual partners: h^i(a(t)) = h^{n-i}(b(K - t)).
-
-    Each side may contain the other only as a direct child.  Pairing again
-    with the same partner is a no-op; any other re-pairing is refused.  The
-    builders pair their nodes before they return them, so no value is
-    computed before its node has its partner.
-    """
-    if a.partner is b and b.partner is a:
-        return
-    if a.partner is not None or b.partner is not None:
-        raise InputError("an expression gets its Serre partner once")
-    a.partner = b
-    b.partner = a
 
 
 @dataclass(eq=False)
@@ -330,22 +293,9 @@ def _meet(a: tuple, b: tuple, expr: Expr, twist) -> tuple:
         raise InconsistentHints(f"{exc} at {expr!r}@{twist}") from None
 
 
-class _Frames:
-    """An evaluator's evaluation stack: the depth of each (expression,
-    twist) being evaluated, and per frame the lowest depth a cycle cut below
-    it reached."""
-
-    __slots__ = ("depth", "low")
-
-    def __init__(self):
-        self.depth: dict = {}
-        self.low: list[int] = []
-
-
 class Evaluator:
-    """Memoizing evaluator, for one thread: its cache, partner record and
-    frame table are plain attributes, so each thread takes its own
-    evaluator.
+    """Memoizing evaluator, for one thread: its cache and partner record
+    are plain attributes, so each thread takes its own evaluator.
 
     ``cache`` is the session memo, and the only one: every result the
     evaluator can reuse is kept there, keyed by what it was computed from,
@@ -354,8 +304,6 @@ class Evaluator:
     (expression, twist) for a cohomology vector; every other key is a
     tuple that starts with a tag string, so it cannot collide with one:
 
-    * ("raw", expression, twist): the raw value of a partnered node inside
-      a Serre cycle rooted further down (module docstring);
     * ("log_pair", variety, arrangement): ``logbundles.log_pair``'s pair;
     * ("leaf", variety, component): a component's leaf of
       ``logbundles.structure_leaves``, shared by every arrangement on it;
@@ -365,24 +313,22 @@ class Evaluator:
       variety, H, arrangement, side, cap): snapshots of the verdicts of
       ``classify._classify`` and ``deficiency_concentrated_at_zero``.
 
-    ``partners`` maps each side of a Serre pair registered here to the
-    other side, and ``partner_names`` lists each pair once; evaluation
-    reads partners from the expressions themselves, so every evaluator sees
-    the same duality.  Only ``cohom`` checks its twist; the steps inside
-    (``_cohom``) take checked classes.
+    ``partners`` maps each side of an Omega^1/T pair that ``log_pair``
+    applied here to the other side, and ``partner_names`` lists each pair
+    once.  They are a record only: evaluation never reads them, since the
+    duality is in the expressions (``DualE``).  Only ``cohom`` checks its
+    twist; the steps inside (``_cohom``) take checked classes.
     """
 
     def __init__(self):
         self.cache: dict = {}  # the session memo: keys in the class docstring
         self.partners: dict[Expr, Expr] = {}  # expression -> partner
         self.partner_names: list[tuple[str, str]] = []
-        self._frames = _Frames()  # the (expression, twist) pairs being evaluated
 
     # -- duality record -----------------------------------------------------
 
     def register_dual(self, a: Expr, b: Expr):
-        """Pair a and b (``serre_pair``) and record the pair here once."""
-        serre_pair(a, b)
+        """Record a and b as a Serre-dual pair here, once."""
         if a not in self.partners:
             self.partner_names.append((repr(a), repr(b)))
         self.partners[a] = b
@@ -398,52 +344,12 @@ class Evaluator:
         return self._cohom(expr, expr.variety.check_class(twist))
 
     def _cohom(self, expr: Expr, twist) -> tuple[Iv, ...]:
-        """``cohom`` at a twist already checked against the lattice."""
+        """``cohom`` at a twist already checked against the lattice, cached
+        when first computed (expressions form a DAG: module docstring)."""
         key = (expr, twist)
-        cache = self.cache
-        v = cache.get(key)
-        if v is not None:
-            return v
-        frames = self._frames
-        depth, low = frames.depth, frames.low
-        d = depth.get(key)
-        if d is not None:
-            # Serre-duality cycle: contribute no information here, and mark
-            # the asking frame as reaching depth d.  Frames above d hold
-            # degraded intervals that a fresh evaluation can sharpen, so they
-            # must not be cached; the frame at d is the cycle's root.
-            if d < low[-1]:
-                low[-1] = d
-            return top_vec(expr.cdim + 1)
-        d = len(low)
-        depth[key] = d
-        low.append(d)
-        partner = expr.partner
-        raw = None
-        try:
-            if partner is None:
-                v = self._raw(expr, twist)
-            else:
-                raw_key = ("raw", expr, twist)
-                v = raw = cache.get(raw_key)
-                if raw is None:
-                    v = self._raw(expr, twist)
-                    if low[-1] >= d:
-                        raw = v  # no cut below this frame: a root's raw value
-                k = expr.variety.canonical_class
-                w = self._cohom(partner, vsub(k, twist))
-                v = _meet(v, transpose_vec(pad_vec(w, expr.cdim + 1)), expr, twist)
-        finally:
-            del depth[key]
-            mark = low.pop()
-            if mark < d and mark < low[-1]:
-                low[-1] = mark  # inside a cycle rooted below: so is the parent
-        if mark >= d:
-            cache[key] = v  # root of every cycle it met: a stable fixpoint
-            if raw is not None:
-                cache.pop(raw_key, None)
-        elif raw is not None:
-            cache[raw_key] = raw  # a later visit does only the partner meet
+        v = self.cache.get(key)
+        if v is None:
+            v = self.cache[key] = self._raw(expr, twist)
         return v
 
     def _raw(self, expr: Expr, twist) -> tuple[Iv, ...]:

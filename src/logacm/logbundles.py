@@ -32,7 +32,6 @@ from .exactseq import (
     SumE,
     TwistE,
     default_evaluator,
-    serre_pair,
 )
 from .intervals import Iv, iv
 from .linebundles import binom, cohom_ci, koszul_count, line_cohom
@@ -53,18 +52,22 @@ from .varieties import (
 
 @lru_cache(maxsize=None)
 def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
-    """(Omega^1_X, TX) expressions, paired as Serre-dual partners."""
+    """(Omega^1_X, TX) expressions.  The split and Bott models are exact,
+    and TP^n is the dual of Omega^1; a surface whose Omega^1 model is a
+    sequence meets it with its Serre-dual reading (``serre_met_pair``)."""
     k = x.kind
     if k == KIND_PN:
         cot = BottE(x, 1)
-        tan = DualE(cot)
-    elif k == KIND_QUADRIC:
-        cot = SumE([LineE(x, (-2, 0)), LineE(x, (0, -2))])
-        tan = SumE([LineE(x, (2, 0)), LineE(x, (0, 2))])
-    elif k == KIND_HIRZEBRUCH:
+        return cot, DualE(cot)
+    if k == KIND_QUADRIC:
+        return SumE([LineE(x, (-2, 0)), LineE(x, (0, -2))]), SumE([LineE(x, (2, 0)), LineE(x, (0, 2))])
+    if k == KIND_ABELIAN:
+        cot = SumE([LineE(x, (0,)), LineE(x, (0,))])
+        return cot, cot
+    if k == KIND_HIRZEBRUCH:
         e = x.param
         tan = SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name=f"T_F{e}", rule=_fe_tangent_rule)
-        cot = TwistE(tan, x.canonical_class)
+        model = TwistE(tan, x.canonical_class)
     elif k == KIND_BLOWUP:
         # 0 -> pi^*Omega_{P^2} -> Omega^1 -> (+) O_{E_i}(-2) -> 0 for the
         # point blow-up pi, with pi^*Omega_{P^2} the kernel of the pulled-back
@@ -74,23 +77,21 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
         minus_h = (-1,) + origin[1:]
         pulled = SeqE(x, None, SumE([LineE(x, minus_h)] * 3), LineE(x, origin), 2, name="pi^*Omega_P2")
         quotient = SumE([CurveE(x, 0, -2, klass=e) for e in x.negative_curves[: x.param]])
-        blown = SeqE(x, pulled, None, quotient, 2, name=f"Omega_Bl{x.param}", rule=_blowup_cotangent_rule)
-        # The Serre partner goes on a view of the sequence, not on the
-        # sequence: a partnered node evaluated inside a Serre cycle rooted
-        # further down is not cached, and as the partner the sequence would
-        # be solved again on every such visit.
-        cot = TwistE(blown, origin)
-        tan = TwistE(cot, vneg(x.canonical_class))
+        model = SeqE(x, pulled, None, quotient, 2, name=f"Omega_Bl{x.param}", rule=_blowup_cotangent_rule)
     elif k == KIND_SURFACE_P3:
-        cot = _surface_p3_cotangent(x)
-        tan = TwistE(cot, vneg(x.canonical_class))
-    elif k == KIND_ABELIAN:
-        cot = SumE([LineE(x, (0,)), LineE(x, (0,))])
-        tan = cot
+        model = _surface_p3_cotangent(x)
     else:
         raise InputError(f"no cotangent model for kind {k}")
-    serre_pair(cot, tan)
-    return cot, tan
+    return serre_met_pair(model)
+
+
+def serre_met_pair(model: Expr) -> tuple[Expr, Expr]:
+    """(Omega^1, TX) on a surface from a model of Omega^1, met with its
+    Serre-dual reading: TX = Omega^1(-K) is the dual of Omega^1, so
+    h^i(Omega^1(t)) = h^{2-i}(TX(K - t)) = h^{2-i}(Omega^1(-t))."""
+    mk = vneg(model.variety.canonical_class)
+    cot = MeetE([model, DualE(TwistE(model, mk))])
+    return cot, TwistE(cot, mk)
 
 
 def _fe_tangent_rule(x: VarietyModel, tw):
@@ -254,7 +255,7 @@ def repeated_rigid_class(x: VarietyModel, classes) -> tuple | None:
 
 def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> LogPair:
     """The residue sequence model of Omega^1(log D) and its dual view
-    T(-log D), which needs no Serre partner, for (X, D).
+    T(-log D), for (X, D).
 
     Built once per evaluator: ``ev.cache`` keeps each pair built under
     ("log_pair", x, arr), and a later call returns it, until the cache is

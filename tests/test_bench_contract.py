@@ -7,9 +7,9 @@ tracer's long-exact-sequence counters still see the solves they count: a
 renamed method would leave its per-layer metric reading 0.  The tracer still
 wraps ``_solve_coarse``, which nothing calls: a solve with an unbounded flank
 takes the same pass as any other, so the coarse counter reads 0.  In the
-engine an open end now comes only from a Serre-cycle cut, so the check
-builds its unbounded flank from an open leaf of its own, evaluated by an
-``Evaluator`` subclass that inherits the traced ``_solve``.  It also checks
+engine an open end comes only from a rule pin with no upper bound, so the
+check builds its unbounded flank from an open leaf of its own, evaluated by
+an ``Evaluator`` subclass that inherits the traced ``_solve``.  It also checks
 that ``reset_session`` makes the default evaluator's session cold: its log
 pairs, like every other memo, live in the cache that the reset clears, and
 the tracer still counts each ``log_pair`` call."""

@@ -759,6 +759,42 @@ def test_memoized_search_equals_a_fresh_evaluator_in_either_order():
     assert [i for i, (a, s, r) in enumerate(zip(alone, shared, reverse)) if not a == s == r] == []
 
 
+def test_evaluation_never_reenters_what_it_is_computing(monkeypatch):
+    """Every node refers only to nodes built before it, so over the sweep
+    and blowup benchmark spaces no (expression, twist) is asked for again
+    while it is being computed, and each is computed once per evaluator."""
+    from collections import Counter
+
+    in_flight, reentered, computed = set(), [], Counter()
+    cohom, raw = Evaluator._cohom, Evaluator._raw
+
+    def entered(self, expr, twist):
+        key = (expr, twist)
+        if key in in_flight:
+            reentered.append(key)
+            return cohom(self, expr, twist)
+        in_flight.add(key)
+        try:
+            return cohom(self, expr, twist)
+        finally:
+            in_flight.discard(key)
+
+    def counted(self, expr, twist):
+        computed[expr, twist] += 1
+        return raw(self, expr, twist)
+
+    monkeypatch.setattr(Evaluator, "_cohom", entered)
+    monkeypatch.setattr(Evaluator, "_raw", counted)
+    ev = Evaluator()
+    for name, h, cb, mb, side in bench_workloads().sweep_space():
+        x = L.quadric_surface() if name == "quadric" else L.hirzebruch(int(name[1:]))
+        L.search(x, h, cb, mb, side, ev=ev)
+    for x, arr in blowup_space():
+        deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, ev=ev)
+    assert reentered == [] and in_flight == set()
+    assert len(computed) > 5000 and max(computed.values()) == 1
+
+
 def test_remembered_verdicts_are_fresh_copies():
     """Extending a returned verdict's certificates changes no later answer."""
     ev = Evaluator()

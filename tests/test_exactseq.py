@@ -27,13 +27,13 @@ from logacm.exactseq import (
     SumE,
     TwistE,
     cm_regularity_certify,
-    serre_pair,
     vanishing_window,
 )
-from logacm.intervals import Iv, iv, iv_meet, pad_vec
+from logacm import logbundles
+from logacm.intervals import Iv, iv, iv_meet, pad_vec, top_vec, transpose_vec
 from logacm.logbundles import log_pair, repeated_rigid_class
 from logacm.linebundles import line_cohom
-from logacm.varieties import VarietyModel, vadd, vneg, vscale, vsub
+from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, VarietyModel, vadd, vneg, vscale, vsub
 
 from conftest import catalog_surfaces, random_class
 
@@ -153,11 +153,10 @@ def test_empty_meet_names_the_expression_and_twist(monkeypatch):
         Evaluator().cohom(conflict, (0,))
     assert str(exc.value) == "empty meet 1 & 3 at O(0,) == O(1,)@(0,)"
 
-    a, b = LineE(x, (0,)), LineE(x, (1,))
-    serre_pair(a, b)  # h^0(O) = 1 against h^2(O(1)(K)) = 0
+    serre = MeetE([LineE(x, (0,)), DualE(LineE(x, (1,)))])  # h^0(O) = 1 against h^2(O(1)(K)) = 0
     with pytest.raises(InconsistentHints) as exc:
-        Evaluator().cohom(a, (0,))
-    assert str(exc.value) == "empty meet 1 & 0 at O(0,)@(0,)"
+        Evaluator().cohom(serre, (0,))
+    assert str(exc.value) == "empty meet 1 & 0 at O(0,) == (O(1,))^v@(0,)"
 
     reprs = []
     monkeypatch.setattr(LineE, "__repr__", lambda self: reprs.append(self) or "O")
@@ -171,9 +170,8 @@ def test_serre_dual_pairs_registry(monkeypatch):
 
     x = L.hirzebruch(2)
     monkeypatch.setattr(E, "_DEFAULT", Evaluator())
-    cot, tan = L.cotangent_tangent_pair.__wrapped__(x)  # the uncached body
-    assert cot.partner is tan and tan.partner is cot
-    assert E.default_evaluator().partners == {}  # pairing alone records nothing
+    L.cotangent_tangent_pair.__wrapped__(x)  # the uncached body
+    assert E.default_evaluator().partners == {}  # building the pair records nothing
 
     ev = Evaluator()
     cot, tan = L.cotangent_tangent_pair(x)
@@ -186,8 +184,7 @@ def test_serre_dual_pairs_registry(monkeypatch):
 def test_log_pair_built_once_per_evaluator():
     """An evaluator keeps the log pair it built and records the Omega^1/T
     Serre pair once; the log tangent side is the dual view of the residue
-    side, with no Serre partner of its own; a fresh evaluator builds its own
-    nodes, and a side of the Omega^1/T pair cannot take a second partner."""
+    side; a fresh evaluator builds its own nodes."""
     x = L.hirzebruch(1)
     arr = L.arrangement(x, [L.component_from_class(x, c) for c in [(1, 0), (0, 1), (1, 1)]])
     cot, tan = L.cotangent_tangent_pair(x)
@@ -198,21 +195,18 @@ def test_log_pair_built_once_per_evaluator():
     q = log_pair(x, arr, Evaluator())  # a fresh evaluator builds the pair again
     assert p.cotangent_log is not q.cotangent_log
     assert isinstance(p.tangent_log, DualE) and p.tangent_log.inner is p.cotangent_log
-    assert p.cotangent_log.partner is None and p.tangent_log.partner is None
     assert pairs == [(repr(cot), repr(tan))]  # the Omega^1/T pair, once
     assert ev.serre_dual_pairs() == pairs
-    with pytest.raises(InputError):  # an expression gets its Serre partner once
-        serre_pair(cot, q.tangent_log)
 
 
 def test_pn_tangent_is_the_dual_of_its_cotangent():
-    """TP^n is Dual(Omega^1), paired with it; the tangent side of the empty
+    """TP^n is Dual(Omega^1); the tangent side of the empty
     arrangement still gets a vanishing window (its Serre transform is
     Omega^1 again, not a double dual)."""
     for n in (2, 3, 4):
         x = L.projective_space(n)
         cot, tan = L.cotangent_tangent_pair(x)
-        assert isinstance(tan, DualE) and tan.inner is cot and cot.partner is tan
+        assert isinstance(tan, DualE) and tan.inner is cot
         table = L.deficiency_table(x, (1,), L.arrangement(x, []), 1, side="tan")
         assert all(v.exact for v in table.entries.values())
         assert table.nonzero_twists() == ([-3] if n == 2 else [])  # h^1(TP^2(-3)) = h^1(Omega^1) = 1
@@ -224,31 +218,30 @@ def bl4_negative_curves(*which):
     return x, L.arrangement(x, [L.component_from_class(x, x.negative_curves[i]) for i in which])
 
 
-def test_value_met_inside_a_cycle_is_cached_at_its_root():
+def test_value_met_inside_an_evaluation_is_cached_at_its_first_computation():
     """Omega^1 of Bl_4 at twist zero is first asked inside the log pair's
-    evaluation, not as the outermost call; it roots the Serre cycle through
-    its partner, so its value is cached there, and so is the value of the
-    blow-up sequence it views, whose rule ran once at that twist."""
+    evaluation, not as the outermost call; its value is cached there, and so
+    is the value of the blow-up sequence it meets with its Serre-dual
+    reading."""
     x, arr = bl4_negative_curves(0, 4, 9)
     ev = Evaluator()
     pair = log_pair(x, arr, ev)
-    cot, tan = L.cotangent_tangent_pair(x)
-    assert isinstance(cot, TwistE) and isinstance(cot.inner, SeqE) and cot.partner is tan
+    cot, _ = L.cotangent_tangent_pair(x)
+    model = cot.parts[0]
+    assert isinstance(cot, MeetE) and isinstance(model, SeqE)
     zero = (0,) * x.lattice_rank
     ev.cohom(pair.cotangent_log, zero)
     assert (cot, zero) in ev.cache
-    assert (cot.inner, zero) in ev.cache
+    assert (model, zero) in ev.cache
 
 
-def test_cycle_members_are_not_recomputed_per_visit(monkeypatch):
-    """The Bl_4 blow-up sequence sits under a view that carries the Serre
-    partner, so it is cached at its first visit even inside a cycle rooted
-    elsewhere: its rule runs once per twist over a whole deficiency
-    verdict."""
+def test_blowup_sequence_rule_runs_once_per_twist(monkeypatch):
+    """The Bl_4 blow-up sequence is cached at its first computation, so its
+    rule runs once per twist over a whole deficiency verdict."""
     x, arr = bl4_negative_curves(0, 4, 9)
     ev = Evaluator()
     runs = Counter()
-    seq = L.cotangent_tangent_pair(x)[0].inner
+    seq = L.cotangent_tangent_pair(x)[0].parts[0]
     rule = seq.rule
 
     def counted(variety, twist):
@@ -263,8 +256,8 @@ def test_cycle_members_are_not_recomputed_per_visit(monkeypatch):
 def test_each_sequence_is_solved_once_per_twist(monkeypatch):
     """Over a twist box on both sides of an F_1 and a Bl_4 log pair, each
     (sequence, twist) is solved at most once on one evaluator, though the
-    Serre cycles visit many of them again; and every value is the one the
-    same twist gets alone on a fresh evaluator."""
+    Serre-dual readings visit many of them again; and every value is the
+    one the same twist gets alone on a fresh evaluator."""
     f1 = L.hirzebruch(1)
     f1_arr = L.arrangement(f1, [L.component_from_class(f1, (1, 0)), L.component_from_class(f1, (0, 1))])
     f1_box = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
@@ -296,34 +289,185 @@ def test_each_sequence_is_solved_once_per_twist(monkeypatch):
 
 
 def test_frames_released_when_evaluation_raises(monkeypatch):
-    """An error raised several frames deep leaves no frame behind: a later
-    call sees no stale cycle cut and agrees with a fresh evaluator."""
+    """An error raised several evaluations deep leaves nothing stale: no
+    value of an evaluation it interrupted is cached, and a later call
+    agrees with a fresh evaluator."""
     x, arr = bl4_negative_curves(0, 4, 9)
     h = vneg(x.canonical_class)
     ev = Evaluator()
     pair = log_pair(x, arr, ev)
-    seq = L.cotangent_tangent_pair(x)[0].inner
-    rule = seq.rule
-    depth_at_raise = []
+    seq = L.cotangent_tangent_pair(x)[0].parts[0]
+    rule, raw = seq.rule, Evaluator._raw
+    in_flight, at_raise = [], []
+
+    def tracked(self, expr, twist):
+        in_flight.append((expr, twist))
+        try:
+            return raw(self, expr, twist)
+        finally:
+            in_flight.pop()
 
     def failing(variety, twist):
-        depth = len(ev._frames.low)
-        if depth >= 3 and not depth_at_raise:
-            depth_at_raise.append(depth)
+        if len(in_flight) >= 3 and not at_raise:
+            at_raise.extend(in_flight)
             raise InconsistentHints("injected mid-evaluation")
         return rule(variety, twist)
 
+    monkeypatch.setattr(Evaluator, "_raw", tracked)
     monkeypatch.setattr(seq, "rule", failing)
     with pytest.raises(InconsistentHints):
         for t in range(-3, 4):
             ev.cohom(pair.tangent_log, vscale(t, h))
-    assert depth_at_raise
-    assert ev._frames.depth == {} and ev._frames.low == []
+    assert at_raise and in_flight == []
+    assert not any(key in ev.cache for key in at_raise)
     monkeypatch.undo()
     fresh = Evaluator()
     for side in (pair.cotangent_log, pair.tangent_log):
         for t in range(-3, 4):
             assert ev.cohom(side, vscale(t, h)) == fresh.cohom(side, vscale(t, h))
+
+
+# -- the Serre partner edge that the Serre meet replaced ------------------------
+
+
+class PartnerEvaluator(Evaluator):
+    """The evaluation of Serre partners as edges, kept as the reference the
+    Serre meet (``logbundles.serre_met_pair``) must equal.
+
+    A partner p of an expression E, read from ``self.partners`` (which
+    ``register_dual`` fills), says h^i(E(t)) = h^{n-i}(p(K - t)), and E's
+    own value is met with it.  The edge makes evaluation cyclic: a call
+    that meets an (expression, twist) being evaluated contributes nothing
+    (a cut), and each frame keeps a low mark, the lowest depth a cut below
+    it reached, as in Tarjan's lowlink.  A frame whose mark is not below its
+    depth is the root of every cycle it saw, and only its value is cached.
+    A partnered frame inside a cycle rooted further down keeps its own value
+    under ("raw", expression, twist) when no cut in its own subtree reached
+    below it, and a later visit does only the partner meet."""
+
+    def __init__(self):
+        super().__init__()
+        self.depth, self.low = {}, []  # (expression, twist) -> depth; marks
+
+    def _cohom(self, expr, twist):
+        key = (expr, twist)
+        cache = self.cache
+        v = cache.get(key)
+        if v is not None:
+            return v
+        depth, low = self.depth, self.low
+        d = depth.get(key)
+        if d is not None:  # a cycle cut: the frame at depth d is its root
+            low[-1] = min(low[-1], d)
+            return top_vec(expr.cdim + 1)
+        d = len(low)
+        depth[key] = d
+        low.append(d)
+        partner = self.partners.get(expr)
+        raw = None
+        try:
+            if partner is None:
+                v = self._raw(expr, twist)
+            else:
+                raw_key = ("raw", expr, twist)
+                v = raw = cache.get(raw_key)
+                if raw is None:
+                    v = self._raw(expr, twist)
+                    if low[-1] >= d:
+                        raw = v  # no cut below this frame: a root's raw value
+                w = self._cohom(partner, vsub(expr.variety.canonical_class, twist))
+                v = exactseq._meet(v, transpose_vec(pad_vec(w, expr.cdim + 1)), expr, twist)
+        finally:
+            del depth[key]
+            mark = low.pop()
+            if mark < d and mark < low[-1]:
+                low[-1] = mark  # inside a cycle rooted below: so is the parent
+        if mark >= d:
+            cache[key] = v
+            if raw is not None:
+                cache.pop(raw_key, None)
+        elif raw is not None:
+            cache[raw_key] = raw
+        return v
+
+
+def partnered_pair(x):
+    """The Omega^1/T pair of x as the partner edge paired it: a Serre-met
+    pair gives up its meet and pairs the model's nodes (on F_e the tangent
+    sequence and its Omega^1 view, on Bl_k two views of the blow-up
+    sequence, on a surface in P^3 the conormal sequence and its twist); the
+    other pairs keep their nodes."""
+    cot, tan = L.cotangent_tangent_pair(x)
+    if not isinstance(cot, MeetE):
+        return cot, tan
+    model, mk = cot.parts[0], vneg(x.canonical_class)
+    if x.kind == KIND_HIRZEBRUCH:
+        return model, model.inner
+    if x.kind == KIND_BLOWUP:
+        model = TwistE(model, (0,) * x.lattice_rank)
+    return model, TwistE(model, mk)
+
+
+def serre_cases():
+    """(X, twists, arrangements): F_0..F_3 and the quadric at |a|, |b| <= 4,
+    Bl_1..Bl_4 along tK + uE_1, P^2, P^3, the surfaces in P^3 of degree
+    2..4 and the abelian surface at |t| <= 5, each with log arrangements of
+    one to three components."""
+    box = list(itertools.product(range(-4, 5), repeat=2))
+    line = [(t,) for t in range(-5, 6)]
+    out = []
+    for e in range(4):
+        x = L.hirzebruch(e)
+        out.append((x, box, [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)], [(1, e), (0, 1), (0, 1)], [(1, e + 1)]]))
+    out.append((L.quadric_surface(), box, [[(1, 0)], [(1, 1)], [(1, 0), (1, 0), (0, 1)], [(1, 1), (1, 0)]]))
+    for k in range(1, 5):
+        x = L.blowup_p2(k)
+        e1 = (0, 1) + (0,) * (k - 1)
+        twists = [vadd(vscale(t, x.canonical_class), vscale(u, e1)) for t in range(-3, 4) for u in range(-2, 3)]
+        curves = x.negative_curves
+        out.append((x, twists, [curves[:1], curves[:2], curves[-2:], curves[:3], curves[-3:]]))
+    out.append((L.projective_space(2), line, [[(1,)], [(2,)], [(2,), (1,)], [(1,), (1,), (1,)]]))
+    out.append((L.projective_space(3), line, [[(1,)], [(2,)], [(1,), (1,), (1,)]]))
+    for d in (2, 3, 4):
+        out.append((L.surface_in_p3(d), line, [[(1,)], [(1,), (1,)]]))
+    out.append((L.abelian_surface(2), line, [[(1,)]]))
+    return [
+        (x, twists, [L.arrangement(x, [L.component_from_class(x, c) for c in classes]) for classes in arrs])
+        for x, twists, arrs in out
+    ]
+
+
+def serre_tables(ev, cases, pair, order):
+    """Every Omega^1, TX and log-pair value of the cases on ev, with the
+    Omega^1/T pair given by ``pair``, asking the twists in ``order``."""
+    out = {}
+    for x, twists, arrs in cases:
+        cot, tan = pair(x)
+        ev.register_dual(cot, tan)
+        exprs = [("cot", cot), ("tan", tan)]
+        for n, arr in enumerate(arrs):
+            p = log_pair(x, arr, ev)
+            exprs += [(("cot", n), p.cotangent_log), (("tan", n), p.tangent_log)]
+        for t in twists[::order]:
+            for name, expr in exprs:
+                out[x, name, t] = ev.cohom(expr, t)
+    return out
+
+
+def test_serre_meet_equals_the_partner_edge_it_replaced(monkeypatch):
+    """On the varieties and twists of ``serre_cases`` every Omega^1 and TX
+    value, and both sides of every log pair, are the values the Serre
+    partner edge gave: ``PartnerEvaluator`` on the pairs as they were
+    partnered, asked in listed and in reversed twist order, against a plain
+    evaluator on the catalog's Serre-met pairs."""
+    cases = serre_cases()
+    want = serre_tables(Evaluator(), cases, L.cotangent_tangent_pair, 1)
+    assert len(want) == 6818
+    partnered = {x: partnered_pair(x) for x, _, _ in cases}
+    monkeypatch.setattr(logbundles, "cotangent_tangent_pair", partnered.__getitem__)
+    for order in (1, -1):
+        got = serre_tables(PartnerEvaluator(), cases, partnered.__getitem__, order)
+        assert [k for k in want if got[k] != want[k]] == []
 
 
 def test_duality_involution_on_lines(rng):
@@ -862,12 +1006,11 @@ class UnmodelledE(Expr):
 
 
 def test_raw_dispatches_on_the_node_type(monkeypatch):
-    """An unmodelled node type is refused by name, leaving no frame behind,
-    and a ``_solve`` replaced on the class is the one evaluation calls."""
+    """An unmodelled node type is refused by name, and a ``_solve``
+    replaced on the class is the one evaluation calls."""
     ev = Evaluator()
     with pytest.raises(InputError, match=r"^cannot evaluate "):
         ev.cohom(UnmodelledE(P2), TW)
-    assert ev._frames.depth == {} and ev._frames.low == []
 
     x = L.hirzebruch(1)
     pair = log_pair(x, L.arrangement(x, [L.component_from_class(x, (1, 1))]), ev)
@@ -886,7 +1029,7 @@ def test_raw_dispatches_on_the_node_type(monkeypatch):
     monkeypatch.setattr(Evaluator, "_solve", counted)
     got = ev.cohom(pair.tangent_log, (1, 2))
     # the residue sequence at K - t, and T_F1 at two twists: inside it as
-    # Omega^1 = T(K), and as Omega^1's Serre partner
+    # Omega^1 = T(K), and in Omega^1's Serre-dual reading
     assert calls["solves"] == calls["sequences"] >= 3, calls
     monkeypatch.undo()
     fresh = Evaluator()

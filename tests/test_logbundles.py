@@ -20,7 +20,6 @@ from logacm.exactseq import (
     SumE,
     TwistE,
     default_evaluator,
-    serre_pair,
 )
 from logacm.intervals import meet_vecs, pad_vec, transpose_vec
 from logacm.linebundles import binom
@@ -30,10 +29,11 @@ from logacm.logbundles import (
     log_pair,
     quadric_ruling_splitting,
     ruling_counts,
+    serre_met_pair,
 )
 from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, KIND_PN, Component, vneg, vscale, vsub
 
-from conftest import catalog_surfaces
+from conftest import catalog_surfaces, random_class
 
 
 def ev():
@@ -81,16 +81,10 @@ class RulesEvaluator(Evaluator):
         return super()._raw(expr, twist)
 
 
-def paired(cot):
-    """cot paired with its tangent TwistE(cot, -K)."""
-    tan = TwistE(cot, vneg(cot.variety.canonical_class))
-    serre_pair(cot, tan)
-    return cot, tan
-
-
 def rules_alone_pair(x):
-    """The Bl_k cotangent as its rules alone, paired with its tangent."""
-    return paired(RulesE(x))
+    """The Bl_k cotangent as its rules alone, met with its Serre-dual
+    reading, and its tangent."""
+    return serre_met_pair(RulesE(x))
 
 
 def test_blowup_sequence_meets_the_rules_soundly():
@@ -104,8 +98,8 @@ def test_blowup_sequence_meets_the_rules_soundly():
     for k in (1, 2, 3, 4):
         x = L.blowup_p2(k)
         cot, _ = cotangent_tangent_pair(x)
-        unpinned = dataclasses.replace(cot.inner, rule=None)
-        reference, _ = paired(MeetE([unpinned, RulesE(x)]))
+        unpinned = dataclasses.replace(cot.parts[0], rule=None)
+        reference, _ = serre_met_pair(MeetE([unpinned, RulesE(x)]))
         ev, bound = RulesEvaluator(), 3 if k <= 2 else 2
         exact[k] = narrowed[k] = 0
         for tw in product(range(-bound, bound + 1), repeat=x.lattice_rank):
@@ -142,6 +136,20 @@ def test_blowup_deficiency_verdicts_take_no_coarse_solve(monkeypatch):
     for module in (logbundles, classify):
         monkeypatch.setattr(module, "cotangent_tangent_pair", rules_alone_pair)
     assert verdicts() == pinned
+
+
+def test_catalog_serre_duality_slot_for_slot(rng):
+    """On every catalog surface h^i(Omega^1(t)) = h^{2-i}(Omega^1(-t)) and
+    h^i(TX(t)) = h^{2-i}(Omega^1(K - t)), interval for interval, along the
+    first lattice generator and at random twists."""
+    for x in catalog_surfaces():
+        cot, tan = cotangent_tangent_pair(x)
+        k, ev = x.canonical_class, Evaluator()
+        h = (1,) + (0,) * (x.lattice_rank - 1)
+        twists = {vscale(t, h) for t in range(-5, 6)} | {random_class(rng, x, 4) for _ in range(60)}
+        for t in sorted(twists):
+            assert ev.cohom(cot, t) == transpose_vec(ev.cohom(cot, vneg(t))), (x.kind, x.param, t)
+            assert ev.cohom(tan, t) == transpose_vec(ev.cohom(cot, vsub(k, t))), (x.kind, x.param, t)
 
 
 def test_cotangent_f1_vanishing_off_zero():
@@ -425,9 +433,9 @@ def _log_tables(ev, twists):
 
 
 def test_catalog_tables_do_not_depend_on_evaluator_or_order():
-    """Serre partners are data on the expressions, so a fresh evaluator sees
-    the same duality as the default one, in either twist order; and a value
-    cached at a cycle root, wherever the root sits on the stack, is the value
+    """Serre duality is in the expressions, so a fresh evaluator sees the
+    same duality as the default one, in either twist order; and a value
+    cached inside an evaluation, wherever it sits on the stack, is the value
     an outermost call computes, so log-pair tables agree as well."""
     twists, log_twists = range(-4, 5), range(-3, 4)
 

@@ -1,22 +1,22 @@
 """Batch interface: parse problem documents, run cohomology, classification,
 search, deficiency and ledger commands, emit deterministic tables.
 
-A problem is one declarative YAML document (key-value with nested lists);
-unknown fields are rejected.  Every command takes the same flags, before or
-after the problem; a given --window, --cap or --format overrides the
-document's window:, cap: or format:.  Exit codes: 0 for success/Yes, 1 for
-a No verdict, 3 for Unknown, 2 for parse errors.
+A problem is one declarative YAML document (key-value with nested lists),
+read by a strict reader of the YAML subset problem documents use; unknown
+fields are rejected.  Every command takes the same flags, before or after
+the problem; a given --window, --cap or --format overrides the document's
+window:, cap: or format:.  Exit codes: 0 for success/Yes, 1 for a No
+verdict, 3 for Unknown, 2 for parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-
-import yaml
 
 from . import __version__
 from .classify import (
@@ -59,8 +59,6 @@ _ARR_KEYS = {"components", "span_rank", "snc"}
 _SHEAVES = ("line", "cotangent", "tangent", "log_cotangent", "log_tangent")
 _LOG_SIDES = {"log_cotangent": "cot", "log_tangent": "tan"}
 _FORMATS = ("csv", "md")
-# libyaml's loader when PyYAML was built with it; both give the same mappings
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -85,19 +83,22 @@ class ProblemSpec:
             raise InputError("problem document must be a mapping")
         unknown = set(data) - _SPEC_KEYS
         if unknown:
-            raise InputError(f"unknown fields: {sorted(unknown)}")
+            raise InputError(f"unknown fields: {sorted(unknown, key=str)}")
         if "variety" not in data and "ledger" not in data:
             raise InputError("a problem document needs a variety (or a ledger name)")
         var = data.get("variety", {})
-        if var:
-            bad = set(var) - _VARIETY_KEYS
-            if bad:
-                raise InputError(f"unknown variety fields: {sorted(bad)}")
+        if not isinstance(var, dict):
+            raise InputError(f"variety must be a mapping, got {var!r}")
+        bad = set(var) - _VARIETY_KEYS
+        if bad:
+            raise InputError(f"unknown variety fields: {sorted(bad, key=str)}")
         arr = data.get("arrangement")
         if arr is not None:
+            if not isinstance(arr, dict):
+                raise InputError(f"arrangement must be a mapping, got {arr!r}")
             bad = set(arr) - _ARR_KEYS
             if bad:
-                raise InputError(f"unknown arrangement fields: {sorted(bad)}")
+                raise InputError(f"unknown arrangement fields: {sorted(bad, key=str)}")
         sheaf = data.get("sheaf")
         if sheaf is not None and sheaf not in _SHEAVES:
             raise InputError(f"sheaf must be one of {_SHEAVES}")
@@ -130,7 +131,14 @@ def build_variety(spec: ProblemSpec) -> VarietyModel:
     if not isinstance(kind, str) or kind not in _KINDS:
         raise InputError(f"unknown variety kind {kind!r}")
     make, key = _KINDS[kind]
-    return make(_integer(var[key], key)) if key else make()
+    extra = set(var) - {"kind", key}
+    if extra:
+        raise InputError(f"variety fields {sorted(extra)} do not apply to kind {kind}")
+    if key is None:
+        return make()
+    if key not in var:
+        raise InputError(f"variety kind {kind} needs the field {key}")
+    return make(_integer(var[key], key))
 
 
 def _as_class(x: VarietyModel, raw, name: str = "class") -> tuple:
@@ -144,13 +152,18 @@ def build_arrangement(x: VarietyModel, spec: ProblemSpec) -> Arrangement:
     if raw is None:
         return arrangement(x, [])
     comps = []
-    for entry in raw.get("components", []):
+    entries = raw.get("components", [])
+    if not isinstance(entries, list):
+        raise InputError(f"components must be a list, got {entries!r}")
+    for entry in entries:
         if isinstance(entry, dict):
             bad = set(entry) - {"degree", "genus", "class"}
             if bad:
-                raise InputError(f"unknown component fields: {sorted(bad)}")
+                raise InputError(f"unknown component fields: {sorted(bad, key=str)}")
             if "class" in entry:
                 comps.append(component_from_class(x, _as_class(x, entry["class"], "component class")))
+            elif "degree" not in entry:
+                raise InputError(f"a component needs a degree or a class, got {entry!r}")
             else:
                 degree = _integer(entry["degree"], "component degree")
                 genus = _integer(entry.get("genus", 0), "component genus")
@@ -166,10 +179,168 @@ def build_arrangement(x: VarietyModel, spec: ProblemSpec) -> Arrangement:
     return arrangement(x, comps, span_rank=span_rank, snc=snc)
 
 
+# -- problem documents ----------------------------------------------------------
+#
+# The reader accepts the YAML subset below and gives, for every document it
+# accepts, the value PyYAML's SafeLoader gives (YAML 1.1 types); it refuses
+# every other document rather than read it another way:
+#   * blank lines, comment lines and trailing " #" comments;
+#   * block mappings and block sequences ("- item"), nested by space
+#     indentation; a sequence may sit at its key's indentation;
+#   * flow sequences and flow mappings on one line, nested;
+#   * plain scalars of [A-Za-z0-9_.+~-] and spaces: decimal ints, d.d floats,
+#     the YAML 1.1 booleans, ~ and null (and an empty block value) as null;
+#     any other plain scalar is a string and must start with a letter or _;
+#   * '...' and "..." on one line, without escapes, as strings.
+
+_PLAIN = r"[A-Za-z0-9_.+~-]"
+# one token per match, in group 1: a plain scalar, a quoted scalar, a flow
+# indicator or a colon followed by a space; spacing and a comment after it
+# match with an empty group
+_TOKEN = re.compile(rf""" +(?:#.*)?|({_PLAIN}+(?: +{_PLAIN}+)*|'[^']*'(?!')|"[^"\\]*"|[][{{}},]|:(?= |$))""")
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")  # matches up to the first text that is no token
+_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
+_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]+")
+_WORDS = {
+    "~": None,
+    **dict.fromkeys(("null", "Null", "NULL"), None),
+    **dict.fromkeys(("true", "True", "TRUE", "yes", "Yes", "YES", "on", "On", "ON"), True),
+    **dict.fromkeys(("false", "False", "FALSE", "no", "No", "NO", "off", "Off", "OFF"), False),
+}
+_END = "\n"  # ends every line's tokens; no token contains a newline
+
+
+def _refuse(lineno: int, what: str) -> InputError:
+    return InputError(f"line {lineno}: {what}")
+
+
+def _scalar(token: str, lineno: int):
+    """The value of a plain or quoted scalar token."""
+    first = token[0]
+    if first in "'\"":
+        return token[1:-1]
+    if token in _WORDS:
+        return _WORDS[token]
+    if first.isalpha() or first == "_":
+        return token
+    if _INT.fullmatch(token):
+        return int(token)
+    if _FLOAT.fullmatch(token):
+        return float(token)
+    raise _refuse(lineno, f"{token!r} is no decimal int, no d.d float and no string starting with a letter")
+
+
+def _tokens(text: str, lineno: int) -> list[str]:
+    """The tokens of one line's text up to its comment, then _END."""
+    stop = _TOKENS.match(text).end()
+    if stop < len(text):
+        raise _refuse(lineno, f"{text[stop:]!r} is outside the problem-document grammar")
+    toks = [t for t in _TOKEN.findall(text) if t]
+    toks.append(_END)
+    return toks
+
+
+def _key(toks: list[str], i: int, lineno: int):
+    """The scalar key at toks[i] and the index after its colon."""
+    if toks[i][0] in "[]{},:\n":
+        raise _refuse(lineno, "expected a scalar key")
+    if toks[i + 1] != ":":
+        raise _refuse(lineno, f"expected ': ' after the key {toks[i]!r}")
+    return _scalar(toks[i], lineno), i + 2
+
+
+def _flow(toks: list[str], i: int, lineno: int):
+    """The flow node at toks[i] and the index after it."""
+    tok = toks[i]
+    if tok == "[":
+        items = []
+        if toks[i + 1] == "]":
+            return items, i + 2
+        while True:
+            item, i = _flow(toks, i + 1, lineno)
+            items.append(item)
+            if toks[i] == "]":
+                return items, i + 1
+            if toks[i] != ",":
+                raise _refuse(lineno, "expected ',' or ']' in a flow sequence")
+    if tok == "{":
+        out = {}
+        if toks[i + 1] == "}":
+            return out, i + 2
+        while True:
+            key, i = _key(toks, i + 1, lineno)
+            if key in out:
+                raise _refuse(lineno, f"duplicate key {key!r}")
+            out[key], i = _flow(toks, i, lineno)
+            if toks[i] == "}":
+                return out, i + 1
+            if toks[i] != ",":
+                raise _refuse(lineno, "expected ',' or '}' in a flow mapping")
+    if tok[0] in "]},:\n":
+        raise _refuse(lineno, "expected a value")
+    return _scalar(tok, lineno), i + 1
+
+
+def _block(lines: list, i: int):
+    """The block node whose first line is lines[i], and the index after it.
+
+    A line is (indent, whether it is a "- " entry, tokens, line number).  A
+    node takes the lines of its own indentation and kind; its caller reads
+    on from the first line it does not take."""
+    indent, is_seq = lines[i][0], lines[i][1]
+    node = [] if is_seq else {}
+    while i < len(lines) and lines[i][0] == indent and lines[i][1] == is_seq:
+        _, _, toks, lineno = lines[i]
+        if is_seq:
+            j = 0
+        else:
+            key, j = _key(toks, 0, lineno)
+            if key in node:
+                raise _refuse(lineno, f"duplicate key {key!r}")
+        i += 1
+        if toks[j] != _END:
+            value, j = _flow(toks, j, lineno)
+            if toks[j] != _END:
+                raise _refuse(lineno, "unexpected text after a value")
+        elif i < len(lines) and (lines[i][0] > indent or (lines[i][0] == indent and lines[i][1] and not is_seq)):
+            value, i = _block(lines, i)  # nested, or a sequence at its key's indentation
+        else:
+            value = None
+        if is_seq:
+            node.append(value)
+        else:
+            node[key] = value
+    return node, i
+
+
+def read_document(text: str):
+    """The value of a problem document, as PyYAML's SafeLoader reads it;
+    None for a document of blank and comment lines.  Raises InputError on
+    a document outside the grammar above."""
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        if not raw.isprintable():
+            raise _refuse(lineno, "a tab or another unprintable character")
+        body = raw.lstrip(" ")
+        if not body or body[0] == "#":
+            continue
+        entry = body[0] == "-" and body[1:2] in ("", " ")
+        lines.append((len(raw) - len(body), entry, _tokens(body[1:] if entry else body, lineno), lineno))
+    if not lines:
+        return None
+    try:
+        value, i = _block(lines, 0)
+    except RecursionError:
+        raise InputError("nested too deeply") from None
+    if i < len(lines):
+        raise _refuse(lines[i][3], "indentation does not continue the node above")
+    return value
+
+
 def load_problem(path: Path) -> ProblemSpec:
     try:
-        data = yaml.load(path.read_text(), Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+        data = read_document(path.read_text())
+    except InputError as exc:
         raise InputError(f"{path}: bad YAML ({exc})")
     return ProblemSpec.from_dict(data or {})
 

@@ -90,7 +90,10 @@ def serre_met_pair(model: Expr) -> tuple[Expr, Expr]:
     Serre-dual reading: TX = Omega^1(-K) is the dual of Omega^1, so
     h^i(Omega^1(t)) = h^{2-i}(TX(K - t)) = h^{2-i}(Omega^1(-t))."""
     mk = vneg(model.variety.canonical_class)
-    cot = MeetE([model, DualE(TwistE(model, mk))])
+    tangent = TwistE(model, mk)
+    if not any(tangent.by):  # F_e's model is T(K): its -K twist is T itself
+        tangent = tangent.inner
+    cot = MeetE([model, DualE(tangent)])
     return cot, TwistE(cot, mk)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -45,3 +46,12 @@ def run_optimized(code: str) -> str:
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def bench_workloads():
+    """The benchmark's input spaces (``bench/workloads.py``), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # registered first: its dataclasses look their module up
+    return module

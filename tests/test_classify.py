@@ -3,8 +3,10 @@ import pytest
 import logacm as L
 from logacm.classify import NO, YES, deficiency_concentrated_at_zero, f0_split_acm_oracle
 from logacm.errors import InputError, IntervalPresent, NotAmple, OutOfScope
-from logacm.exactseq import Evaluator
+from logacm.exactseq import Evaluator, TwistE
 from logacm.varieties import vneg
+
+from conftest import bench_workloads
 
 
 def exceptional_arrangement(x, count=None):
@@ -723,19 +725,6 @@ def test_orbit_rep_leaves_other_inputs_unchanged():
 # -- the evaluator's session memo ---------------------------------------------
 
 
-def bench_workloads():
-    """The benchmark's input spaces (``bench/workloads.py``), loaded by path."""
-    import importlib.util
-    import sys
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)  # registered first: its dataclasses look their module up
-    return module
-
-
 def search_data(x, h, cb, mb, side, ev):
     return [(combo, v.status, v.witness, v.certificates, first) for combo, v, first in L.search(x, h, cb, mb, side, ev=ev)]
 
@@ -793,6 +782,18 @@ def test_evaluation_never_reenters_what_it_is_computing(monkeypatch):
         deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, ev=ev)
     assert reentered == [] and in_flight == set()
     assert len(computed) > 5000 and max(computed.values()) == 1
+
+
+def test_a_sweep_pass_keeps_no_zero_twist_view():
+    """F_e's Omega^1 model is T(K), so its Serre-dual side reads T itself, not
+    a twist of T by zero: after a cold sweep pass no cached value is keyed by
+    a TwistE whose twist is zero."""
+    ev = Evaluator()
+    for name, h, cb, mb, side in bench_workloads().sweep_space():
+        x = L.quadric_surface() if name == "quadric" else L.hirzebruch(int(name[1:]))
+        L.search(x, h, cb, mb, side, ev=ev)
+    views = [key for key in ev.cache if isinstance(key[0], TwistE)]
+    assert views and [key for key in views if not any(key[0].by)] == []
 
 
 def test_remembered_verdicts_are_fresh_copies():

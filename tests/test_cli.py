@@ -1,13 +1,17 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
-import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logacm.cli import ProblemSpec, load_problem, main
+from logacm.cli import ProblemSpec, load_problem, main, read_document
 from logacm.errors import InputError
+
+from conftest import bench_workloads
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -193,16 +197,180 @@ def test_ledger_golden(capsys):
     )
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
-def test_libyaml_and_pure_loaders_agree_on_problems():
-    paths = sorted(PROBLEMS.glob("*.yaml"))
-    assert paths
-    for p in paths:
-        text = p.read_text()
-        fast = ProblemSpec.from_dict(yaml.load(text, Loader=yaml.CSafeLoader) or {})
-        pure = ProblemSpec.from_dict(yaml.load(text, Loader=yaml.SafeLoader) or {})
-        assert fast == pure, p.name
-        assert load_problem(p) == pure, p.name
+# -- the problem-document reader ------------------------------------------------
+#
+# PyYAML's SafeLoader is the reference: the reader must give its value on
+# every document of the grammar and refuse every other document.
+
+
+def test_reader_gives_pyyaml_values_on_every_problem_and_benchmark_document(tmp_path):
+    yaml = pytest.importorskip("yaml")
+    docs = [(p.name, p.read_text()) for p in sorted(PROBLEMS.glob("*.yaml"))]
+    docs += [(doc.key, doc.text) for doc in bench_workloads().batch_space()]
+    assert len(docs) > 600
+    path = tmp_path / "doc.yaml"
+    for name, text in docs:
+        want = yaml.safe_load(text)
+        assert repr(read_document(text)) == repr(want), name
+        path.write_text(text)
+        assert load_problem(path) == ProblemSpec.from_dict(want or {}), name
+
+
+_WORDS = ["yes", "Yes", "YES", "no", "No", "NO", "true", "True", "TRUE", "false", "False", "FALSE"]
+_WORDS += ["on", "On", "ON", "off", "Off", "OFF", "~", "null", "Null", "NULL"]
+_LETTERS = "abcyzABNOT_"
+_PLAIN_CHARS = _LETTERS + "019.+~-"
+_QUOTED_CHARS = st.characters(min_codepoint=32, max_codepoint=0x3FF).filter(str.isprintable)
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+_words = st.lists(_joined(st.sampled_from([" ", "  "]), st.text(_PLAIN_CHARS, min_size=1, max_size=4)), max_size=2)
+_scalars = st.one_of(
+    st.integers(-(10**12), 10**12).map(str),
+    st.integers(0, 99).map(lambda n: f"+{n}"),
+    _joined(st.sampled_from(["", "-", "+"]), st.integers(0, 999).map(str), st.just("."), st.text("0123456789", min_size=1, max_size=3)),
+    st.sampled_from(_WORDS),
+    _joined(st.sampled_from(_LETTERS), st.text(_PLAIN_CHARS, max_size=6), _words.map("".join)),
+    st.text(_QUOTED_CHARS.filter(lambda c: c != "'"), max_size=6).map(lambda t: f"'{t}'"),
+    st.text(_QUOTED_CHARS.filter(lambda c: c not in '"\\'), max_size=6).map(lambda t: f'"{t}"'),
+)
+# keys that resolve to distinct strings
+_keys = st.lists(_joined(st.sampled_from("abxyz_"), st.text("abxyz_019", max_size=4)).filter(lambda k: k not in _WORDS), unique=True)
+_gap = st.sampled_from(["", " "])
+
+
+@st.composite
+def _flow_text(draw, depth=0):
+    kind = draw(st.sampled_from(["scalar"] * 2 + (["seq", "map"] if depth < 3 else [])))
+    if kind == "scalar":
+        return draw(_scalars)
+    if kind == "seq":
+        items = draw(st.lists(_flow_text(depth + 1), max_size=4))
+        return "[" + draw(_gap) + (draw(_gap) + "," + draw(_gap)).join(items) + draw(_gap) + "]"
+    keys = draw(_keys.filter(lambda ks: len(ks) <= 3))
+    pairs = [k + draw(_gap) + ": " + draw(_flow_text(depth + 1)) for k in keys]
+    return "{" + draw(_gap) + ("," + draw(_gap)).join(pairs) + draw(_gap) + "}"
+
+
+_tail = st.sampled_from(["", " ", "  # note", " #: [x]"])
+_filler = st.sampled_from(["", "\n", "# comment\n", "   \n", "  # indented comment\n"])
+
+
+@st.composite
+def _block_text(draw, indent=0, depth=0):
+    """A block mapping or sequence at `indent`, one line per entry."""
+    pad = " " * indent
+    lines = []
+    if draw(st.booleans()) or depth >= 2:
+        for key in draw(_keys.filter(lambda ks: 0 < len(ks) <= 4)):
+            form = draw(st.sampled_from(["inline", "inline", "null", "nested", "compact"] if depth < 2 else ["inline", "null"]))
+            head = pad + key + draw(_gap) + ":"
+            if form == "inline":
+                lines.append(head + " " + draw(_flow_text()) + draw(_tail) + "\n")
+            elif form == "null":
+                lines.append(head + draw(_tail) + "\n")
+            else:
+                inner = indent if form == "compact" else indent + draw(st.integers(1, 3))
+                body = draw(_block_text(inner, depth + 1)) if form == "nested" else draw(_seq_text(inner, depth + 1))
+                lines.append(head + draw(_tail) + "\n" + body)
+            lines.append(draw(_filler))
+    else:
+        lines.append(draw(_seq_text(indent, depth)))
+    return "".join(lines)
+
+
+@st.composite
+def _seq_text(draw, indent, depth):
+    pad = " " * indent
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        form = draw(st.sampled_from(["inline", "inline", "null", "nested"] if depth < 2 else ["inline", "null"]))
+        if form == "inline":
+            lines.append(pad + "- " + draw(_flow_text()) + draw(_tail) + "\n")
+        elif form == "null":
+            lines.append(pad + "-" + draw(_tail) + "\n")
+        else:
+            lines.append(pad + "-" + draw(_tail) + "\n" + draw(_block_text(indent + draw(st.integers(1, 3)), depth + 1)))
+    return "".join(lines)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_block_text())
+def test_reader_equals_pyyaml_on_the_grammar(text):
+    yaml = pytest.importorskip("yaml")
+    assert repr(read_document(text)) == repr(yaml.safe_load(text))
+
+
+# values PyYAML reads that the grammar leaves out: anchors and aliases, tags,
+# block scalars, escapes, YAML 1.1 ints other than decimal, floats other than
+# d.d, timestamps, multi-line scalars and flows, implicit flow entries and
+# several documents
+OUTSIDE = [
+    "&a 1", "&a [1]\nOther: *a", "!!str 1", "|\n  text", ">\n  text", "'it''s'", '"tab\\t"', '"\\u00e9"',
+    "012", "0x1F", "0b101", "0o12", "1_000", "1:30", "190:20:30.15", "1.", ".5", "1e3", "1.5e3", "-.inf", ".nan",
+    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "[1,\n  2]", "'a\n  b'", "a\n  b", "b\n  - 1",
+    "a, b", "a:b", "-a", "é", "'a'#b", "{a}", "[a: 1]", "{a: 1,}", "[1,]", "1\n---\nx: 2", "1\n...\n",
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_block_text(), st.sampled_from(OUTSIDE))
+def test_reader_refuses_what_is_outside_the_grammar(text, outside):
+    """A document that PyYAML reads, with a value outside the grammar after
+    a grammar document, is refused; with an int there it is read."""
+    yaml = pytest.importorskip("yaml")
+    doc = "doc:\n" + textwrap.indent(text, "  ") + "Outside: "
+    assert repr(read_document(doc + "1\n")) == repr(yaml.safe_load(doc + "1\n"))
+    assert list(yaml.safe_load_all(doc + outside + "\n"))
+    with pytest.raises(InputError):
+        read_document(doc + outside + "\n")
+
+
+FRAGMENTS = [
+    "a", "b c", "1", "-1", "07", "1.5", ".5", "yes", "No", "null", "~", "1e3", "0x1", "1_0", "2001-01-01",
+    " ", "  ", "\n", "\n  ", "- ", "-", ":", ": ", ",", "[", "]", "{", "}", "#", " # c", "'", '"', "'x'",
+    '"y"', "''", "&a ", "*a", "!!int ", "|", ">", "?", "---", "...", "\t", "1:2", "%", "\\",
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_block_text(), st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(FRAGMENTS)), max_size=4))
+def test_reader_never_reads_a_document_differently(text, inserts):
+    """A grammar document with fragments inserted: the reader raises
+    InputError, or gives PyYAML's value."""
+    yaml = pytest.importorskip("yaml")
+    for at, fragment in inserts:
+        at %= len(text) + 1
+        text = text[:at] + fragment + text[at:]
+    try:
+        want = repr(yaml.safe_load(text))
+    except Exception:  # any refusal of PyYAML's
+        want = None
+    try:
+        got = repr(read_document(text))
+    except InputError:
+        return
+    assert got == want, text
+
+
+def test_importing_the_cli_loads_no_yaml_library():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, logacm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('yaml', '_yaml')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_bad_yaml_exits_2_with_the_line(tmp_path, capsys):
+    p = write(tmp_path, "anchor.yaml", "variety: {kind: quadric}\npolarization: &h [1, 1]\n")
+    err = refused(capsys, "classify", str(p)) or ""
+    assert err.startswith(f"error: {p}: bad YAML (line 2: ")
+    deep = write(tmp_path, "deep.yaml", "polarization: " + "[" * 5000 + "]" * 5000 + "\n")
+    assert "nested too deeply" in (refused(capsys, "classify", str(deep)) or "")
 
 
 def test_directory_mode_deterministic(tmp_path, capsys):
@@ -375,3 +543,25 @@ def test_snc_must_be_a_yaml_bool(tmp_path, capsys):
     assert run(capsys, "classify", str(write(tmp_path, "yes.yaml", quadric + "true}\n")))[0] == 0
     refusal = refused(capsys, "classify", str(write(tmp_path, "no.yaml", quadric + "false}\n"))) or ""
     assert "simple normal crossings" in refusal
+
+
+def test_malformed_variety_and_arrangement_documents_exit_2(tmp_path, capsys):
+    """A variety takes exactly its kind and that kind's own parameter, and
+    each refusal names the field it is about."""
+    h = "polarization: 1\n"
+    cases = [
+        ("['e'] do not apply to kind quadric", "variety: {kind: quadric, e: 2}\npolarization: [1, 1]\n"),
+        ("['n'] do not apply to kind blowup_p2", "variety: {kind: blowup_p2, points: 2, n: 7}\npolarization: [3, -1, -1]\n"),
+        ("variety must be a mapping, got 5", "variety: 5\n" + h),
+        ("variety must be a mapping, got 'quadric'", "variety: quadric\n" + h),
+        ("needs the field e", "variety: {kind: hirzebruch}\npolarization: [1, 2]\n"),
+        ("arrangement must be a mapping", "variety: {kind: projective_space, n: 2}\n" + h + "arrangement: 5\n"),
+        ("components must be a list", "variety: {kind: projective_space, n: 2}\n" + h + "arrangement: {components: 5}\n"),
+        ("needs a degree or a class", "variety: {kind: surface_p3, degree: 4}\n" + h + "arrangement:\n  components:\n    - {genus: 0}\n"),
+        ("unknown fields: [1, 'bogus']", "variety: {kind: quadric}\npolarization: [1, 1]\nbogus: 2\n1: x\n"),
+        ("unknown variety fields: [2, 'm']", "variety: {kind: quadric, m: 1, 2: 1}\npolarization: [1, 1]\n"),
+    ]
+    for field, text in cases:
+        p = write(tmp_path, "bad.yaml", text)
+        for command in ("classify", "cohom"):
+            assert field in (refused(capsys, command, str(p)) or ""), (text, command)

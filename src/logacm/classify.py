@@ -555,21 +555,36 @@ def _candidate_classes(x: VarietyModel, class_bound: int) -> list:
     raise OutOfScope(f"search is not defined for kind {x.kind}")
 
 
-def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot", cap: int = 8, ev: Evaluator | None = None):
-    """Enumerate admissible component multisets, filter, classify survivors.
+def _candidates(x: VarietyModel, class_bound: int, m_bound: int) -> tuple:
+    """``search``'s (combo, arrangement) pairs: the admissible component
+    multisets of 1..m_bound classes, in (size, sorted class tuples) order,
+    without a rigid class listed twice."""
+    classes = sorted(_candidate_classes(x, class_bound))
+    return tuple(
+        (combo, arrangement(x, [component_from_class(x, c) for c in combo]))
+        for m in range(1, m_bound + 1)
+        for combo in combinations_with_replacement(classes, m)
+        if repeated_rigid_class(x, combo) is None
+    )
 
-    Deterministic ordering by (size, sorted class tuples)."""
+
+def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot", cap: int = 8, ev: Evaluator | None = None):
+    """Enumerate admissible component multisets, filter, classify survivors:
+    a fresh list of (combo, verdict, first failing rule).
+
+    Deterministic ordering by (size, sorted class tuples).  The candidates
+    depend only on (x, class_bound, m_bound), so each evaluator builds them
+    once: ``ev.cache`` keeps them under ("candidates", x, class_bound,
+    m_bound), shared by every polarization and side, once a search on them
+    has returned.  A search that raises keeps nothing."""
     check_side(side)
     ev = ev or default_evaluator()
-    cands = sorted(_candidate_classes(x, class_bound))
-    results = []
-    for m in range(1, m_bound + 1):
-        for combo in combinations_with_replacement(cands, m):
-            if repeated_rigid_class(x, combo) is not None:
-                continue
-            comps = [component_from_class(x, c) for c in combo]
-            arr = arrangement(x, comps)
-            results.append((combo, *_classify(x, h, arr, side, cap, ev)))
+    key = ("candidates", x, class_bound, m_bound)
+    cands = ev.cache.get(key)
+    if cands is None:
+        cands = _candidates(x, class_bound, m_bound)
+    results = [(combo, *_classify(x, h, arr, side, cap, ev)) for combo, arr in cands]
+    ev.cache[key] = cands
     return results
 
 

@@ -309,6 +309,8 @@ class Evaluator:
       ``logbundles.structure_leaves``, shared by every arrangement on it;
     * ("orbits", variety): ``classify._orbit_rep``'s Weyl group and orbit
       memo;
+    * ("candidates", variety, class_bound, m_bound): ``classify.search``'s
+      (combo, arrangement) pairs, kept once a search on them has returned;
     * ("verdict", variety, H, arrangement, side, cap) and ("deficiency",
       variety, H, arrangement, side, cap): snapshots of the verdicts of
       ``classify._classify`` and ``deficiency_concentrated_at_zero``.

@@ -223,6 +223,51 @@ def test_search_explains_filtered_candidates_as_is_acm():
     assert checked
 
 
+def counted_builds(monkeypatch):
+    """Every component and arrangement ``search`` builds, in order."""
+    import logacm.classify as C
+
+    built = []
+    component, arrangement = C.component_from_class, C.arrangement
+
+    def counted_component(x, klass):
+        built.append(("component", klass))
+        return component(x, klass)
+
+    def counted_arrangement(x, comps, *args, **kwargs):
+        built.append(("arrangement", tuple(c.klass for c in comps)))
+        return arrangement(x, comps, *args, **kwargs)
+
+    monkeypatch.setattr(C, "component_from_class", counted_component)
+    monkeypatch.setattr(C, "arrangement", counted_arrangement)
+    return built
+
+
+def test_search_builds_its_candidates_once_per_evaluator(monkeypatch):
+    """The candidates depend only on (variety, class_bound, m_bound): a fresh
+    evaluator builds them on its first search, and every other polarization
+    and side on an equal variety with the same bounds builds none."""
+    built = counted_builds(monkeypatch)
+    polarizations = bench_workloads().sweep_polarizations("F2")
+    ev = Evaluator()
+    first = L.search(L.hirzebruch(2), polarizations[0], 2, 2, "cot", ev=ev)
+    combos = [combo for combo, _, _ in first]
+    assert [b for b in built if b[0] == "arrangement"] == [("arrangement", combo) for combo in combos]
+    assert sum(1 for b in built if b[0] == "component") == sum(map(len, combos))
+    built.clear()
+    x = L.hirzebruch(2)  # equal to the first variety, not the same object
+    shared = {(h, side): L.search(x, h, 2, 2, side, ev=ev) for h in polarizations for side in ("cot", "tan")}
+    assert built == []
+    for (h, side), res in shared.items():
+        assert res == L.search(x, h, 2, 2, side, ev=Evaluator())
+    built.clear()
+    smaller = L.search(x, polarizations[0], 1, 2, ev=ev)
+    assert [b for b in built if b[0] == "arrangement"] == [("arrangement", combo) for combo, _, _ in smaller]
+    built.clear()
+    L.search(x, polarizations[1], 1, 2, "tan", ev=ev)
+    assert built == []
+
+
 def test_search_deterministic():
     x = L.quadric_surface()
     r1 = [(c, v.status) for c, v, _ in L.search(x, (1, 1), 2, 4)]
@@ -852,10 +897,29 @@ def test_failed_verdicts_raise_again_and_are_not_kept():
             assert ev.cache.keys() == filters.cache.keys()
 
 
+def test_failed_searches_keep_nothing():
+    """A search that raises keeps no candidates and raises again on every
+    call: a non-ample H, a variety without a candidate list and a negative
+    class bound; an empty size range finds nothing."""
+    ev, empty = Evaluator(), Evaluator()
+    for _ in range(2):
+        with pytest.raises(NotAmple):
+            L.search(L.hirzebruch(1), (1, 1), 1, 2, ev=ev)
+        assert ev.cache == {}
+        with pytest.raises(OutOfScope):
+            L.search(L.abelian_surface(2), (1,), 1, 2, ev=ev)
+        for e in range(4):
+            with pytest.raises(InputError):
+                L.search(L.hirzebruch(e), (1, e + 1), -1, 2, ev=ev)
+        assert ev.cache == {}
+        assert L.search(L.hirzebruch(2), (1, 3), 2, 0, ev=empty) == []
+
+
 def test_cleared_cache_is_a_cold_session(monkeypatch):
     """``ev.cache.clear()`` is the whole reset: afterwards ``log_pair``
-    builds new nodes and ``_orbit_rep`` builds its Weyl table again, and the
-    answers are the ones the first session gave."""
+    builds new nodes, ``_orbit_rep`` builds its Weyl table again and
+    ``search`` its candidates, and the answers are the ones the first
+    session gave."""
     import logacm.classify as C
 
     built = []
@@ -879,3 +943,11 @@ def test_cleared_cache_is_a_cold_session(monkeypatch):
     assert again is not pair and again.cotangent_log is not pair.cotangent_log
     assert deficiency_concentrated_at_zero(x, mk, arr, ev=ev) == first
     assert built == [x, x]
+
+    f2 = L.hirzebruch(2)
+    searched = L.search(f2, (1, 3), 2, 2, ev=ev)
+    builds = counted_builds(monkeypatch)
+    assert L.search(f2, (1, 3), 2, 2, ev=ev) == searched and builds == []
+    ev.cache.clear()
+    assert L.search(f2, (1, 3), 2, 2, ev=ev) == searched
+    assert [b[1] for b in builds if b[0] == "arrangement"] == [combo for combo, _, _ in searched]

@@ -54,12 +54,12 @@ from .intervals import (
     TOP,
     ZERO,
     Iv,
-    add_vecs,
     exact_vec,
     iv,
     iv_meet,
     meet_vecs,
     pad_vec,
+    sum_vecs,
     top_vec,
     transpose_vec,
 )
@@ -440,10 +440,7 @@ class Evaluator:
 
 
 def _sum(ev: Evaluator, expr: SumE, twist) -> tuple[Iv, ...]:
-    total = (ZERO,) * (expr.cdim + 1)
-    for p in expr.parts:
-        total = add_vecs(total, pad_vec(ev._cohom(p, twist), expr.cdim + 1))
-    return total
+    return sum_vecs([ev._cohom(p, twist) for p in expr.parts], expr.cdim + 1)
 
 
 def _meet_parts(ev: Evaluator, expr: MeetE, twist) -> tuple[Iv, ...]:

@@ -55,12 +55,6 @@ TOP = Iv(0, None)  # no information
 ZERO = iv(0)
 
 
-def iv_add(a: Iv, b: Iv) -> Iv:
-    if a.hi is None or b.hi is None:
-        return Iv(a.lo + b.lo, None)
-    return iv(a.lo + b.lo, a.hi + b.hi)
-
-
 def iv_meet(a: Iv, b: Iv) -> Iv:
     """Intersection of two enclosures of the same value; an operand when the
     intersection equals it."""
@@ -81,7 +75,7 @@ def iv_meet(a: Iv, b: Iv) -> Iv:
 # An IVec is a tuple of Iv indexed by cohomological degree 0..n.
 
 def exact_vec(values) -> tuple[Iv, ...]:
-    return tuple(iv(int(v)) for v in values)
+    return tuple([iv(int(v)) for v in values])
 
 
 def top_vec(length: int) -> tuple[Iv, ...]:
@@ -95,10 +89,17 @@ def pad_vec(v: tuple[Iv, ...], length: int) -> tuple[Iv, ...]:
     return v + (ZERO,) * (length - len(v))
 
 
-def add_vecs(a: tuple[Iv, ...], b: tuple[Iv, ...]) -> tuple[Iv, ...]:
-    n = max(len(a), len(b))
-    a, b = pad_vec(a, n), pad_vec(b, n)
-    return tuple(iv_add(x, y) for x, y in zip(a, b))
+def sum_vecs(vecs, length: int) -> tuple[Iv, ...]:
+    """Degree-wise sum of vectors of at most ``length`` entries, a missing
+    degree an exact zero: one pass over the ends, an open upper end (None)
+    absorbing."""
+    los, his = [0] * length, [0] * length
+    for v in vecs:
+        for i, x in enumerate(v):
+            los[i] += x.lo
+            if his[i] is not None:
+                his[i] = None if x.hi is None else his[i] + x.hi
+    return tuple([Iv(lo, None) if hi is None else iv(lo, hi) for lo, hi in zip(los, his)])
 
 
 def meet_vecs(a: tuple[Iv, ...], b: tuple[Iv, ...]) -> tuple[Iv, ...]:

@@ -84,11 +84,24 @@ def cohom_line_quadric(a: int, b: int) -> tuple[int, ...]:
 
 
 def cohom_line_hirzebruch(e: int, a: int, b: int) -> tuple[int, ...]:
+    """O(a h + b f) on F_e, h the negative section and f a fibre.
+
+    For a >= 0 the pushforward to P^1 splits as the sum of O(b - i e) over
+    i = 0..a (Hartshorne V.2.3, III Ex. 8.4), so h^0 and h^1 are two
+    arithmetic series in closed form; a <= -2 is Serre duality onto that
+    branch."""
     if e < 0:
         raise InputError("need e >= 0")
     if a >= 0:
-        h0 = sum(h0_p1(b - i * e) for i in range(a + 1))
-        h1 = sum(h1_p1(b - i * e) for i in range(a + 1))
+        if e == 0:
+            return ((a + 1) * h0_p1(b), (a + 1) * h1_p1(b), 0)
+        # h^0: the terms b - ie + 1 over i = 0..n-1, n = min(a, b // e) + 1
+        n = min(a, b // e) + 1 if b >= 0 else 0
+        h0 = n * (b + 1) - e * n * (n - 1) // 2
+        # h^1: the terms ie - b - 1 over i = lo..a, all positive
+        lo = max(0, (b + 1) // e + 1)
+        m = max(0, a - lo + 1)
+        h1 = e * m * (lo + a) // 2 - m * (b + 1)
         return (h0, h1, 0)
     if a == -1:
         return (0, 0, 0)

@@ -113,7 +113,13 @@ class VarietyModel:
     # -- lattice arithmetic -------------------------------------------------
 
     def check_class(self, x) -> Cls:
-        x = cls(x)
+        if type(x) is tuple:  # a tuple of ints is already a class
+            for v in x:
+                if type(v) is not int:
+                    x = cls(x)
+                    break
+        else:
+            x = cls(x)
         if len(x) != self.lattice_rank:
             raise InputError(f"class {x} has length {len(x)}, lattice rank is {self.lattice_rank}")
         return x
@@ -170,13 +176,14 @@ class VarietyModel:
         """Smallest nu with nu*L very ample under the catalog rule, or raise.
 
         An ample class is very ample on every catalog kind but two: on a
-        blow-up the rule certifies only the multiples of -K (ample, as these
-        are del Pezzo surfaces), and on an abelian surface only tH with
-        t >= 3 (Lefschetz), so nu = 3 below."""
+        blow-up the rule certifies only the positive multiples of -K (-K is
+        very ample on these del Pezzo surfaces, k <= 4), and on an abelian
+        surface only tH with t >= 3 (Lefschetz), so nu = 3 below."""
         l = self.check_class(l)
         if self.kind == KIND_BLOWUP:
             mk = vneg(self.canonical_class)
-            certified = any(l == vscale(t, mk) for t in range(1, 13))
+            t = l[0] // mk[0]  # -K = 3H - E_1 - ... - E_k
+            certified = t >= 1 and l == vscale(t, mk)
         else:
             certified = self.is_ample(l)
         if not certified:

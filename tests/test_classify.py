@@ -1,10 +1,10 @@
 import pytest
 
 import logacm as L
-from logacm.classify import NO, YES, deficiency_concentrated_at_zero, f0_split_acm_oracle
+from logacm.classify import NO, UNKNOWN, YES, deficiency_concentrated_at_zero, f0_split_acm_oracle
 from logacm.errors import InputError, IntervalPresent, NotAmple, OutOfScope
 from logacm.exactseq import Evaluator, TwistE
-from logacm.varieties import vneg
+from logacm.varieties import vneg, vscale
 
 from conftest import bench_workloads
 
@@ -68,6 +68,22 @@ def test_blowup2_exceptional_acm():
     v = L.is_acm(x, vneg(x.canonical_class), arr)
     assert v.status == YES
     assert any("thresholds" in c for c in v.certificates)
+
+
+def test_blowup2_large_anticanonical_multiple_reaches_the_window_scan():
+    """13(-K) and 40(-K) on Bl_2 are certified very ample, so the verdict
+    comes from the regularity scan, which finds no window within the cap."""
+    from logacm.errors import WindowNotFound
+
+    x = L.blowup_p2(2)
+    arr = L.arrangement(x, [L.component_from_class(x, c) for c in [(0, 1, 0), (0, 0, 1), (1, -1, -1)]])
+    for t in (13, 40):
+        h = vscale(t, vneg(x.canonical_class))
+        v = L.is_acm(x, h, arr)
+        assert v.status == UNKNOWN, t
+        assert v.certificates[0].startswith("window uncertified (no certified window within cap=8"), v.certificates
+        with pytest.raises(WindowNotFound):
+            deficiency_concentrated_at_zero(x, h, arr)
 
 
 def test_degree0_notions():

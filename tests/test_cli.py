@@ -153,6 +153,17 @@ def test_deficiency_uncertified_scan(tmp_path, capsys):
     assert code == 0
     assert "not certified" in out
     assert any(ln.split()[:2] == ["-3", "2"] for ln in out.splitlines() if ln.strip())
+    # 13(-K) on Bl_2 is very ample, and no window is certified within the cap
+    p = write(
+        tmp_path,
+        "bl2.yaml",
+        "variety: {kind: blowup_p2, points: 2}\npolarization: [39, -13, -13]\ndegree: 1\n"
+        "arrangement: {components: [[0,1,0], [0,0,1], [1,-1,-1]]}\n",
+    )
+    code, out = run(capsys, "deficiency", str(p))
+    assert code == 0
+    assert "window: not certified (no certified window within cap=8" in out
+    assert any(ln.split() == ["0", "0"] for ln in out.splitlines())
 
 
 def test_ledger_output(tmp_path, capsys):

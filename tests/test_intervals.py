@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logacm.errors import InconsistentHints
-from logacm.intervals import Iv, add_vecs, iv, iv_add, iv_meet, meet_vecs, pad_vec
+from logacm.intervals import Iv, iv, iv_meet, meet_vecs, pad_vec, sum_vecs
 
 
 def test_small_exact_values_are_shared():
@@ -72,8 +72,9 @@ def test_vector_operations_match_the_pair_reference(a, b, length):
     assert as_ends(pad_vec(va, length)) == ref_pad(a, length)
     n = max(len(a), len(b))
     pa, pb = ref_pad(a, n), ref_pad(b, n)
-    assert as_ends(add_vecs(va, vb)) == [ref_add(x, y) for x, y in zip(pa, pb)]
-    assert [iv_add(as_iv(x), as_iv(y)) for x, y in zip(pa, pb)] == list(add_vecs(va, vb))
+    assert as_ends(sum_vecs((va, vb), n)) == [ref_add(x, y) for x, y in zip(pa, pb)]
+    longer = zip(ref_pad(a, n + 1), ref_pad(b, n + 1))  # one degree past both vectors
+    assert as_ends(sum_vecs((va, vb, va), n + 1)) == [ref_add(ref_add(x, y), x) for x, y in longer]
     met = [ref_meet(x, y) for x, y in zip(pa, pb)]
     if None in met:
         with pytest.raises(InconsistentHints, match="^empty meet "):

@@ -131,6 +131,31 @@ def test_hirzebruch_monotone_in_fiber(rng):
             assert L.cohom_line_hirzebruch(e, a, b)[0] <= L.cohom_line_hirzebruch(e, a, b + 1)[0]
 
 
+def fibre_sum_hirzebruch(e, a, b):
+    """Reference for ``cohom_line_hirzebruch``, term by term: for a >= 0,
+    pi_* O(ah + bf) is the sum of O_{P^1}(b - ie) over i = 0..a; a = -1
+    has no cohomology, and a <= -2 is Serre duality against
+    K = -2h - (e + 2)f."""
+    if a >= 0:
+        terms = [b - i * e for i in range(a + 1)]
+        return (sum(max(0, d + 1) for d in terms), sum(max(0, -d - 1) for d in terms), 0)
+    if a == -1:
+        return (0, 0, 0)
+    return tuple(reversed(fibre_sum_hirzebruch(e, -2 - a, -(e + 2) - b)))
+
+
+def test_hirzebruch_closed_form_equals_fibre_sum():
+    for e in range(7):
+        x = L.hirzebruch(e)
+        k = x.canonical_class
+        for a in range(-40, 41):
+            for b in range(-60, 61):
+                v = L.cohom_line_hirzebruch(e, a, b)
+                assert v == fibre_sum_hirzebruch(e, a, b), (e, a, b)
+                assert v[0] - v[1] + v[2] == x.riemann_roch_chi((a, b)), (e, a, b)
+                assert v == tuple(reversed(L.cohom_line_hirzebruch(e, k[0] - a, k[1] - b))), (e, a, b)
+
+
 def test_blowup_examples():
     b2 = L.blowup_p2(2)
     assert L.cohom_line_blowup(b2, (0, 1, 0)) == (1, 0, 0)

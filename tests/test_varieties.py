@@ -102,6 +102,36 @@ def test_is_ample():
     assert b1.is_ample((2, -1)) and b1.is_ample(vneg(b1.canonical_class))
 
 
+def test_blowup_certifies_every_positive_multiple_of_minus_k():
+    """-K is very ample on Bl_k P^2 for k <= 4, so every t(-K) with t >= 1
+    is; nothing else is certified on a blow-up."""
+    for k in range(1, 5):
+        x = L.blowup_p2(k)
+        mk = vneg(x.canonical_class)
+        for t in (1, 2, 12, 13, 40):
+            assert x.very_ample_multiple(vscale(t, mk)) == 1, (k, t)
+        for t in (0, -1, -13):
+            with pytest.raises(NotVeryAmple):
+                x.very_ample_multiple(vscale(t, mk))
+    for k, l in ((1, (2, -1)), (1, (4, -2)), (1, (7, -2)), (2, (4, -1, -1)), (3, (40, -13, -13, -14))):
+        x = L.blowup_p2(k)
+        assert x.is_ample(l), l
+        with pytest.raises(NotVeryAmple):
+            x.very_ample_multiple(l)
+
+
+def test_check_class_returns_a_tuple_of_ints():
+    x = L.hirzebruch(2)
+    assert x.check_class((3, -1)) == (3, -1)
+    for given, want in (([3, -1], (3, -1)), ((True, 2), (1, 2)), ([False, True], (0, 1)), ((2.0, 1), (2, 1))):
+        got = x.check_class(given)
+        assert got == want and type(got) is tuple and all(type(v) is int for v in got), given
+    assert L.projective_space(3).check_class(5) == (5,)
+    for wrong in ((1, 2, 3), (1,), (), [1, 2, 3], (True,)):
+        with pytest.raises(InputError):
+            x.check_class(wrong)
+
+
 def _ample_per_kind(x, l):
     """The per-kind ampleness chain that Kleiman's criterion replaced."""
     if x.kind == "quadric":

@@ -10,7 +10,9 @@ A verdict first probes h^1 at t = 0, -1, 1 and answers No at the first
 exactly positive slot, without a window; only then does it certify one
 and scan its residual slots.  The probe reports the witness the scan
 would: a positive slot lies inside every certified window, and the scan
-takes degree 1 first, in the same (|t|, t) order.
+takes degree 1 first, in the same (|t|, t) order.  When the window fails,
+the fallback scan of [-cap, cap] leaves out the twists of a tail that is
+certified (``_scan_slots``): h^i = 0 there, so the witness is the same.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .errors import EngineError, InputError, IntervalPresent, NotVeryAmple, OutOfScope, WindowNotFound
-from .exactseq import Evaluator, Expr, default_evaluator, vanishing_window
+from .exactseq import Evaluator, Expr, WindowCert, _tail, default_evaluator, vanishing_window
 from .intervals import Iv, iv, pad_vec
 from .linebundles import cohom_ci, cohom_line_curve, cohom_line_quadric, line_cohom
 from .logbundles import check_side, cotangent_tangent_pair, log_pair, repeated_rigid_class
@@ -222,15 +224,19 @@ def _first_positive(ev: Evaluator, expr: Expr, h, n: int, i: int, twists):
     return None, blocking
 
 
-def _scan_slots(ev: Evaluator, expr: Expr, h, n: int, window, cap: int):
-    """Evaluate residual (or fallback-range) slots for degrees 1..n-1.
+def _scan_slots(ev: Evaluator, expr: Expr, h, n: int, twists):
+    """Evaluate the slots at ``twists(i)`` for degrees 1..n-1: a window's
+    residual slots, or the fallback range of an uncertified one.
 
     Returns (witness, blocking) where witness is an exactly positive slot
-    and blocking an undecided interval slot."""
+    and blocking an undecided interval slot.  The fallback range is
+    [-cap, cap] without the twists of a certified tail: a tail certifies
+    h^i = 0 there, and a sound engine never reads an exactly positive
+    slot at such a twist, so the first witness is the one a scan of the
+    whole range finds."""
     blocking = None
     for i in range(1, n):
-        twists = window.residual(i) if window is not None else range(-cap, cap + 1)
-        witness, first = _first_positive(ev, expr, h, n, i, sorted(twists, key=lambda t: (abs(t), t)))
+        witness, first = _first_positive(ev, expr, h, n, i, sorted(twists(i), key=lambda t: (abs(t), t)))
         if witness is not None:
             return witness, None
         blocking = blocking or first
@@ -249,17 +255,30 @@ def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> V
     witness, _ = _first_positive(ev, expr, h, n, 1, probe)
     if witness is not None:
         return Verdict(NO, witness, [_WITNESS_NOTE])
-    window_note = ""
+    # vanishing_window's tails, each scanned once even when the other fails;
+    # an uncertified tail stands at the cap, just past the fallback range
+    upper, lower = dict.fromkeys(range(1, n), cap + 1), dict.fromkeys(range(1, n), -cap - 1)
+    certs, failure = [], None
     try:
-        window = vanishing_window(expr, h, cap=cap, ev=ev)
-    except (WindowNotFound, NotVeryAmple) as exc:
-        window = None
-        window_note = f"window uncertified ({exc})"
-    witness, blocking = _scan_slots(ev, expr, h, n, window, cap)
+        nu = x.very_ample_multiple(h)
+    except NotVeryAmple as exc:
+        failure = exc  # no tail is scanned: the whole fallback range
+    else:
+        for dual in (False, True):
+            try:
+                bounds, cert = _tail(expr, dual, h, cap, nu, ev)
+            except WindowNotFound as exc:
+                failure = failure or exc
+                continue
+            (lower if dual else upper).update(bounds)
+            certs.append(cert)
+    window = WindowCert(upper, lower, certs)
+    twists = window.residual if failure is None else lambda i: [t for t in window.residual(i) if abs(t) <= cap]
+    witness, blocking = _scan_slots(ev, expr, h, n, twists)
     if witness is not None:
         return Verdict(NO, witness, [_WITNESS_NOTE])
-    if window is None:
-        return Verdict(UNKNOWN, None, [window_note, "no exact nonzero slot found in the scanned range"])
+    if failure is not None:
+        return Verdict(UNKNOWN, None, [f"window uncertified ({failure})", "no exact nonzero slot found in the scanned range"])
     if blocking is not None:
         return Verdict(UNKNOWN, blocking, window.certificates + ["undecided interval at the reported slot"])
     certs = window.certificates + [

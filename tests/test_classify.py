@@ -499,7 +499,8 @@ def window_first_classify_expr(x, h, expr, cap, ev):
     except (WindowNotFound, NotVeryAmple) as exc:
         window = None
         window_note = f"window uncertified ({exc})"
-    witness, blocking = _scan_slots(ev, expr, h, n, window, cap)
+    full = range(-cap, cap + 1)
+    witness, blocking = _scan_slots(ev, expr, h, n, window.residual if window is not None else lambda i: full)
     if witness is not None:
         return Verdict(NO, witness, ["nonzero intermediate cohomology at the witness slot"])
     if window is None:
@@ -584,10 +585,99 @@ def test_witness_probe_skips_a_failing_window(monkeypatch):
     assert want.status == NO and want.witness[:2] == (1, -1)
 
     calls = []
-    monkeypatch.setattr(C, "vanishing_window", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(C, "_tail", lambda *a, **k: calls.append(a))
     got = C._classify_expr(x, h, expr, 8, ev)
     assert calls == []
     assert (got.status, got.witness, got.certificates) == (want.status, want.witness, want.certificates)
+
+
+def window_cases():
+    """``probe_cases()`` and every candidate arrangement of the sweep's
+    specs, each (variety, polarization, arrangement) once."""
+    from logacm.classify import _candidates
+
+    cases = dict.fromkeys(probe_cases())
+    for name, h, cb, mb, _ in bench_workloads().sweep_space():
+        x = L.quadric_surface() if name == "quadric" else L.hirzebruch(int(name[1:]))
+        cases.update(dict.fromkeys((x, h, arr) for _, arr in _candidates(x, cb, mb)))
+    return list(cases)
+
+
+def test_fallback_scan_skips_only_certified_zeros(monkeypatch):
+    """Where exactly one tail of the window is certified, the fallback scan
+    reads [-cap, cap] without that tail's twists, and every twist it skips
+    reads lo == 0 on a fresh evaluator: no exactly positive slot is left
+    out.  Over ``window_cases()`` on both sides, at caps 0, 1 and 8."""
+    from collections import Counter
+
+    import logacm.classify as C
+    from logacm.errors import NotVeryAmple, WindowNotFound
+    from logacm.exactseq import _tail
+    from logacm.intervals import pad_vec
+    from logacm.logbundles import log_pair
+
+    scans = []
+    scan = C._scan_slots
+    monkeypatch.setattr(C, "_scan_slots", lambda ev, expr, h, n, twists: scans.append(twists) or scan(ev, expr, h, n, twists))
+    windows, skipped, scanned = Counter(), 0, 0
+    for x, h, arr in window_cases():
+        try:
+            nu = x.very_ample_multiple(h)
+        except NotVeryAmple:
+            continue
+        for cap in (0, 1, 8):
+            ev = Evaluator()
+            for side in ("cot", "tan"):
+                expr = log_pair(x, arr, ev).for_side(side)
+                tails = {}
+                for dual in (False, True):
+                    try:
+                        tails[dual] = _tail(expr, dual, h, cap, nu, ev)[0]
+                    except WindowNotFound:
+                        pass
+                if len(tails) != 1:
+                    continue
+                ((dual, bounds),) = tails.items()
+                windows[dual] += 1
+                skip = {i: [t for t in range(-cap, cap + 1) if (t <= b if dual else t >= b)] for i, b in bounds.items()}
+                scans.clear()
+                C._classify_expr(x, h, expr, cap, ev)
+                if scans:  # the probe may answer No first
+                    scanned += 1
+                    for i, ts in skip.items():
+                        assert sorted(scans[0](i)) == [t for t in range(-cap, cap + 1) if t not in ts]
+                fresh = Evaluator()
+                reread = log_pair(x, arr, fresh).for_side(side)
+                for i, ts in skip.items():
+                    skipped += len(ts)
+                    for t in ts:
+                        assert pad_vec(fresh.cohom(reread, vscale(t, h)), x.dim + 1)[i].lo == 0, (x, h, arr, side, cap, i, t)
+    assert windows[False] > 100 and windows[True] > 100 and scanned > 100 and skipped > 1000, (windows, scanned, skipped)
+
+
+def test_window_raises_the_upper_tail_when_both_fail(monkeypatch):
+    """With no tail certified (the quadric's empty arrangement at cap 0),
+    ``vanishing_window`` raises the upper tail's message and never scans
+    the lower tail."""
+    from logacm import exactseq
+    from logacm.errors import WindowNotFound
+    from logacm.exactseq import _tail, vanishing_window
+    from logacm.logbundles import log_pair
+
+    q, h = L.quadric_surface(), (1, 1)
+    expr = log_pair(q, L.arrangement(q, []), Evaluator()).cotangent_log
+    messages = []
+    for dual in (False, True):
+        with pytest.raises(WindowNotFound) as exc:
+            _tail(expr, dual, h, 0, 1, Evaluator())
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    duals = []
+    scan = exactseq._one_sided_regularity
+    monkeypatch.setattr(exactseq, "_one_sided_regularity", lambda e, dual, *a: duals.append(dual) or scan(e, dual, *a))
+    with pytest.raises(WindowNotFound) as exc:
+        vanishing_window(expr, h, cap=0, ev=Evaluator())
+    assert (str(exc.value), duals) == (messages[0], [False])
 
 
 # -- Weyl-group orbits of (-1)-curve arrangements on Bl_k P^2 -----------------

@@ -967,9 +967,9 @@ def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
 
 def test_kernel_matches_rank_path_solve_on_searches(monkeypatch):
     """Every (node, twist) solved while searching F_1 at H = (1, 2), F_0
-    and the quadric at H = (1, 1), F_2 at H = (1, 3) and F_3 at H = (1, 4),
-    on both sides, solves to the same value or error with the kernel and
-    with ``rank_path_solve``."""
+    and the quadric at H = (1, 1), F_2 at H = (1, 3), F_3 at H = (1, 4)
+    and F_1..F_3 at H = (2, 2e + 1), on both sides, solves to the same
+    value or error with the kernel and with ``rank_path_solve``."""
     seen = {}
     kernel = Evaluator._solve
 
@@ -985,6 +985,7 @@ def test_kernel_matches_rank_path_solve_on_searches(monkeypatch):
         (L.quadric_surface(), (1, 1)),
         (L.hirzebruch(2), (1, 3)),
         (L.hirzebruch(3), (1, 4)),
+        *((L.hirzebruch(e), (2, 2 * e + 1)) for e in (1, 2, 3)),
     )
     for x, h in searches:
         for side in ("cot", "tan"):

@@ -360,6 +360,23 @@ def test_surface_p3_catalog_constants_match_the_engine():
         assert (x.h11, x.q, x.q) == (cot[1], cot[0], o[1]), d
 
 
+def test_two_plane_sections_of_the_cubic_surface_have_one_log_form():
+    """Two plane sections D_1, D_2 of the smooth cubic surface have
+    [D_1] = [D_2] = H, so H^0(O_{D_1} + O_{D_2}) -> H^1(Omega^1) has rank
+    1, and h^0(Omega^1) = 0 gives h^0(Omega^1(log D)) = 1: d log(f_1/f_2)
+    is the section.  The engine's interval contains 1 with the span
+    unasserted and with span_rank = 1; a span pinned to min(m, h^{1,1})
+    would read an exact 0."""
+    x = L.surface_in_p3(3)
+    section = L.component_from_degree(x, 3, 1)
+    for span_rank in (None, 1):
+        arr = L.arrangement(x, [section, section], span_rank=span_rank)
+        assert arr.span_asserted == (span_rank is not None)
+        ev = Evaluator()
+        h0 = ev.cohom(L.log_pair(x, arr, ev).cotangent_log, (0,))[0]
+        assert h0.lo <= 1 <= h0.hi, (span_rank, h0)
+
+
 def test_ledger_cubic():
     rep = ledger_checks("cubic_surface")
     assert rep.values == (36, 5, 9)

@@ -104,13 +104,15 @@ class CurveE(Expr):
     """Pushforward of a line bundle from a smooth curve on a surface.
 
     Degree at twist T is base_deg + D.T (lattice form) or base_deg +
-    deg_h * t (rank-one form)."""
+    deg_h * t (rank-one form).  ``structure`` marks O_C itself: at twist 0
+    it reads h = (1, genus) exactly, not a degree-0 interval."""
 
     variety: VarietyModel
     genus: int
     base_deg: int
     klass: tuple | None = None
     deg_h: int | None = None
+    structure: bool = False
 
     def __post_init__(self):
         if self.klass is not None:
@@ -439,6 +441,12 @@ class Evaluator:
     _solve_coarse = None
 
 
+def _curve(ev: Evaluator, expr: CurveE, twist) -> tuple[Iv, ...]:
+    if expr.structure and not any(twist):
+        return iv(1), iv(expr.genus)
+    return cohom_line_curve(expr.genus, expr.degree_at(twist))
+
+
 def _sum(ev: Evaluator, expr: SumE, twist) -> tuple[Iv, ...]:
     return sum_vecs([ev._cohom(p, twist) for p in expr.parts], expr.cdim + 1)
 
@@ -455,7 +463,7 @@ def _meet_parts(ev: Evaluator, expr: MeetE, twist) -> tuple[Iv, ...]:
 # calls
 _RAW = {
     LineE: lambda ev, e, t: exact_vec(line_cohom(e.variety, vadd(e.klass, t))),
-    CurveE: lambda ev, e, t: cohom_line_curve(e.genus, e.degree_at(t)),
+    CurveE: _curve,
     HyperE: lambda ev, e, t: exact_vec(cohom_ci(e.variety.dim, (e.d,), t[0])),
     BottE: lambda ev, e, t: exact_vec(cohom_bott(e.n, e.p, e.shift + t[0])),
     SumE: _sum,

@@ -4,7 +4,11 @@ Builds the residue sequence of an arrangement, gives each sequence its rule
 of known facts (Hodge numbers and tangent-section counts on F_e, section
 counts on the del Pezzo blow-ups, the Jacobian-ring rank on surfaces in
 P^3, the coboundary span rank) and installs the split-bundle upgrades for
-hyperplane arrangements on P^n and ruling arrangements on the quadric.
+hyperplane arrangements on P^n and ruling arrangements on the quadric, and
+on F_e the relative log-tangent sequence of a ruling for fibres and
+disjoint sections (``ruling_log_tangent``).  Each model is met with the
+residue sequence: both are sound, so the meet only narrows intervals (a
+conflict raises), and no decided verdict changes.
 T_X(-log D) is the dual of Omega^1_X(log D) for an SNC divisor (Esnault and
 Viehweg, *Lectures on Vanishing Theorems*, 1992, Section 2), so the
 log-tangent side is a ``DualE`` of the residue side and one solve serves
@@ -16,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import prod
 
 from .errors import InputError, NotRulingArrangement
@@ -46,6 +51,7 @@ from .varieties import (
     VarietyModel,
     quadric_surface,
     vneg,
+    vscale,
     vsub,
 )
 
@@ -65,8 +71,7 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
         cot = SumE([LineE(x, (0,)), LineE(x, (0,))])
         return cot, cot
     if k == KIND_HIRZEBRUCH:
-        e = x.param
-        tan = SeqE(x, LineE(x, (2, e)), None, LineE(x, (0, 2)), 2, name=f"T_F{e}", rule=_fe_tangent_rule)
+        tan = ruling_log_tangent(x, (0, 1), name=f"T_F{x.param}", rule=_fe_tangent_rule)
         model = TwistE(tan, x.canonical_class)
     elif k == KIND_BLOWUP:
         # 0 -> pi^*Omega_{P^2} -> Omega^1 -> (+) O_{E_i}(-2) -> 0 for the
@@ -95,6 +100,19 @@ def serre_met_pair(model: Expr) -> tuple[Expr, Expr]:
         tangent = tangent.inner
     cot = MeetE([model, DualE(tangent)])
     return cot, TwistE(cot, mk)
+
+
+def ruling_log_tangent(x: VarietyModel, fibre, sections=(), k: int = 0, name: str = "ruling log tangent", rule=None) -> SeqE:
+    """T_X(-log D) on F_e for D = k fibres of a ruling pi (fibre class
+    ``fibre``) plus pairwise disjoint sections of the classes ``sections``:
+    0 -> T_{X/P^1}(-sum s_j) = O(-K - 2f - sum s_j) -> T_X(-log D) ->
+    pi^*T_{P^1}(-sum p_i) = O((2 - k)f) -> 0.  Where a section meets a fibre,
+    d(pi) maps u d/du onto T_{P^1}(-p) with kernel v d/dv, the vertical
+    fields vanishing on the section.  D = 0 gives TX itself."""
+    left = vsub(vneg(x.canonical_class), vscale(2, fibre))
+    for s in sections:
+        left = vsub(left, s)
+    return SeqE(x, LineE(x, left), None, LineE(x, vscale(2 - k, fibre)), 2, name=name, rule=rule)
 
 
 def _fe_tangent_rule(x: VarietyModel, tw):
@@ -203,7 +221,7 @@ def structure_leaves(x: VarietyModel, arr: Arrangement, ev: Evaluator) -> list[E
 def _leaf(x: VarietyModel, c) -> Expr:
     if x.kind == KIND_PN:
         return HyperE(x, c.klass[0])
-    return CurveE(x, c.genus, 0, klass=c.klass, deg_h=c.deg_h)
+    return CurveE(x, c.genus, 0, klass=c.klass, deg_h=c.deg_h, structure=True)
 
 
 def is_hyperplane_arrangement(x: VarietyModel, arr: Arrangement) -> bool:
@@ -219,6 +237,20 @@ def ruling_counts(x: VarietyModel, arr: Arrangement) -> tuple[int, int] | None:
     if a + b != arr.size:
         return None
     return a, b
+
+
+def ruling_fit(x: VarietyModel, arr: Arrangement) -> tuple | None:
+    """(fibre class, section classes, fibre count) for the first ruling of F_e
+    (either one on F_0) whose fibres and pairwise disjoint sections make up D,
+    or None.  A curve C with C.f = 1 maps isomorphically onto P^1: a section."""
+    if x.kind != KIND_HIRZEBRUCH:
+        return None
+    for fibre in ((0, 1), (1, 0))[: 2 if x.param == 0 else 1]:
+        sections = [c.klass for c in arr.components if c.klass != fibre]
+        if all(x._intersect(s, fibre) == 1 for s in sections):
+            if not any(x._intersect(a, b) for a, b in combinations(sections, 2)):
+                return fibre, tuple(sections), arr.size - len(sections)
+    return None
 
 
 def _ruling_split(x: VarietyModel, a: int, b: int) -> Expr:
@@ -312,6 +344,9 @@ def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr, ev:
         model = dk_split_model(x, m) if m <= n + 1 else steiner_model(x, m)
         notes.append("hyperplane arrangement: split/Steiner model installed")
         cot_log = MeetE([model, cot_log])
+    fit = ruling_fit(x, arr)
+    if fit is not None:  # a conflict between the two models raises InconsistentHints
+        cot_log = MeetE([cot_log, DualE(ruling_log_tangent(x, *fit))])
     rc = ruling_counts(x, arr)
     if rc is not None:
         notes.append(f"quadric ruling arrangement ({rc[0]},{rc[1]}): split model installed")

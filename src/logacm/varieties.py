@@ -7,6 +7,7 @@ basis; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -209,6 +210,7 @@ class VarietyModel:
         return e if all(a == e * b for a, b in zip(k, h)) else None
 
 
+@lru_cache(maxsize=None)
 def projective_space(n: int) -> VarietyModel:
     if n < 2:
         raise InputError("catalog starts at P^2")
@@ -217,11 +219,13 @@ def projective_space(n: int) -> VarietyModel:
     return VarietyModel(KIND_PN, n, 1, ((1,),), (-(n + 1),), 1, 0, 0, 1, (n + 1) ** 2 - 1, (), ((1,),), n)
 
 
+@lru_cache(maxsize=None)
 def quadric_surface() -> VarietyModel:
     m = ((0, 1), (1, 0))
     return VarietyModel(KIND_QUADRIC, 2, 2, m, (-2, -2), 1, 4, 0, 2, 6, (), ((1, 0), (0, 1)), 0)
 
 
+@lru_cache(maxsize=None)
 def hirzebruch(e: int) -> VarietyModel:
     if e < 0:
         raise InputError("Hirzebruch parameter must be >= 0")
@@ -230,6 +234,7 @@ def hirzebruch(e: int) -> VarietyModel:
     return VarietyModel(KIND_HIRZEBRUCH, 2, 2, m, (-2, -(e + 2)), 1, 4, 0, 2, h0t, ((1, 0),) if e > 0 else (), ((1, 0), (0, 1)), e)
 
 
+@lru_cache(maxsize=None)
 def blowup_p2(k: int) -> VarietyModel:
     if not 1 <= k <= 4:
         raise NonGeneralConfig("catalog supports blow-ups of P^2 at 1..4 general points")
@@ -246,6 +251,7 @@ def blowup_p2(k: int) -> VarietyModel:
     return VarietyModel(KIND_BLOWUP, 2, rank, m, canonical, 1, 3 + k, 0, 1 + k, h0t, tuple(neg), mori, k)
 
 
+@lru_cache(maxsize=None)
 def surface_in_p3(d: int) -> VarietyModel:
     if d < 2:
         raise InputError("surface degree must be >= 2")
@@ -257,6 +263,7 @@ def surface_in_p3(d: int) -> VarietyModel:
     return VarietyModel(KIND_SURFACE_P3, 2, 1, ((d,),), (d - 4,), chi_o, c2, 0, h11, h0t, (), ((1,),), d)
 
 
+@lru_cache(maxsize=None)
 def abelian_surface(polarization_square: int) -> VarietyModel:
     if polarization_square <= 0 or polarization_square % 2 != 0:
         raise InputError("abelian polarization square must be a positive even integer")

@@ -567,22 +567,22 @@ def test_witness_probe_matches_window_first_scan(cap):
 
 
 def test_witness_probe_skips_a_failing_window(monkeypatch):
-    """On F_1 with H = (1, 2) and D a fibre, the tangent side has no window
-    within the cap and h^1 = 1 at t = -1: the probe answers No without
-    looking for a window."""
+    """On F_1 with H = (1, 2) and D two (1, 1) sections, which meet, the
+    tangent side has no window within the cap and h^1 = 1 at t = -1: the
+    probe answers No without looking for a window."""
     import logacm.classify as C
     from logacm.errors import WindowNotFound
     from logacm.exactseq import vanishing_window
     from logacm.logbundles import log_pair
 
     x, h = L.hirzebruch(1), (1, 2)
-    arr = L.arrangement(x, [L.component_from_class(x, (0, 1))])
+    arr = L.arrangement(x, [L.component_from_class(x, (1, 1))] * 2)
     ev = Evaluator()
     expr = log_pair(x, arr, ev).for_side("tan")
     with pytest.raises(WindowNotFound):
         vanishing_window(expr, h, cap=8, ev=Evaluator())
     want = window_first_classify_expr(x, h, expr, 8, Evaluator())
-    assert want.status == NO and want.witness[:2] == (1, -1)
+    assert want.status == NO and want.witness[:2] == (1, -1) and want.witness[2] == L.iv(1)
 
     calls = []
     monkeypatch.setattr(C, "_tail", lambda *a, **k: calls.append(a))
@@ -591,14 +591,26 @@ def test_witness_probe_skips_a_failing_window(monkeypatch):
     assert (got.status, got.witness, got.certificates) == (want.status, want.witness, want.certificates)
 
 
+def wide_fe_space():
+    """(variety, polarization, class_bound, m_bound) for F_0..F_3 at the
+    sweep's polarizations with class bound 2 and up to three components:
+    arrangements with sections, fibres and curves of class (2, b)."""
+    return [
+        (L.hirzebruch(e), h, 2, 3) for e in range(4) for h in bench_workloads().sweep_polarizations(f"F{e}")
+    ]
+
+
 def window_cases():
-    """``probe_cases()`` and every candidate arrangement of the sweep's
-    specs, each (variety, polarization, arrangement) once."""
+    """``probe_cases()``, every candidate arrangement of the sweep's specs
+    and of ``wide_fe_space()``, each (variety, polarization, arrangement)
+    once."""
     from logacm.classify import _candidates
 
     cases = dict.fromkeys(probe_cases())
     for name, h, cb, mb, _ in bench_workloads().sweep_space():
         x = L.quadric_surface() if name == "quadric" else L.hirzebruch(int(name[1:]))
+        cases.update(dict.fromkeys((x, h, arr) for _, arr in _candidates(x, cb, mb)))
+    for x, h, cb, mb in wide_fe_space():
         cases.update(dict.fromkeys((x, h, arr) for _, arr in _candidates(x, cb, mb)))
     return list(cases)
 
@@ -901,8 +913,9 @@ def test_memoized_search_equals_a_fresh_evaluator_in_either_order():
 
 def test_evaluation_never_reenters_what_it_is_computing(monkeypatch):
     """Every node refers only to nodes built before it, so over the sweep
-    and blowup benchmark spaces no (expression, twist) is asked for again
-    while it is being computed, and each is computed once per evaluator."""
+    and blowup benchmark spaces and ``wide_fe_space()`` no (expression,
+    twist) is asked for again while it is being computed, and each is
+    computed once per evaluator."""
     from collections import Counter
 
     in_flight, reentered, computed = set(), [], Counter()
@@ -929,6 +942,9 @@ def test_evaluation_never_reenters_what_it_is_computing(monkeypatch):
     for name, h, cb, mb, side in bench_workloads().sweep_space():
         x = L.quadric_surface() if name == "quadric" else L.hirzebruch(int(name[1:]))
         L.search(x, h, cb, mb, side, ev=ev)
+    for x, h, cb, mb in wide_fe_space():
+        for side in ("cot", "tan"):
+            L.search(x, h, cb, mb, side, ev=ev)
     for x, arr in blowup_space():
         deficiency_concentrated_at_zero(x, vneg(x.canonical_class), arr, ev=ev)
     assert reentered == [] and in_flight == set()

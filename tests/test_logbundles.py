@@ -15,6 +15,7 @@ from logacm.exactseq import (
     Evaluator,
     Expr,
     HyperE,
+    LineE,
     MeetE,
     SeqE,
     SumE,
@@ -31,7 +32,7 @@ from logacm.logbundles import (
     ruling_counts,
     serre_met_pair,
 )
-from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, KIND_PN, Component, vneg, vscale, vsub
+from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, KIND_PN, Component, vadd, vneg, vscale, vsub
 
 from conftest import catalog_surfaces, random_class
 
@@ -364,17 +365,18 @@ def test_two_plane_sections_of_the_cubic_surface_have_one_log_form():
     """Two plane sections D_1, D_2 of the smooth cubic surface have
     [D_1] = [D_2] = H, so H^0(O_{D_1} + O_{D_2}) -> H^1(Omega^1) has rank
     1, and h^0(Omega^1) = 0 gives h^0(Omega^1(log D)) = 1: d log(f_1/f_2)
-    is the section.  The engine's interval contains 1 with the span
-    unasserted and with span_rank = 1; a span pinned to min(m, h^{1,1})
-    would read an exact 0."""
+    is the section.  The residue leaves O_{D_i} are trivial at twist 0,
+    so with span_rank = 1 the engine reads exactly 1; with the span
+    unasserted it reads 0..1 (a span pinned to min(m, h^{1,1}) would read
+    an exact 0)."""
     x = L.surface_in_p3(3)
     section = L.component_from_degree(x, 3, 1)
-    for span_rank in (None, 1):
+    for span_rank, want in ((None, L.Iv(0, 1)), (1, L.iv(1))):
         arr = L.arrangement(x, [section, section], span_rank=span_rank)
         assert arr.span_asserted == (span_rank is not None)
         ev = Evaluator()
         h0 = ev.cohom(L.log_pair(x, arr, ev).cotangent_log, (0,))[0]
-        assert h0.lo <= 1 <= h0.hi, (span_rank, h0)
+        assert h0 == want, (span_rank, h0)
 
 
 def test_ledger_cubic():
@@ -542,3 +544,172 @@ def test_shared_log_pair_cannot_be_mutated():
     assert verdict.certificates[0] == pair.notes[0]
     verdict.certificates.append("changed")
     assert log_pair(x, arr, ev).notes == ("hyperplane arrangement: split/Steiner model installed",)
+
+
+# -- the relative log-tangent sequence of a ruling on F_e ----------------------
+#
+# Each check reads a fresh evaluator and builds the ruling model through the
+# module attribute ``logbundles.ruling_log_tangent``, so a mutant patched in
+# there is the model ``log_pair`` installs and the one the checks read.
+
+FE_BOX = list(product(range(-4, 5), range(-6, 7)))
+
+
+def _fe_box_arrangements():
+    """(F_e, D) for e = 0..3 and every search candidate with class bound 2
+    and at most three components."""
+    from logacm.classify import _candidates
+
+    surfaces = [L.hirzebruch(e) for e in range(4)]
+    return [(x, arr) for x in surfaces for _, arr in _candidates(x, 2, 3)]
+
+
+def _log_tangent_chi(x, arr, tw) -> int:
+    """chi(T(-log D)(tw)) by Riemann-Roch for a rank-2 bundle,
+    chi(E) = 2 chi(O) + c_1.(c_1 - K)/2 - c_2, with c_1(T(-log D)) = -K - D
+    and c_2 = e(X) - e(D), e(D) = sum (2 - 2 g_i) - sum_{i<j} D_i.D_j; the
+    twist adds 2 tw to c_1 and c_1.tw + tw^2 to c_2."""
+    k, comps = x.canonical_class, arr.components
+    d = tuple(map(sum, zip(*(c.klass for c in comps))))
+    e_d = sum(2 - 2 * c.genus for c in comps) - sum(x.intersect(a.klass, b.klass) for a, b in combinations(comps, 2))
+    c1, c2 = vsub(vneg(k), d), x.c2 - e_d
+    c2 += x.intersect(c1, tw) + x.intersect(tw, tw)
+    c1 = vadd(c1, vscale(2, tw))
+    num = x.intersect(c1, vsub(c1, k))
+    assert num % 2 == 0
+    return 2 * x.chi_structure_sheaf + num // 2 - c2
+
+
+def _check_riemann_roch(ev) -> int:
+    """Every exact row of T(-log D)(L) over F_0..F_3 with |a| <= 4, |b| <= 6
+    satisfies Riemann-Roch; returns the number of exact rows."""
+    exact = 0
+    for x, arr in _fe_box_arrangements():
+        tan = log_pair(x, arr, ev).tangent_log
+        for tw in FE_BOX:
+            v = pad_vec(ev.cohom(tan, tw), 3)
+            if all(c.exact for c in v):
+                exact += 1
+                assert v[0].lo - v[1].lo + v[2].lo == _log_tangent_chi(x, arr, tw), (x.param, arr, tw, v)
+    return exact
+
+
+def _check_split_inside(ev):
+    """On F_0 with a lines of class (1, 0) and b of class (0, 1), the ruling
+    model of either ruling contains the split Omega^1(log D) =
+    O(a - 2, 0) + O(0, b - 2) at every twist of the box."""
+    x = L.hirzebruch(0)
+    for a, b in product(range(4), repeat=2):
+        if a + b == 0:
+            continue
+        split = logbundles._ruling_split(x, a, b)
+        for fibre, sections, k in (((0, 1), [(1, 0)] * a, b), ((1, 0), [(0, 1)] * b, a)):
+            model = DualE(logbundles.ruling_log_tangent(x, fibre, sections, k))
+            for tw in FE_BOX:
+                for got, want in zip(ev.cohom(model, tw), ev.cohom(split, tw)):
+                    assert got.lo <= want.lo and (got.hi is None or want.lo <= got.hi), (a, b, fibre, tw)
+
+
+def _check_toric_boundary(ev):
+    """The toric boundary B = C_0 + s_inf + two fibres of F_1..F_3 has
+    T(-log B) = O + O, so each slot of ``log_pair``'s tangent side contains
+    2 h^i(O(L)) over the box."""
+    for e in (1, 2, 3):
+        x = L.hirzebruch(e)
+        arr = L.arrangement(x, [L.component_from_class(x, c) for c in ((1, 0), (1, e), (0, 1), (0, 1))])
+        tan = log_pair(x, arr, ev).tangent_log
+        for tw in FE_BOX:
+            for got, h in zip(ev.cohom(tan, tw), L.line_cohom(x, tw)):
+                assert got.lo <= 2 * h and (got.hi is None or 2 * h <= got.hi), (e, tw)
+
+
+def _check_catalog_tangent(ev):
+    """With D = 0 the ruling model is TX: its intervals contain the catalog
+    T_{F_e} values (the same sequence, with its rule and Serre meet), and
+    equal them where it is exact."""
+    for e in range(4):
+        x = L.hirzebruch(e)
+        bare = logbundles.ruling_log_tangent(x, (0, 1), (), 0)
+        _, tan = cotangent_tangent_pair(x)
+        for tw in FE_BOX:
+            for got, want in zip(ev.cohom(bare, tw), ev.cohom(tan, tw)):
+                assert got.lo <= want.lo and (got.hi is None or (want.hi is not None and want.hi <= got.hi)), (e, tw)
+                if got.exact:
+                    assert want == got, (e, tw)
+
+
+RULING_CHECKS = (_check_riemann_roch, _check_split_inside, _check_toric_boundary, _check_catalog_tangent)
+
+
+def test_ruling_model_rows_satisfy_riemann_roch():
+    """The sequence makes most T(-log D) rows over the box exact, and each
+    exact row agrees with chi from c_1 = -K - D and c_2 = e(X) - e(D)."""
+    assert _check_riemann_roch(Evaluator()) > 6000
+
+
+@pytest.mark.parametrize("check", RULING_CHECKS[1:])
+def test_ruling_model_matches_independent_values(check):
+    check(Evaluator())
+
+
+def test_ruling_model_is_installed_only_where_a_ruling_fits():
+    """Fibres and disjoint sections of one ruling get the model (either
+    ruling on F_0, where (2, 1) is a section of the second); meeting
+    sections and F_1's class (2, 2) do not, and F_1's two (1, 1) sections
+    at H = (2, 5) stay Unknown on the tangent side."""
+
+    def arr(x, classes):
+        return L.arrangement(x, [L.component_from_class(x, c) for c in classes])
+
+    f0, f1, f2 = L.hirzebruch(0), L.hirzebruch(1), L.hirzebruch(2)
+    assert logbundles.ruling_fit(f0, arr(f0, [(1, 0), (1, 0), (0, 1)])) == ((0, 1), ((1, 0), (1, 0)), 1)
+    assert logbundles.ruling_fit(f0, arr(f0, [(1, 0), (2, 1)])) == ((1, 0), ((2, 1),), 1)
+    assert logbundles.ruling_fit(f2, arr(f2, [(1, 0), (1, 2), (0, 1)])) == ((0, 1), ((1, 0), (1, 2)), 1)
+    meeting = ([(1, 1), (1, 1)], [(2, 2)], [(2, 2), (0, 1)], [(1, 0), (1, 2)])
+    for x, classes in [(f1, c) for c in meeting] + [(f2, [(1, 2), (1, 2)]), (f0, [(1, 1), (2, 1)])]:
+        d = arr(x, classes)
+        assert logbundles.ruling_fit(x, d) is None, (x.param, classes)
+        assert isinstance(log_pair(x, d, Evaluator()).cotangent_log, SeqE), (x.param, classes)
+    verdict = L.is_tacm(f1, (2, 5), arr(f1, [(1, 1), (1, 1)]), ev=Evaluator())
+    assert verdict.status == "Unknown" and verdict.certificates[0].startswith("window uncertified")
+
+
+def _mutant(dl: int = 0, dr: int = 0, drop: bool = False):
+    """``ruling_log_tangent`` with the left class moved by dl fibres, the
+    right class by dr fibres, or one section left out of the left class."""
+    real = logbundles.ruling_log_tangent
+
+    def build(x, fibre, sections, k, name="ruling log tangent", rule=None):
+        seq = real(x, fibre, sections, k, name, rule)
+        left = vadd(seq.left.klass, vscale(dl, fibre))
+        if drop and sections:
+            left = vadd(left, sections[0])
+        right = vadd(seq.right.klass, vscale(dr, fibre))
+        return SeqE(x, LineE(x, left), None, LineE(x, right), 2, name=name, rule=rule)
+
+    return build
+
+
+def test_every_mutant_of_the_ruling_model_is_killed(monkeypatch):
+    """Moving either class of the sequence by a fibre, or leaving a section
+    out of the left class, makes at least one independent check fail (an
+    assertion or a conflict with the residue model)."""
+    from logacm.errors import InconsistentHints
+
+    mutants = {
+        "left + f": _mutant(dl=1),
+        "left - f": _mutant(dl=-1),
+        "right + f": _mutant(dr=1),
+        "right - f": _mutant(dr=-1),
+        "section dropped": _mutant(drop=True),
+    }
+    killed = {}
+    for name, build in mutants.items():
+        with monkeypatch.context() as m:
+            m.setattr(logbundles, "ruling_log_tangent", build)
+            for check in RULING_CHECKS:
+                try:
+                    check(Evaluator())
+                except (AssertionError, InconsistentHints):
+                    killed.setdefault(name, []).append(check.__name__)
+    assert sorted(killed) == sorted(mutants), killed

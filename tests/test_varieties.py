@@ -331,3 +331,17 @@ except InputError:
     print("raised")
 """
     assert run_optimized(code).split() == ["raised"]
+
+
+def test_catalog_entries_are_built_once():
+    """A catalog model is immutable, so every call with the same parameter
+    returns the same instance; a parameter outside the catalog still raises
+    on every call."""
+    for build, args in ((L.projective_space, (3,)), (L.quadric_surface, ()), (L.hirzebruch, (2,)), (L.blowup_p2, (4,))):
+        assert build(*args) is build(*args)
+    assert L.hirzebruch(1) is not L.hirzebruch(2)
+    for _ in range(2):
+        with pytest.raises(NonGeneralConfig):
+            L.blowup_p2(5)
+        with pytest.raises(InputError):
+            L.hirzebruch(-1)

@@ -3,22 +3,17 @@ of hypersurface arrangements on a fixed catalog of varieties."""
 
 __version__ = "0.1.0"
 
+from .catalog import abelian_surface, blowup_p2, hirzebruch, projective_space, quadric_surface, surface_in_p3
 from .classify import (
     DeficiencyTable,
     Verdict,
-    acm_in_degree0,
     deficiency_concentrated_at_zero,
     deficiency_table,
-    f0_split_acm_oracle,
     is_acm,
     is_tacm,
     necessary_conditions,
     one_degree_buchsbaum,
     search,
-    tacm_in_degree0,
-    trivial_tacm_hirzebruch,
-    weakly_acm_in_degree0,
-    weakly_tacm_in_degree0,
 )
 from .exactseq import (
     Evaluator,
@@ -44,21 +39,14 @@ from .logbundles import (
     dk_split_model,
     ledger_checks,
     log_pair,
-    quadric_ruling_splitting,
     steiner_model,
 )
 from .varieties import (
     Arrangement,
     VarietyModel,
-    abelian_surface,
     arrangement,
-    blowup_p2,
     component_from_class,
     component_from_degree,
-    hirzebruch,
     hyperplane_arrangement,
-    projective_space,
-    quadric_surface,
     rational_classes_on_Fe,
-    surface_in_p3,
 )

@@ -23,19 +23,16 @@ from itertools import combinations_with_replacement
 from .errors import EngineError, InputError, IntervalPresent, NotVeryAmple, OutOfScope, WindowNotFound
 from .exactseq import Evaluator, Expr, WindowCert, _tail, default_evaluator, vanishing_window
 from .intervals import Iv, iv, pad_vec
-from .linebundles import cohom_ci, cohom_line_curve, cohom_line_quadric, line_cohom
+from .linebundles import cohom_ci, cohom_line_curve, line_cohom
 from .logbundles import check_side, cotangent_tangent_pair, log_pair, repeated_rigid_class
 from .varieties import (
     KIND_BLOWUP,
     KIND_HIRZEBRUCH,
     KIND_PN,
-    KIND_QUADRIC,
     Arrangement,
     VarietyModel,
     arrangement,
     component_from_class,
-    hirzebruch,
-    rational_classes_on_Fe,
     vadd,
     vneg,
     vscale,
@@ -429,39 +426,6 @@ def _orbit_rep(x: VarietyModel, h, arr: Arrangement, ev: Evaluator) -> Arrangeme
     return Arrangement(comps, arr.span_rank, arr.snc, arr.span_asserted)
 
 
-# -- polarization-free degree-0 notions --------------------------------------
-
-
-def _degree0(x: VarietyModel, arr: Arrangement, side: str, weak: bool, ev: Evaluator | None) -> Verdict:
-    ev = ev or default_evaluator()
-    expr = log_pair(x, arr, ev).for_side(side)
-    zero = (0,) * x.lattice_rank
-    v = pad_vec(ev.cohom(expr, zero), x.dim + 1)
-    degrees = [1] if weak else list(range(1, x.dim))
-    for i in degrees:
-        if v[i].lo >= 1:
-            return Verdict(NO, (i, 0, v[i]), ["nonzero cohomology at twist zero"])
-        if not v[i].is_zero:
-            return Verdict(UNKNOWN, (i, 0, v[i]), ["undecided slot at twist zero"])
-    return Verdict(YES, None, [f"h^i = 0 at twist zero for i in {degrees}"])
-
-
-def acm_in_degree0(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> Verdict:
-    return _degree0(x, arr, "cot", weak=False, ev=ev)
-
-
-def weakly_acm_in_degree0(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> Verdict:
-    return _degree0(x, arr, "cot", weak=True, ev=ev)
-
-
-def tacm_in_degree0(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> Verdict:
-    return _degree0(x, arr, "tan", weak=False, ev=ev)
-
-
-def weakly_tacm_in_degree0(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> Verdict:
-    return _degree0(x, arr, "tan", weak=True, ev=ev)
-
-
 # -- deficiency modules -------------------------------------------------------
 
 
@@ -547,31 +511,13 @@ def _concentration(x: VarietyModel, h, arr: Arrangement, cap: int, side: str, ev
     return Verdict(YES, None, certs)
 
 
-# -- closed-form reproductions ------------------------------------------------
-
-
-def trivial_tacm_hirzebruch(e: int, a: int, b: int, cap: int = 8, ev: Evaluator | None = None) -> Verdict:
-    """Full T-aCM verdict for the empty arrangement on F_1 with H = ah+bf."""
-    if e != 1:
-        raise OutOfScope("the closed-form criterion is stated for F_1 only")
-    x = hirzebruch(1)
-    arr = arrangement(x, [])
-    return is_tacm(x, (a, b), arr, cap=cap, ev=ev)
-
-
 # -- arrangement search -------------------------------------------------------
 
 
 def _candidate_classes(x: VarietyModel, class_bound: int) -> list:
-    if x.kind == KIND_QUADRIC:
-        return [(1, 0), (0, 1)]
-    if x.kind == KIND_HIRZEBRUCH:
-        return rational_classes_on_Fe(x.param, class_bound)
-    if x.kind == KIND_PN:
-        return [(1,)]
-    if x.kind == KIND_BLOWUP:
-        return list(x.negative_curves)
-    raise OutOfScope(f"search is not defined for kind {x.kind}")
+    if x.record is None or x.record.candidates is None:
+        raise OutOfScope(f"search is not defined for kind {x.kind}")
+    return x.record.candidates(x, class_bound)
 
 
 def _candidates(x: VarietyModel, class_bound: int, m_bound: int) -> tuple:
@@ -605,53 +551,3 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
     results = [(combo, *_classify(x, h, arr, side, cap, ev)) for combo, arr in cands]
     ev.cache[key] = cands
     return results
-
-
-# -- the F_0 polarization (2,1) oracle ----------------------------------------
-
-
-@dataclass
-class SplitOracleReport:
-    polarization: tuple
-    grid: dict  # (k1, k2) -> bool
-    yes_set: list
-    stated_range: tuple
-    agrees_with_stated: bool
-    lines: list
-
-
-def f0_split_acm_oracle(k_bound: int = 8, window: int = 12) -> SplitOracleReport:
-    """Brute-force Kunneth decision for O(k1-2,0)+O(0,k2-2) being aCM with
-    respect to O(2,1), with duality-certified tails outside the window.
-
-    The report records both the oracle's exact Yes-set and the previously
-    stated range (1<=k1<=3, 1<=k2<=2) so golden files stay untouched.
-    """
-    pol = (2, 1)
-    # tail certificate: h^1 of either summand at twist t needs a factor with
-    # h^0 > 0 against one with h^1 > 0, which forces |t| <= k_bound - 2; the
-    # scan window must cover that range for the tails to vanish identically
-    if window < max(2, k_bound - 2):
-        raise InputError(f"window {window} too small to certify tails for k <= {k_bound}")
-    grid = {}
-    for k1 in range(0, k_bound + 1):
-        for k2 in range(0, k_bound + 1):
-            ok = True
-            for t in range(-window, window + 1):
-                h1a = cohom_line_quadric(k1 - 2 + pol[0] * t, pol[1] * t)[1]
-                h1b = cohom_line_quadric(pol[0] * t, k2 - 2 + pol[1] * t)[1]
-                if h1a or h1b:
-                    ok = False
-                    break
-            grid[(k1, k2)] = ok
-    yes = sorted(k for k, v in grid.items() if v)
-    stated = ((1, 3), (1, 2))
-    stated_set = sorted((i, j) for i in range(stated[0][0], stated[0][1] + 1) for j in range(stated[1][0], stated[1][1] + 1))
-    agrees = yes == stated_set
-    lines = [
-        f"oracle yes-set: {yes}",
-        f"stated range yes-set: {stated_set}",
-        "AGREES" if agrees else f"DISAGREES at {sorted(set(yes) ^ set(stated_set))}",
-        f"tails certified: |t| > {window} slots vanish identically for k <= {k_bound}",
-    ]
-    return SplitOracleReport(pol, grid, yes, stated, agrees, lines)

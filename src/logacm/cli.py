@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
+from .catalog import KINDS
 from .classify import (
     deficiency_table,
     is_acm,
@@ -30,31 +31,9 @@ from .errors import EngineError, InputError, IntervalPresent, WindowNotFound
 from .exactseq import LineE, default_evaluator
 from .intervals import pad_vec
 from .logbundles import check_side, cotangent_tangent_pair, ledger_checks, log_pair
-from .varieties import (
-    Arrangement,
-    VarietyModel,
-    abelian_surface,
-    arrangement,
-    blowup_p2,
-    component_from_class,
-    component_from_degree,
-    hirzebruch,
-    projective_space,
-    quadric_surface,
-    surface_in_p3,
-    vscale,
-)
+from .varieties import Arrangement, VarietyModel, arrangement, component_from_class, component_from_degree, vscale
 
-# kind -> (catalog constructor, document key of its integer parameter)
-_KINDS = {
-    "projective_space": (projective_space, "n"),
-    "quadric": (quadric_surface, None),
-    "hirzebruch": (hirzebruch, "e"),
-    "blowup_p2": (blowup_p2, "points"),
-    "surface_p3": (surface_in_p3, "degree"),
-    "abelian": (abelian_surface, "polarization_square"),
-}
-_VARIETY_KEYS = {"kind"} | {key for _, key in _KINDS.values() if key}
+_VARIETY_KEYS = {"kind"} | {k.key for k in KINDS if k.key}
 _ARR_KEYS = {"components", "span_rank", "snc"}
 _SHEAVES = ("line", "cotangent", "tangent", "log_cotangent", "log_tangent")
 _LOG_SIDES = {"log_cotangent": "cot", "log_tangent": "tan"}
@@ -128,17 +107,18 @@ def _integer(value, name: str) -> int:
 def build_variety(spec: ProblemSpec) -> VarietyModel:
     var = spec.variety
     kind = var.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
+    record = next((k for k in KINDS if k.name == kind), None)
+    if record is None:
         raise InputError(f"unknown variety kind {kind!r}")
-    make, key = _KINDS[kind]
+    key = record.key
     extra = set(var) - {"kind", key}
     if extra:
         raise InputError(f"variety fields {sorted(extra)} do not apply to kind {kind}")
     if key is None:
-        return make()
+        return record.make()
     if key not in var:
         raise InputError(f"variety kind {kind} needs the field {key}")
-    return make(_integer(var[key], key))
+    return record.make(_integer(var[key], key))
 
 
 def _as_class(x: VarietyModel, raw, name: str = "class") -> tuple:

@@ -9,17 +9,7 @@ from math import comb
 
 from .errors import EngineError, InputError
 from .intervals import Iv, iv
-from .varieties import (
-    KIND_ABELIAN,
-    KIND_BLOWUP,
-    KIND_HIRZEBRUCH,
-    KIND_PN,
-    KIND_QUADRIC,
-    KIND_SURFACE_P3,
-    VarietyModel,
-    vneg,
-    vsub,
-)
+from .varieties import KIND_BLOWUP, VarietyModel, vneg, vsub
 
 
 def binom(n: int, k: int) -> int:
@@ -181,19 +171,9 @@ def cohom_line_curve(g: int, deg: int) -> tuple[Iv, Iv]:
 
 
 def line_cohom(x: VarietyModel, l) -> tuple[int, ...]:
-    """Dispatch a line-bundle class to its exact catalog backend."""
+    """h^i(O(L)) from the exact line-bundle backend of x's kind
+    (``catalog``)."""
     l = x.check_class(l)
-    k = x.kind
-    if k == KIND_PN:
-        return cohom_ci(x.dim, (), l[0])
-    if k == KIND_QUADRIC:
-        return cohom_line_quadric(l[0], l[1])
-    if k == KIND_HIRZEBRUCH:
-        return cohom_line_hirzebruch(x.param, l[0], l[1])
-    if k == KIND_BLOWUP:
-        return cohom_line_blowup(x, l)
-    if k == KIND_SURFACE_P3:
-        return cohom_ci(3, (x.param,), l[0])
-    if k == KIND_ABELIAN:
-        return cohom_line_abelian(x.param, l[0])
-    raise InputError(f"no line-bundle backend for kind {k}")
+    if x.record is None:
+        raise InputError(f"no line-bundle backend for kind {x.kind}")
+    return x.record.line(x, l)

@@ -41,15 +41,11 @@ from .exactseq import (
 from .intervals import Iv, iv
 from .linebundles import binom, cohom_ci, koszul_count, line_cohom
 from .varieties import (
-    KIND_ABELIAN,
-    KIND_BLOWUP,
     KIND_HIRZEBRUCH,
     KIND_PN,
     KIND_QUADRIC,
-    KIND_SURFACE_P3,
     Arrangement,
     VarietyModel,
-    quadric_surface,
     vneg,
     vscale,
     vsub,
@@ -58,36 +54,11 @@ from .varieties import (
 
 @lru_cache(maxsize=None)
 def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
-    """(Omega^1_X, TX) expressions.  The split and Bott models are exact,
-    and TP^n is the dual of Omega^1; a surface whose Omega^1 model is a
-    sequence meets it with its Serre-dual reading (``serre_met_pair``)."""
-    k = x.kind
-    if k == KIND_PN:
-        cot = BottE(x, 1)
-        return cot, DualE(cot)
-    if k == KIND_QUADRIC:
-        return SumE([LineE(x, (-2, 0)), LineE(x, (0, -2))]), SumE([LineE(x, (2, 0)), LineE(x, (0, 2))])
-    if k == KIND_ABELIAN:
-        cot = SumE([LineE(x, (0,)), LineE(x, (0,))])
-        return cot, cot
-    if k == KIND_HIRZEBRUCH:
-        tan = ruling_log_tangent(x, (0, 1), name=f"T_F{x.param}", rule=_fe_tangent_rule)
-        model = TwistE(tan, x.canonical_class)
-    elif k == KIND_BLOWUP:
-        # 0 -> pi^*Omega_{P^2} -> Omega^1 -> (+) O_{E_i}(-2) -> 0 for the
-        # point blow-up pi, with pi^*Omega_{P^2} the kernel of the pulled-back
-        # Euler map O(-H)^3 -> O (it bounds h^0 at sH below by the Bott count
-        # s^2 - 1), pinned by the del Pezzo section-count rules
-        origin = (0,) * x.lattice_rank
-        minus_h = (-1,) + origin[1:]
-        pulled = SeqE(x, None, SumE([LineE(x, minus_h)] * 3), LineE(x, origin), 2, name="pi^*Omega_P2")
-        quotient = SumE([CurveE(x, 0, -2, klass=e) for e in x.negative_curves[: x.param]])
-        model = SeqE(x, pulled, None, quotient, 2, name=f"Omega_Bl{x.param}", rule=_blowup_cotangent_rule)
-    elif k == KIND_SURFACE_P3:
-        model = _surface_p3_cotangent(x)
-    else:
-        raise InputError(f"no cotangent model for kind {k}")
-    return serre_met_pair(model)
+    """(Omega^1_X, TX) expressions, built once per variety by its kind's
+    record (``catalog``)."""
+    if x.record is None:
+        raise InputError(f"no cotangent model for kind {x.kind}")
+    return x.record.cotangent_tangent(x)
 
 
 def serre_met_pair(model: Expr) -> tuple[Expr, Expr]:
@@ -257,11 +228,6 @@ def _ruling_split(x: VarietyModel, a: int, b: int) -> Expr:
     if a < 0 or b < 0 or a + b < 1:
         raise NotRulingArrangement("need a, b >= 0 with a+b >= 1 ruling lines")
     return SumE([LineE(x, (a - 2, 0)), LineE(x, (0, b - 2))])
-
-
-def quadric_ruling_splitting(a: int, b: int) -> Expr:
-    """Split form of Omega^1_Q(log D) for a+b ruling lines."""
-    return _ruling_split(quadric_surface(), a, b)
 
 
 def dk_split_model(x: VarietyModel, m: int) -> Expr:

@@ -1,17 +1,20 @@
-"""Variety catalog, Picard-lattice arithmetic and numeric invariants.
+"""Variety models, Picard-lattice arithmetic and numeric invariants.
 
 Divisor classes are plain integer tuples in the variety's fixed lattice
-basis; all arithmetic is exact.
+basis; all arithmetic is exact.  The catalog's constructors and what each
+kind means to the engine are in ``catalog``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
 from operator import mul
+from typing import TYPE_CHECKING
 
-from .errors import InputError, NonGeneralConfig, NotAmple, NotVeryAmple
+from .errors import InputError, NotAmple, NotVeryAmple
+
+if TYPE_CHECKING:
+    from .catalog import Kind
 
 Cls = tuple[int, ...]
 
@@ -89,6 +92,9 @@ class VarietyModel:
     # kind parameters: n for P^n, e for F_e, k for Bl_k P^2, degree for
     # surfaces in P^3, half the polarization square for abelian surfaces
     param: int = 0
+    # the catalog record of the kind, set by its constructor; a hand-built
+    # model has none, so the engine has no backend for it
+    record: Kind | None = field(default=None, compare=False, repr=False)
     # (i, j, m_ij) for the nonzero entries of the intersection matrix, and
     # the row M g of each Mori generator g (so L.g is a dot product); derived,
     # so they take no part in equality, hashing or repr
@@ -210,67 +216,6 @@ class VarietyModel:
         return e if all(a == e * b for a, b in zip(k, h)) else None
 
 
-@lru_cache(maxsize=None)
-def projective_space(n: int) -> VarietyModel:
-    if n < 2:
-        raise InputError("catalog starts at P^2")
-    if n == 2:
-        return VarietyModel(KIND_PN, 2, 1, ((1,),), (-3,), 1, 3, 0, 1, 8, (), ((1,),), 2)
-    return VarietyModel(KIND_PN, n, 1, ((1,),), (-(n + 1),), 1, 0, 0, 1, (n + 1) ** 2 - 1, (), ((1,),), n)
-
-
-@lru_cache(maxsize=None)
-def quadric_surface() -> VarietyModel:
-    m = ((0, 1), (1, 0))
-    return VarietyModel(KIND_QUADRIC, 2, 2, m, (-2, -2), 1, 4, 0, 2, 6, (), ((1, 0), (0, 1)), 0)
-
-
-@lru_cache(maxsize=None)
-def hirzebruch(e: int) -> VarietyModel:
-    if e < 0:
-        raise InputError("Hirzebruch parameter must be >= 0")
-    m = ((-e, 1), (1, 0))
-    h0t = 6 if e <= 1 else e + 5
-    return VarietyModel(KIND_HIRZEBRUCH, 2, 2, m, (-2, -(e + 2)), 1, 4, 0, 2, h0t, ((1, 0),) if e > 0 else (), ((1, 0), (0, 1)), e)
-
-
-@lru_cache(maxsize=None)
-def blowup_p2(k: int) -> VarietyModel:
-    if not 1 <= k <= 4:
-        raise NonGeneralConfig("catalog supports blow-ups of P^2 at 1..4 general points")
-    rank = k + 1
-    m = tuple(tuple((1 if i == j == 0 else -1 if i == j else 0) for j in range(rank)) for i in range(rank))
-    canonical = (-3,) + (1,) * k
-    neg = [cls([0] + [1 if j == i else 0 for j in range(k)]) for i in range(k)]
-    neg += [cls([1] + [-1 if j in (i, l) else 0 for j in range(k)]) for i, l in combinations(range(k), 2)]
-    if k == 1:
-        mori = (neg[0], (1, -1))
-    else:
-        mori = tuple(neg)
-    h0t = {1: 6, 2: 4, 3: 2, 4: 0}[k]
-    return VarietyModel(KIND_BLOWUP, 2, rank, m, canonical, 1, 3 + k, 0, 1 + k, h0t, tuple(neg), mori, k)
-
-
-@lru_cache(maxsize=None)
-def surface_in_p3(d: int) -> VarietyModel:
-    if d < 2:
-        raise InputError("surface degree must be >= 2")
-    pg = max(0, (d - 1) * (d - 2) * (d - 3) // 6)
-    chi_o = 1 + pg
-    c2 = d ** 3 - 4 * d ** 2 + 6 * d
-    h11 = c2 - 2 - 2 * pg
-    h0t = 6 if d == 2 else 0
-    return VarietyModel(KIND_SURFACE_P3, 2, 1, ((d,),), (d - 4,), chi_o, c2, 0, h11, h0t, (), ((1,),), d)
-
-
-@lru_cache(maxsize=None)
-def abelian_surface(polarization_square: int) -> VarietyModel:
-    if polarization_square <= 0 or polarization_square % 2 != 0:
-        raise InputError("abelian polarization square must be a positive even integer")
-    d = polarization_square // 2
-    return VarietyModel(KIND_ABELIAN, 2, 1, ((2 * d,),), (0,), 0, 0, 2, 4, 2, (), ((1,),), d)
-
-
 # -- arrangements -----------------------------------------------------------
 
 
@@ -388,19 +333,3 @@ def rational_classes_on_Fe(e: int, bound: int) -> list[Cls]:
             if (a - 1) * (a * e - 2 * b + 2) == 0:
                 out.append((a, b))
     return out
-
-
-def rat0_case(e: int, c: Cls) -> str:
-    """Case label of a rational class on F_e."""
-    a, b = c
-    if (a, b) == (0, 1):
-        return "i"
-    if (a, b) == (1, 0):
-        return "ii"
-    if a == 1 and b >= max(e, 1):
-        return "iii"
-    if e == 0 and b == 1 and a >= 1:
-        return "iv"
-    if e == 1 and (a, b) == (2, 2):
-        return "v"
-    return "-"

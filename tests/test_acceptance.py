@@ -6,7 +6,6 @@ import sys
 from itertools import combinations
 
 import logacm as L
-from logacm.classify import f0_split_acm_oracle
 from logacm.errors import NotVeryAmple
 from logacm.exactseq import Evaluator, LineE, SeqE, cm_regularity_certify, default_evaluator
 from logacm.intervals import iv, pad_vec
@@ -14,7 +13,7 @@ from logacm.linebundles import binom, line_cohom
 from logacm.logbundles import ledger_checks, log_pair
 from logacm.varieties import vneg, vsub
 
-from conftest import catalog_surfaces, random_class
+from conftest import F0_SPLIT_YES, F0_STATED_YES, catalog_surfaces, f0_split_grid, random_class, twist_zero_h1
 
 
 def report(num: int, name: str, ok: bool) -> bool:
@@ -101,18 +100,16 @@ def test_criterion_04_hirzebruch_tables():
 
 
 def test_criterion_05_f1_trivial_criterion():
+    x = L.hirzebruch(1)
+    empty = L.arrangement(x, [])
     ok = True
     for a in range(1, 7):
         for b in range(a + 1, a + 5):
-            v = L.trivial_tacm_hirzebruch(1, a, b)
+            v = L.is_tacm(x, (a, b), empty)
             want = "Yes" if (b >= a + 2 and a >= 3) else "No"
             if v.status != want:
                 ok = False
-    ok = ok and all(
-        L.trivial_tacm_hirzebruch(1, a, b).status == "No"
-        for a in (1, 2)
-        for b in range(a + 1, a + 5)
-    )
+    ok = ok and all(L.is_tacm(x, (a, b), empty).status == "No" for a in (1, 2) for b in range(a + 1, a + 5))
     assert report(5, "empty arrangement on F_1: b >= a+2 >= 5", ok)
 
 
@@ -200,11 +197,10 @@ def test_criterion_09_k3_quartic_lines():
     blocked = -(4 * t ** 2 - 20)  # h^1(Omega^1(-1)) = -chi(Omega^1(-1))
     ok = True
     for ev in (default_evaluator(), Evaluator()):
-        for check in (L.acm_in_degree0, L.tacm_in_degree0):
-            ok = ok and check(x, arr20, ev=ev).status == "Yes"
+        for side in ("cot", "tan"):
+            ok = ok and twist_zero_h1(x, arr20, side, ev).is_zero
             for r in range(1, 20):
-                v = check(x, L.arrangement(x, comps, span_rank=r), ev=ev)
-                ok = ok and v.status == "No" and v.witness == (1, 0, iv(h11 - r))
+                ok = ok and twist_zero_h1(x, L.arrangement(x, comps, span_rank=r), side, ev) == iv(h11 - r)
         cot = L.is_acm(x, (1,), arr20, ev=ev)
         ok = ok and cot.status == "No" and cot.witness == (1, t, iv(blocked))
         tan = L.is_tacm(x, (1,), arr20, ev=ev)
@@ -284,10 +280,8 @@ def test_criterion_11_property_suites():
 
 
 def test_criterion_12_f0_discrepancy_protocol():
-    rep = f0_split_acm_oracle(k_bound=8, window=12)
-    want = [(k1, k2) for k1 in range(1, 6) for k2 in range(1, 3)]
-    ok = rep.yes_set == want
-    ok = ok and not rep.agrees_with_stated
-    ok = ok and any("DISAGREES" in ln for ln in rep.lines)
-    ok = ok and set(rep.grid) == {(i, j) for i in range(9) for j in range(9)}
+    grid = f0_split_grid()
+    ok = sorted(k for k, yes in grid.items() if yes) == F0_SPLIT_YES
+    ok = ok and F0_SPLIT_YES != F0_STATED_YES
+    ok = ok and set(grid) == {(i, j) for i in range(9) for j in range(9)}
     assert report(12, "ruling split oracle with recorded discrepancy", ok)

@@ -1,12 +1,12 @@
 import pytest
 
 import logacm as L
-from logacm.classify import NO, UNKNOWN, YES, deficiency_concentrated_at_zero, f0_split_acm_oracle
+from logacm.classify import NO, UNKNOWN, YES, deficiency_concentrated_at_zero
 from logacm.errors import InputError, IntervalPresent, NotAmple, OutOfScope
 from logacm.exactseq import Evaluator, TwistE
 from logacm.varieties import vneg, vscale
 
-from conftest import bench_workloads
+from conftest import F0_SPLIT_YES, F0_STATED_YES, bench_workloads, f0_split_grid, twist_zero_h1
 
 
 def exceptional_arrangement(x, count=None):
@@ -87,19 +87,15 @@ def test_blowup2_large_anticanonical_multiple_reaches_the_window_scan():
 
 
 def test_degree0_notions():
-    # trivial arrangement on F_e is T-aCM in degree 0 iff e <= 1
+    # trivial arrangement on F_e has h^1(T) = 0 at twist zero iff e <= 1
     for e in range(0, 5):
         x = L.hirzebruch(e)
-        v = L.tacm_in_degree0(x, L.arrangement(x, []))
-        assert v.status == (YES if e in (0, 1) else NO), e
+        h1 = twist_zero_h1(x, L.arrangement(x, []), "tan")
+        assert h1.is_zero == (e in (0, 1)), e
+        assert e in (0, 1) or h1.lo >= 1, e
     # the cotangent side at twist zero never vanishes
     for x in (L.projective_space(2), L.quadric_surface(), L.blowup_p2(3)):
-        v = L.acm_in_degree0(x, L.arrangement(x, []))
-        assert v.status == NO
-        assert v.witness[2].lo == x.h11
-    # weak variant only looks at h^1
-    v = L.weakly_acm_in_degree0(L.quadric_surface(), L.arrangement(L.quadric_surface(), []))
-    assert v.status == NO
+        assert twist_zero_h1(x, L.arrangement(x, []), "cot") == L.iv(x.h11)
 
 
 def test_concentration_for_exceptional_subarrangements():
@@ -117,11 +113,11 @@ def test_concentration_for_exceptional_subarrangements():
 
 
 def test_trivial_tacm_hirzebruch_examples():
-    assert L.trivial_tacm_hirzebruch(1, 3, 5).status == YES
-    assert L.trivial_tacm_hirzebruch(1, 2, 7).status == NO
-    assert L.trivial_tacm_hirzebruch(1, 3, 4).status == NO
-    with pytest.raises(OutOfScope):
-        L.trivial_tacm_hirzebruch(2, 3, 5)
+    x = L.hirzebruch(1)
+    empty = L.arrangement(x, [])
+    assert L.is_tacm(x, (3, 5), empty).status == YES
+    assert L.is_tacm(x, (2, 7), empty).status == NO
+    assert L.is_tacm(x, (3, 4), empty).status == NO
 
 
 def test_deficiency_tables():
@@ -338,18 +334,20 @@ def test_f0_search_matches_split_oracle():
         for c, v, _ in res
         if v.status == YES and all(k in ((1, 0), (0, 1)) for k in c)
     )
-    rep = f0_split_acm_oracle()
-    want = sorted(k for k in rep.yes_set if sum(k) <= 5)
+    want = sorted(k for k, yes in f0_split_grid().items() if yes and sum(k) <= 5)
     assert got == want
 
 
 def test_f0_split_oracle_report():
-    rep = f0_split_acm_oracle()
-    assert rep.yes_set == [(k1, k2) for k1 in range(1, 6) for k2 in range(1, 3)]
-    assert not rep.agrees_with_stated
-    assert any("DISAGREES" in ln for ln in rep.lines)
-    # both ranges recorded
-    assert rep.stated_range == ((1, 3), (1, 2))
+    """The Kunneth grid of the split sums equals ``is_acm`` on the quadric
+    with H = (2, 1), and records its disagreement with the stated range."""
+    grid = f0_split_grid()
+    assert sorted(k for k, yes in grid.items() if yes) == F0_SPLIT_YES
+    assert F0_SPLIT_YES != F0_STATED_YES
+    x = L.quadric_surface()
+    for (k1, k2), yes in grid.items():
+        comps = [L.component_from_class(x, (1, 0))] * k1 + [L.component_from_class(x, (0, 1))] * k2
+        assert L.is_acm(x, (2, 1), L.arrangement(x, comps)).status == (YES if yes else NO), (k1, k2)
 
 
 def test_yes_stable_under_larger_cap():

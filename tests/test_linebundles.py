@@ -274,7 +274,7 @@ def test_blowup_h1_check_is_kept_under_optimize(monkeypatch):
     code = """
 from logacm import linebundles
 from logacm.errors import EngineError
-from logacm.varieties import blowup_p2
+from logacm.catalog import blowup_p2
 linebundles._h0_blowup = lambda x, l: 0
 try:
     print(linebundles._cohom_line_blowup(blowup_p2(1), (1, 0)))

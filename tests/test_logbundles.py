@@ -27,8 +27,8 @@ from logacm.linebundles import binom
 from logacm.logbundles import (
     cotangent_tangent_pair,
     ledger_checks,
+    _ruling_split,
     log_pair,
-    quadric_ruling_splitting,
     ruling_counts,
     serre_met_pair,
 )
@@ -208,11 +208,11 @@ def test_trivial_log_pair_is_cotangent():
 
 
 def test_quadric_splitting_examples():
-    s = quadric_ruling_splitting(1, 1)
-    v = ev().cohom(s, (0, 0))
+    x = L.quadric_surface()
+    v = ev().cohom(_ruling_split(x, 1, 1), (0, 0))
     assert [c.lo for c in v] == [0, 0, 0]
     with pytest.raises(NotRulingArrangement):
-        quadric_ruling_splitting(0, 0)
+        _ruling_split(x, 0, 0)
 
 
 def test_split_agrees_with_residue_model():
@@ -222,7 +222,7 @@ def test_split_agrees_with_residue_model():
         arr = L.arrangement(x, comps)
         assert ruling_counts(x, arr) == (a, b)
         pair = log_pair(x, arr)
-        split = quadric_ruling_splitting(a, b)
+        split = _ruling_split(x, a, b)
         for t in range(-4, 5):
             tw = (t, t)
             got = ev().cohom(pair.cotangent_log, tw)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logacm as L
+from logacm.catalog import KINDS, PROJECTIVE_SPACE
+from logacm.cli import ProblemSpec, build_variety
 from logacm.errors import InputError, NonGeneralConfig, NotVeryAmple
 from logacm.exactseq import CurveE, Evaluator
-from logacm.varieties import KIND_PN, Component, VarietyModel, matrix_rank, rat0_case, vneg, vscale, vsub
+from logacm.varieties import KIND_PN, Component, VarietyModel, matrix_rank, vneg, vscale, vsub
 
-from conftest import catalog_surfaces, random_class, run_optimized
+from conftest import bench_module, catalog_surfaces, random_class, run_optimized
 
 
 def test_intersection_examples():
@@ -178,7 +180,6 @@ def test_negative_curves_have_genus_zero():
 def test_rational_classes_on_Fe():
     out = L.rational_classes_on_Fe(1, 3)
     assert (2, 2) in out
-    assert rat0_case(1, (2, 2)) == "v"
     out0 = L.rational_classes_on_Fe(0, 2)
     assert (1, 1) in out0 and (2, 1) in out0
     assert L.rational_classes_on_Fe(2, 0) == []
@@ -345,3 +346,38 @@ def test_catalog_entries_are_built_once():
             L.blowup_p2(5)
         with pytest.raises(InputError):
             L.hirzebruch(-1)
+
+
+def test_each_kind_is_one_catalog_record():
+    """Each constructor's models carry its record and take its name as their
+    kind; the command line builds exactly the records' kinds from exactly
+    their document keys; the benchmark's per-kind counters name every
+    record."""
+    assert bench_module("tracing").KINDS == tuple(k.name for k in KINDS)
+    params = {"n": 3, "e": 2, "points": 2, "degree": 4, "polarization_square": 2}
+    keys = set(params)
+    assert keys == {k.key for k in KINDS} - {None}
+    for record in KINDS:
+        given = {record.key: params[record.key]} if record.key else {}
+        x = record.make(*given.values())
+        assert x.kind == record.name and x.record is record
+        assert build_variety(ProblemSpec(variety={"kind": record.name, **given})) is x
+        for other in keys - set(given):
+            with pytest.raises(InputError, match="do not apply"):
+                build_variety(ProblemSpec(variety={"kind": record.name, **given, other: 1}))
+    with pytest.raises(InputError, match="unknown variety kind"):
+        build_variety(ProblemSpec(variety={"kind": "grassmannian"}))
+    with pytest.raises(InputError, match="unknown variety fields"):
+        ProblemSpec.from_dict({"variety": {"kind": "quadric", "rank": 1}})
+
+
+def test_a_hand_built_model_has_no_backend():
+    """The record takes no part in a model's equality, hash or repr, and a
+    model built without one has no backend: the engine refuses it by kind."""
+    x = VarietyModel(*BAD_CANONICAL)
+    y = VarietyModel(*BAD_CANONICAL, record=PROJECTIVE_SPACE)
+    assert x.record is None and (x, hash(x), repr(x)) == (y, hash(y), repr(y))
+    with pytest.raises(InputError, match=f"kind {KIND_PN}$"):
+        L.line_cohom(x, (1,))
+    with pytest.raises(InputError, match=f"kind {KIND_PN}$"):
+        L.cotangent_tangent_pair(x)

@@ -174,6 +174,7 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
 
     if cot_side and m and x.dim == 2 and not violations:
         cot, _ = cotangent_tangent_pair(x)
+        dh = [c.degree_along(x, h) for c in arr.components]  # D.(-tH) = -t(D.H)
         for t in range(1, 7):
             tw = vscale(-t, h)
             v = pad_vec(ev._cohom(cot, tw), 3)  # tw is a multiple of the checked H
@@ -186,8 +187,8 @@ def necessary_conditions(x: VarietyModel, h, arr: Arrangement, side: str = "cot"
                 continue
             lhs = 0
             all_exact = True
-            for c in arr.components:
-                _, h1 = cohom_line_curve(c.genus, c.degree_along(x, tw))
+            for c, d in zip(arr.components, dh):
+                _, h1 = cohom_line_curve(c.genus, -t * d)
                 if not h1.exact:
                     all_exact = False
                     break

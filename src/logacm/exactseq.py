@@ -17,6 +17,8 @@ degree's exact min/max over the feasible set.  The cost does not depend on
 the rank ranges, and an open end (which in the engine comes only from a
 rule pin with no upper bound, and in the tests from open leaves) passes
 through as infinity, so bounded and half-open sequences take the same pass.
+A ``MeetE`` of agreeing models is their common vector, with no meet taken,
+and models that conflict raise ``InconsistentHints``.
 Serre duality is an expression, ``DualE``, like any other.  A node refers
 only to nodes built before it, so expressions form a DAG: no evaluation
 asks for an (expression, twist) it is still computing, and every value is
@@ -60,7 +62,6 @@ from .intervals import (
     meet_vecs,
     pad_vec,
     sum_vecs,
-    top_vec,
     transpose_vec,
 )
 from .linebundles import cohom_bott, cohom_ci, cohom_line_curve, line_cohom
@@ -261,6 +262,8 @@ class SeqE(Expr):
         # built once, read by every solve: the unknown vanishes above cdim
         self._support = tuple(iv(0) if i > self.cdim else None for i in range(n + 1))
         self._no_ranks = (None,) * n
+        # the unknown's terms among A_0, B_0, C_0, A_1, ..., C_n (``_solve``)
+        self._out = range(terms.index(None), 3 * (n + 1), 3)[: self.cdim + 1]
 
     def constraints_at(self, twist) -> tuple[tuple, tuple]:
         """(constraint on the unknown for each degree 0..amb, rank bound for
@@ -366,18 +369,23 @@ class Evaluator:
 
     def _solve(self, node: SeqE, twist) -> tuple[Iv, ...]:
         n = node.amb
-        seq = (node.left, node.middle, node.right)
-        known = [None if t is None else pad_vec(self._cohom(t, twist), n + 1) for t in seq]
+        # the known terms' values, read by index; a degree past the end is an exact zero
+        a, b, c = [None if t is None else self._cohom(t, twist) for t in (node.left, node.middle, node.right)]
+        la, lb, lc = len(a or ()), len(b or ()), len(c or ())
         cons, hints = node.constraints_at(twist)
         apply = self._apply_relation
-        a, b, c = known
         # the terms A_0, B_0, C_0, A_1, ..., C_n of the long exact sequence,
         # as flat lists of their ends (his[k] = _INF for an open end); term k
         # has dimension r_{k-1} + r_k, r_k the rank of the map out of it,
         # with r_{-1} = r_last = 0, so the constraints form a path
         los, his = [], []
         for i in range(n + 1):
-            for v in apply(a and a[i], b and b[i], c and c[i], cons[i]):
+            for v in apply(
+                a and (a[i] if i < la else ZERO),
+                b and (b[i] if i < lb else ZERO),
+                c and (c[i] if i < lc else ZERO),
+                cons[i],
+            ):
                 los.append(v.lo)
                 his.append(_INF if v.hi is None else v.hi)
         m = len(los)
@@ -413,7 +421,7 @@ class Evaluator:
         # the unknown at degree i: its interval met with the sums of a
         # reachable rank into it and a reachable rank out of it
         out = []
-        for k in range(known.index(None), m, 3)[: node.cdim + 1]:
+        for k in node._out:
             lo, hi = los[k], his[k]
             if k:
                 xlo, xhi = rlo[k - 1], rhi[k - 1]
@@ -452,9 +460,12 @@ def _sum(ev: Evaluator, expr: SumE, twist) -> tuple[Iv, ...]:
 
 
 def _meet_parts(ev: Evaluator, expr: MeetE, twist) -> tuple[Iv, ...]:
-    v = top_vec(expr.cdim + 1)
-    for p in expr.parts:
-        v = _meet(v, pad_vec(ev._cohom(p, twist), expr.cdim + 1), expr, twist)
+    n = expr.cdim + 1
+    v = pad_vec(ev._cohom(expr.parts[0], twist), n)
+    for p in expr.parts[1:]:
+        w = pad_vec(ev._cohom(p, twist), n)
+        if w != v:
+            v = _meet(v, w, expr, twist)
     return v
 
 
@@ -462,7 +473,7 @@ def _meet_parts(ev: Evaluator, expr: MeetE, twist) -> tuple[Iv, ...]:
 # steps at call time, so a replaced ``_cohom`` or ``_solve`` is the one it
 # calls
 _RAW = {
-    LineE: lambda ev, e, t: exact_vec(line_cohom(e.variety, vadd(e.klass, t))),
+    LineE: lambda ev, e, t: tuple(map(iv, line_cohom(e.variety, vadd(e.klass, t)))),
     CurveE: _curve,
     HyperE: lambda ev, e, t: exact_vec(cohom_ci(e.variety.dim, (e.d,), t[0])),
     BottE: lambda ev, e, t: exact_vec(cohom_bott(e.n, e.p, e.shift + t[0])),

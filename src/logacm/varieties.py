@@ -7,8 +7,8 @@ kind means to the engine are in ``catalog``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import mul
+from dataclasses import dataclass, field, fields
+from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING
 
 from .errors import InputError, NotAmple, NotVeryAmple
@@ -26,19 +26,19 @@ def cls(*coords) -> Cls:
 
 
 def vadd(x: Cls, y: Cls) -> Cls:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def vsub(x: Cls, y: Cls) -> Cls:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def vneg(x: Cls) -> Cls:
-    return tuple(-a for a in x)
+    return tuple(map(neg, x))
 
 
 def vscale(t: int, x: Cls) -> Cls:
-    return tuple(t * a for a in x)
+    return tuple([t * a for a in x])
 
 
 def is_zero_cls(x: Cls) -> bool:
@@ -65,6 +65,17 @@ def matrix_rank(rows) -> int:
         prev = p
         rank += 1
     return rank
+
+
+def _field_hash(obj) -> int:
+    """A frozen dataclass's hash of its compared fields, which a cache key's
+    ``VarietyModel`` or ``Arrangement`` keeps from construction: valid within
+    one process only, since string hashes are seeded per process."""
+    return hash(tuple(getattr(obj, f.name) for f in fields(obj) if f.compare))
+
+
+def _kept_hash(obj) -> int:
+    return obj._hash
 
 
 KIND_PN = "projective_space"
@@ -100,8 +111,10 @@ class VarietyModel:
     # so they take no part in equality, hashing or repr
     _pairing: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
     _mori_rows: tuple[Cls, ...] = field(init=False, compare=False, repr=False)
+    __hash__ = _kept_hash
 
     def __post_init__(self):
+        object.__setattr__(self, "_hash", _field_hash(self))
         m = self.intersection_matrix
         pairing = tuple((i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v)
         object.__setattr__(self, "_pairing", pairing)
@@ -253,6 +266,10 @@ class Arrangement:
     span_rank: int
     snc: bool = True
     span_asserted: bool = True  # False: span_rank is a default, not data
+    __hash__ = _kept_hash
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", _field_hash(self))
 
     @property
     def size(self) -> int:

@@ -30,7 +30,8 @@ from logacm.exactseq import (
     vanishing_window,
 )
 from logacm import logbundles
-from logacm.intervals import Iv, iv, iv_meet, pad_vec, top_vec, transpose_vec
+from logacm.catalog import KINDS
+from logacm.intervals import Iv, exact_vec, iv, iv_meet, pad_vec, top_vec, transpose_vec
 from logacm.logbundles import log_pair, repeated_rigid_class
 from logacm.linebundles import line_cohom
 from logacm.varieties import KIND_BLOWUP, KIND_HIRZEBRUCH, VarietyModel, vadd, vneg, vscale, vsub
@@ -163,6 +164,45 @@ def test_empty_meet_names_the_expression_and_twist(monkeypatch):
     agree = MeetE((LineE(x, (0,)), SumE((LineE(x, (0,)),))))
     assert Evaluator().cohom(agree, (1,))[0] == iv(3)
     assert reprs == []
+
+
+def test_meet_of_parts(monkeypatch):
+    """Parts that agree give that vector without a meet; parts that overlap
+    give the narrowed meet, whichever part comes first; a part that
+    conflicts with agreeing ones still raises, naming expr@twist."""
+    meets, meet_vecs = [], exactseq.meet_vecs
+    monkeypatch.setattr(exactseq, "meet_vecs", lambda a, b: meets.append((a, b)) or meet_vecs(a, b))
+    x, ev = L.projective_space(2), FixedEvaluator()
+    line = LineE(x, (1,))
+    agree = MeetE((line, SumE((LineE(x, (1,)),)), TwistE(LineE(x, (0,)), (1,))))
+    assert ev.cohom(agree, (1,)) == ev.cohom(line, (1,)) == (iv(6), iv(0), iv(0)) and meets == []
+
+    wide = FixedE(x, (Iv(0, 3), Iv(1, None), iv(0)))
+    narrow = FixedE(x, (Iv(2, 5), Iv(0, 4), Iv(0, 1)))
+    short = FixedE(x, (Iv(2, 5), Iv(0, 4)))  # degree 2 past its end: an exact zero
+    for parts in ((wide, narrow), (narrow, wide), (wide, wide, narrow), (wide, short)):
+        meets.clear()
+        assert ev.cohom(MeetE(parts), TW) == (Iv(2, 3), Iv(1, 4), iv(0)), parts
+        assert len(meets) == 1
+
+    conflict = MeetE((line, line, LineE(x, (2,))))
+    with pytest.raises(InconsistentHints) as exc:
+        ev.cohom(conflict, (0,))
+    assert str(exc.value) == "empty meet 3 & 6 at O(1,) == O(1,) == O(2,)@(0,)"
+
+
+def test_line_value_is_the_exact_backend_vector():
+    """A ``LineE`` evaluates to ``exact_vec`` of ``line_cohom`` at the sum of
+    its class and the twist, over a box of twists on every catalog kind."""
+    varieties = catalog_surfaces() + [L.projective_space(3), L.projective_space(4)]
+    assert {x.kind for x in varieties} == {k.name for k in KINDS}
+    for x in varieties:
+        ev = Evaluator()
+        box = list(itertools.product(range(-3, 4) if x.lattice_rank <= 2 else range(-1, 2), repeat=x.lattice_rank))
+        for klass in ((0,) * x.lattice_rank, x.canonical_class, box[-1]):
+            node = LineE(x, klass)
+            for tw in box:
+                assert ev.cohom(node, tw) == exact_vec(line_cohom(x, vadd(klass, tw))), (x.kind, klass, tw)
 
 
 def test_serre_dual_pairs_registry(monkeypatch):
@@ -883,6 +923,37 @@ def matches_brute_force(node, ev=None):
 
 def test_solve_matches_brute_force():
     check_drawn(bounded_sequences(), 300, matches_brute_force)
+
+
+def trimmed(node: SeqE) -> SeqE:
+    """node with each flank's trailing exact zeros cut off: the same
+    sequence, since a degree past the end of a value is an exact zero."""
+
+    def cut(term):
+        if term is None:
+            return None
+        vec = list(term.vec)
+        while len(vec) > 1 and vec[-1] == iv(0):
+            vec.pop()
+        return FixedE(term.variety, vec)
+
+    return SeqE(P2, cut(node.left), cut(node.middle), cut(node.right), node.cdim, node.name, node.amb, node.rule)
+
+
+def test_solve_reads_short_flanks_as_padded():
+    """Flanks shorter than the sequence read as padded with exact zeros:
+    the solve of a trimmed sequence equals the solve of the whole one, and
+    both oracles agree with it."""
+    shortened = []
+
+    def check(node):
+        short = trimmed(node)
+        shortened.append(any(len(t.vec) < node.amb + 1 for t in (short.left, short.middle, short.right) if t))
+        assert kernel_solve(FixedEvaluator(), short) == kernel_solve(FixedEvaluator(), node)
+        return matches_brute_force(short)
+
+    check_drawn(bounded_sequences(), 150, check)
+    assert sum(shortened) >= len(shortened) / 4, (sum(shortened), len(shortened))
 
 
 class RelationCountingEvaluator(FixedEvaluator):

@@ -1,3 +1,5 @@
+from copy import copy
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 import logacm as L
 from logacm.catalog import KINDS, PROJECTIVE_SPACE
 from logacm.cli import ProblemSpec, build_variety
-from logacm.errors import InputError, NonGeneralConfig, NotVeryAmple
+from logacm.errors import InconsistentHints, InputError, NonGeneralConfig, NotVeryAmple
 from logacm.exactseq import CurveE, Evaluator
+from logacm.intervals import iv
 from logacm.varieties import KIND_PN, Component, VarietyModel, matrix_rank, vneg, vscale, vsub
 
 from conftest import bench_module, catalog_surfaces, random_class, run_optimized
@@ -46,6 +49,78 @@ def test_h0_tangent_catalog():
     assert L.blowup_p2(4).h0_tangent == 0
     assert L.surface_in_p3(3).h0_tangent == 0
     assert L.abelian_surface(2).h0_tangent == 2
+
+
+# the models whose hand-written constants the engine's twist-0 values check:
+# P^2..P^4, the quadric, F_0..F_3, Bl_1..Bl_4, surfaces in P^3 of degree 2..5
+# and abelian surfaces of polarization square 2..8
+CONSTANT_MODELS = (
+    [L.projective_space(n) for n in (2, 3, 4)]
+    + [L.quadric_surface()]
+    + [L.hirzebruch(e) for e in range(4)]
+    + [L.blowup_p2(k) for k in range(1, 5)]
+    + [L.surface_in_p3(d) for d in range(2, 6)]
+    + [L.abelian_surface(s) for s in range(2, 9, 2)]
+)
+# (kind, constant) where a sequence rule pins the engine's value from the
+# constant itself, so that agreement there checks nothing: F_e's
+# ``_fe_tangent_rule`` at 0 (h^0(T)) and at K (T(K) = Omega^1), and Bl_k's
+# section count of Omega^1(-K) = T
+PINNED_CONSTANTS = {("hirzebruch", "h0_tangent"), ("hirzebruch", "h11"), ("hirzebruch", "q"), ("blowup_p2", "h0_tangent")}
+
+
+def constant_slots(x) -> dict:
+    """The engine's h^0(T), h^1(Omega^1) and h^0(Omega^1) at twist 0, on a
+    fresh evaluator, or InconsistentHints if evaluating raises."""
+    cot, tan = L.cotangent_tangent_pair(x)
+    zero, ev = (0,) * x.lattice_rank, Evaluator()
+    try:
+        return {"h0_tangent": ev.cohom(tan, zero)[0], "h11": ev.cohom(cot, zero)[1], "q": ev.cohom(cot, zero)[0]}
+    except InconsistentHints:
+        return dict.fromkeys(("h0_tangent", "h11", "q"), InconsistentHints)
+
+
+def test_hand_written_constants_match_the_engine():
+    """Each catalog model's h0_tangent, h11 and q equal the engine's exact
+    twist-0 values.  A slot is marked pinned when raising the constant by
+    one moves the engine's value (or makes evaluation raise); the pinned
+    slots are exactly ``PINNED_CONSTANTS``, and every other agreement is an
+    independent check."""
+    assert len(CONSTANT_MODELS) == 20
+    pinned = set()
+    for x in CONSTANT_MODELS:
+        got = constant_slots(x)
+        for name, v in got.items():
+            assert v == iv(getattr(x, name)), (x.kind, x.param, name, v)
+            if constant_slots(replace(x, **{name: getattr(x, name) + 1}))[name] != v:
+                pinned.add((x.kind, name))
+    assert pinned == PINNED_CONSTANTS
+
+
+def test_cached_hashes_keep_the_hash_and_eq_contract():
+    """A model or arrangement hashes by its compared fields, taken once at
+    construction: equal values hash equal however they were built, and a
+    copy or a replace finds the same cache entries."""
+    for record in KINDS:
+        param = {"n": 3, "e": 2, "points": 3, "degree": 4, "polarization_square": 2}.get(record.key)
+        args = () if param is None else (param,)
+        x, y = record.make.__wrapped__(*args), record.make.__wrapped__(*args)
+        assert x is not y and x == y == record.make(*args) and hash(x) == hash(y) == hash(record.make(*args))
+        init = {f.name: getattr(x, f.name) for f in fields(x) if f.init and f.name != "record"}
+        hand = VarietyModel(**init)
+        assert hand.record is None and hand == x and hash(hand) == hash(x)
+        assert replace(x, param=x.param + 1) != x
+    x = L.hirzebruch(1)
+    comps = [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))]
+    arr, again = L.arrangement(x, comps), L.arrangement(x, list(comps))
+    assert arr is not again and arr == again and hash(arr) == hash(again)
+    assert replace(arr, snc=False) != arr
+    ev = Evaluator()
+    pair = L.log_pair(x, arr, ev)
+    for model, arrangement in ((copy(x), copy(arr)), (replace(x), replace(arr)), (x, again)):
+        assert hash(model) == hash(x) and hash(arrangement) == hash(arr)
+        assert L.log_pair(model, arrangement, ev) is pair
+    assert {x: 1}[replace(x, record=None)] == 1
 
 
 def test_adjunction_examples():

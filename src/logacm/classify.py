@@ -34,7 +34,6 @@ from .varieties import (
     arrangement,
     component_from_class,
     vadd,
-    vneg,
     vscale,
     vsub,
 )
@@ -348,15 +347,18 @@ def _decide(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evalu
 
 
 class _WeylOrbits:
-    """The Weyl group of Bl_k P^2 as permutations of its (-1)-curves, and
-    the orbit memo of ``_orbit_rep``: one per variety in an evaluator's
-    cache.
+    """The simple reflections of Bl_k P^2 on (-1)-curve masks, the orbit
+    memo and the kept representatives of ``_orbit_rep``: one per variety in
+    an evaluator's cache.
 
     W is generated by the reflections v -> v + (v.a)a in the simple roots
     a = E_i - E_{i+1} and, for k >= 3, a = H - E_1 - E_2 - E_3.  An
     arrangement of distinct (-1)-curves is a bitmask over
-    ``negative_curves``, and ``least`` maps each mask met so far to the
-    least mask of its orbit."""
+    ``negative_curves``; ``gens`` maps mask m to lo[m & (2^half - 1)] |
+    hi[m >> half], each (lo, hi) a reflection's images of the masks of the
+    first ``half`` curves and of the rest.  ``least`` maps each mask met so
+    far to the least mask of its orbit, and ``reps`` keeps the
+    ``Arrangement`` of each (least mask, span_rank, snc, span_asserted)."""
 
     def __init__(self, x: VarietyModel):
         curves = x.negative_curves
@@ -366,19 +368,19 @@ class _WeylOrbits:
         roots = [vsub(unit[i], unit[i + 1]) for i in range(1, k)]
         if k >= 3:
             roots.append((1, -1, -1, -1) + (0,) * (k - 3))
-        gens = [tuple(index[vadd(c, vscale(x.intersect(c, a), a))] for c in curves) for a in roots]
-        perms, frontier = {tuple(range(len(curves)))}, [tuple(range(len(curves)))]
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = tuple(g[j] for j in p)
-                if q not in perms:
-                    perms.add(q)
-                    frontier.append(q)
-        self.perms = tuple(perms)
+        self.half = half = len(curves) // 2
+        self.gens = []
+        for a in roots:
+            lo, hi = [0], [0]
+            for i, c in enumerate(curves):
+                part = lo if i < half else hi
+                bit = 1 << index[vadd(c, vscale(x._intersect(c, a), a))]
+                part += [m | bit for m in part]
+            self.gens.append((lo, hi))
         self.comps = tuple(component_from_class(x, c) for c in curves)
         self.index = {c: i for i, c in enumerate(self.comps)}
         self.least: dict[int, int] = {}
+        self.reps: dict[tuple, Arrangement] = {}
 
 
 def _orbit_rep(x: VarietyModel, h, arr: Arrangement, ev: Evaluator) -> Arrangement:
@@ -395,16 +397,16 @@ def _orbit_rep(x: VarietyModel, h, arr: Arrangement, ev: Evaluator) -> Arrangeme
     witness and certificates.  Classifying the representative lets the
     evaluator's cache (its log pairs, values and verdicts) serve the whole
     orbit.  H is never moved, so nothing needs transport back.  The members
-    are compared as bitmasks over ``negative_curves`` (``_WeylOrbits``,
-    kept in ``ev.cache`` under ("orbits", x), so a cleared cache builds it
-    again); an orbit's images are computed on its first member and recorded
-    for every member."""
+    are compared as bitmasks (``_WeylOrbits``, kept in ``ev.cache`` under
+    ("orbits", x), so a cleared cache builds it again).  An orbit is walked
+    by the simple reflections on its first member and its least mask
+    recorded for every member, which then all get one kept representative.
+    H comes checked."""
     if x.kind != KIND_BLOWUP or x.param < 2:
         return arr
-    h = x.check_class(h)
-    mk = vneg(x.canonical_class)
-    c = h[0] // mk[0]
-    if c < 1 or h != vscale(c, mk):
+    canon = x.canonical_class
+    c = h[0] // -canon[0]
+    if c < 1 or h != vscale(-c, canon):
         return arr
     key = ("orbits", x)
     table = ev.cache.get(key)
@@ -418,13 +420,22 @@ def _orbit_rep(x: VarietyModel, h, arr: Arrangement, ev: Evaluator) -> Arrangeme
         mask |= 1 << i
     least = table.least.get(mask)
     if least is None:
-        bits = [i for i in range(len(table.comps)) if mask >> i & 1]
-        images = {sum(1 << p[i] for i in bits) for p in table.perms}
-        least = min(images)
-        for image in images:
-            table.least[image] = least
-    comps = tuple(comp for i, comp in enumerate(table.comps) if least >> i & 1)
-    return Arrangement(comps, arr.span_rank, arr.snc, arr.span_asserted)
+        orbit, frontier, low = {mask}, [mask], (1 << table.half) - 1
+        while frontier:
+            m = frontier.pop()
+            for lo, hi in table.gens:
+                image = lo[m & low] | hi[m >> table.half]
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        least = min(orbit)
+        table.least.update(dict.fromkeys(orbit, least))
+    rep_key = (least, arr.span_rank, arr.snc, arr.span_asserted)
+    rep = table.reps.get(rep_key)
+    if rep is None:
+        comps = tuple(comp for i, comp in enumerate(table.comps) if least >> i & 1)
+        rep = table.reps[rep_key] = Arrangement(comps, arr.span_rank, arr.snc, arr.span_asserted)
+    return rep
 
 
 # -- deficiency modules -------------------------------------------------------

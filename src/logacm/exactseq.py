@@ -312,8 +312,8 @@ class Evaluator:
     * ("log_pair", variety, arrangement): ``logbundles.log_pair``'s pair;
     * ("leaf", variety, component): a component's leaf of
       ``logbundles.structure_leaves``, shared by every arrangement on it;
-    * ("orbits", variety): ``classify._orbit_rep``'s Weyl group and orbit
-      memo;
+    * ("orbits", variety): ``classify._orbit_rep``'s simple reflections,
+      orbit memo and kept representatives;
     * ("candidates", variety, class_bound, m_bound): ``classify.search``'s
       (combo, arrangement) pairs, kept once a search on them has returned;
     * ("verdict", variety, H, arrangement, side, cap) and ("deficiency",

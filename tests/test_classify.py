@@ -729,15 +729,22 @@ def without_orbits(monkeypatch):
 
 
 def test_weyl_group_orders_and_generators():
-    """|W| = 2, 12, 120; each simple reflection fixes K, preserves the
-    intersection form and permutes the (-1)-curves, and the table holds
-    exactly the closure of the permutations they induce."""
-    from logacm.classify import _WeylOrbits
+    """|W| = 2, 12, 120: each simple reflection fixes K, preserves the
+    intersection form and permutes the (-1)-curves, and the closure of the
+    permutations they induce has that order and preserves the curves'
+    intersections.  On a fresh evaluator with H = -K, every set of
+    (-1)-curves (8, 64 and 1,024 of them) gets the arrangement of its least
+    image under that closure, in ``negative_curves`` order, and the members
+    of one orbit get the same object.  The orbits number 6, 13 (two-colourings
+    of the hexagon of curves up to its dihedral group) and 34 (graphs on five
+    vertices: W = S_5 acts on the ten curves as on pairs of five points)."""
+    from itertools import combinations
+
+    from logacm.classify import _orbit_rep
+    from logacm.varieties import Arrangement
 
     for k, order in ((2, 2), (3, 12), (4, 120)):
         x = L.blowup_p2(k)
-        table = _WeylOrbits(x)
-        assert len(table.perms) == order
         curves = x.negative_curves
         basis = [tuple(int(j == i) for j in range(k + 1)) for i in range(k + 1)]
         gens = []
@@ -756,11 +763,23 @@ def test_weyl_group_orders_and_generators():
             if grown == closure:
                 break
             closure = grown
-        assert set(table.perms) == closure
-        for p in table.perms:  # every element preserves the curves' intersections
+        assert len(closure) == order
+        for p in closure:  # every element preserves the curves' intersections
             for i, c in enumerate(curves):
                 for j, d in enumerate(curves):
                     assert x.intersect(curves[p[i]], curves[p[j]]) == x.intersect(c, d)
+
+        ev, mk, seen = Evaluator(), vneg(x.canonical_class), {}
+        subsets = [s for m in range(len(curves) + 1) for s in combinations(range(len(curves)), m)]
+        assert len(subsets) == {2: 8, 3: 64, 4: 1024}[k]
+        for sub in subsets:
+            arr = L.arrangement(x, [L.component_from_class(x, curves[i]) for i in sub])
+            least = min(sum(1 << p[i] for i in sub) for p in closure)
+            comps = tuple(L.component_from_class(x, c) for i, c in enumerate(curves) if least >> i & 1)
+            rep = _orbit_rep(x, mk, arr, ev)
+            assert rep == Arrangement(comps, arr.span_rank, arr.snc, arr.span_asserted), (k, sub)
+            assert seen.setdefault(least, rep) is rep, (k, sub)
+        assert len(seen) == {2: 6, 3: 13, 4: 34}[k]
 
 
 def test_blowup_space_has_24_orbits():

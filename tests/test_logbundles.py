@@ -164,6 +164,46 @@ def test_cotangent_f1_vanishing_off_zero():
             assert v[1].is_zero, (a, b, t)
 
 
+def test_f1_and_bl1_agree_through_the_lattice_map():
+    """F_1 is Bl_1 P^2: aC_0 + bf = bH + (a - b)E, so phi(a, b) = (b, a - b)
+    maps classes and sends K to K.  At every twist |a|, |b| <= 4, Omega^1,
+    T and both sides of the log pairs of C_0, f, C_0 + f, (1,1), (1,2) and
+    C_0 + (1,1) meet their phi-images on Bl_1, and every fully exact F_1
+    row lies inside Bl_1's intervals.  The sides come from different models
+    (F_1's ruling sequences, Bl_1's blow-up sequence and its section-count
+    rule) and line-bundle backends, so a wrong value on either shows here."""
+    f1, bl1 = L.hirzebruch(1), L.blowup_p2(1)
+    assert f1.canonical_class == (-2, -3) and bl1.canonical_class == (-3, 1)
+
+    def phi(c):
+        return (c[1], c[0] - c[1])
+
+    assert phi(f1.canonical_class) == bl1.canonical_class
+    e_f1, e_bl1 = Evaluator(), Evaluator()
+
+    def exprs(x, arrangements, ev):
+        out = list(cotangent_tangent_pair(x))
+        for arr in arrangements:
+            pair = log_pair(x, L.arrangement(x, [L.component_from_class(x, c) for c in arr]), ev)
+            out += [pair.for_side("cot"), pair.for_side("tan")]
+        return out
+
+    on_f1 = [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)], [(1, 1)], [(1, 2)], [(1, 0), (1, 1)]]
+    on_bl1 = [[phi(c) for c in arr] for arr in on_f1]
+    rows = list(zip(exprs(f1, on_f1, e_f1), exprs(bl1, on_bl1, e_bl1)))
+    compared = exact = 0
+    for a, b in product(range(-4, 5), repeat=2):
+        for expr, image in rows:
+            v, w = e_f1.cohom(expr, (a, b)), e_bl1.cohom(image, phi((a, b)))
+            meet_vecs(v, w)  # raises on an empty meet
+            compared += 1
+            if all(p.exact for p in v):
+                exact += 1
+                assert all(q.lo <= p.lo and (q.hi is None or p.lo <= q.hi) for p, q in zip(v, w)), ((a, b), expr, v, w)
+    assert compared == 81 * 14
+    assert exact >= 895, exact
+
+
 def test_cotangent_abelian():
     x = L.abelian_surface(2)
     cot, tan = L.cotangent_tangent_pair(x)

@@ -11,7 +11,12 @@ it.  A model's ``kind`` is its record's ``name``.
 
 The Omega^1 models: the split and Bott models are exact, and TP^n is the
 dual of Omega^1; a surface whose Omega^1 model is a sequence meets it with
-its Serre-dual reading (``serre_met_pair``).
+its Serre-dual reading (``serre_met_pair``).  On the smooth projective
+toric surfaces among them, F_e and Bl_k P^2 for k <= 3, Omega^1 is in
+closed form at every ample and anti-ample twist (Bott-Steenbrink-Danilov
+vanishing, ``exactseq.ToricOmegaE``), and the met model runs only at the
+other twists, 0 among them, where the rules pin the Hodge numbers.  Bl_4
+is not toric and keeps its model at every twist.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ def hirzebruch(e: int) -> VarietyModel:
 
 def _hirzebruch_pair(x: VarietyModel) -> tuple[Expr, Expr]:
     tan = ruling_log_tangent(x, (0, 1), name=f"T_F{x.param}", rule=_fe_tangent_rule)
-    return serre_met_pair(TwistE(tan, x.canonical_class))
+    return serre_met_pair(TwistE(tan, x.canonical_class), bott=True)
 
 
 HIRZEBRUCH = Kind(
@@ -136,7 +141,8 @@ def _blowup_pair(x: VarietyModel) -> tuple[Expr, Expr]:
     minus_h = (-1,) + origin[1:]
     pulled = SeqE(x, None, SumE([LineE(x, minus_h)] * 3), LineE(x, origin), 2, name="pi^*Omega_P2")
     quotient = SumE([CurveE(x, 0, -2, klass=e) for e in x.negative_curves[: x.param]])
-    return serre_met_pair(SeqE(x, pulled, None, quotient, 2, name=f"Omega_Bl{x.param}", rule=_blowup_cotangent_rule))
+    model = SeqE(x, pulled, None, quotient, 2, name=f"Omega_Bl{x.param}", rule=_blowup_cotangent_rule)
+    return serre_met_pair(model, bott=x.param <= 3)  # Bl_4 is not toric
 
 
 BLOWUP_P2 = Kind(KIND_BLOWUP, blowup_p2, "points", cohom_line_blowup, _blowup_pair, lambda x, bound: list(x.negative_curves))

@@ -19,10 +19,16 @@ rule pin with no upper bound, and in the tests from open leaves) passes
 through as infinity, so bounded and half-open sequences take the same pass.
 A ``MeetE`` of agreeing models is their common vector, with no meet taken,
 and models that conflict raise ``InconsistentHints``.
-Serre duality is an expression, ``DualE``, like any other.  A node refers
-only to nodes built before it, so expressions form a DAG: no evaluation
-asks for an (expression, twist) it is still computing, and every value is
-cached when it is first computed.
+Serre duality is an expression, ``DualE``, like any other.
+``ToricOmegaE`` is Omega^1 of a smooth projective toric surface: at an
+ample L, h^p(Omega^1(L)) = 0 for p > 0 (Bott-Steenbrink-Danilov vanishing;
+Cox, Little and Schenck, *Toric Varieties*, 2011, Thm 9.3.2), so
+Omega^1(L) = (chi(Omega^1(L)), 0, 0), and Serre duality ((Omega^1)^v
+tensor K = Omega^1) gives (0, 0, chi) at an anti-ample L; at every other
+twist it evaluates the model it wraps.  A node refers only to nodes built
+before it, so expressions form a DAG: no evaluation asks for an
+(expression, twist) it is still computing, and every value is cached when
+it is first computed.
 Twists are checked once, where they enter: ``Evaluator.cohom``,
 ``cm_regularity_certify`` and ``vanishing_window`` check a class against
 the lattice, and every twist built inside the evaluator from checked
@@ -65,7 +71,7 @@ from .intervals import (
     transpose_vec,
 )
 from .linebundles import cohom_bott, cohom_ci, cohom_line_curve, line_cohom
-from .varieties import VarietyModel, vadd, vscale, vsub
+from .varieties import VarietyModel, vadd, vneg, vscale, vsub
 
 LEFT, MIDDLE, RIGHT = "left", "middle", "right"
 
@@ -226,6 +232,23 @@ class MeetE(Expr):
 
     def __repr__(self):
         return " == ".join(map(repr, self.parts))
+
+
+@dataclass(eq=False)
+class ToricOmegaE(Expr):
+    """Omega^1 of a smooth projective toric surface: in closed form where the
+    twist or its negative is ample (``VarietyModel.is_ample``, Kleiman's
+    test on the Mori generators; module docstring), and the model's value
+    at every other twist.  It prints as its model."""
+
+    model: Expr
+
+    def __post_init__(self):
+        self.variety = self.model.variety
+        self.cdim = self.model.cdim
+
+    def __repr__(self):
+        return repr(self.model)
 
 
 @dataclass(eq=False)
@@ -469,6 +492,15 @@ def _meet_parts(ev: Evaluator, expr: MeetE, twist) -> tuple[Iv, ...]:
     return v
 
 
+def _toric_omega(ev: Evaluator, expr: ToricOmegaE, twist) -> tuple[Iv, ...]:
+    x = expr.variety
+    if x.is_ample(twist):
+        return iv(x.chi_cotangent_twist(twist)), ZERO, ZERO
+    if x.is_ample(vneg(twist)):
+        return ZERO, ZERO, iv(x.chi_cotangent_twist(twist))
+    return ev._cohom(expr.model, twist)
+
+
 # node type -> rule of (evaluator, node, twist); a rule reads the evaluator's
 # steps at call time, so a replaced ``_cohom`` or ``_solve`` is the one it
 # calls
@@ -483,6 +515,7 @@ _RAW = {
         pad_vec(ev._cohom(e.inner, vsub(e.variety.canonical_class, t)), e.cdim + 1)
     ),
     MeetE: _meet_parts,
+    ToricOmegaE: _toric_omega,
     SeqE: lambda ev, e, t: ev._solve(e, t),
 }
 

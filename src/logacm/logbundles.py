@@ -35,6 +35,7 @@ from .exactseq import (
     MeetE,
     SeqE,
     SumE,
+    ToricOmegaE,
     TwistE,
     default_evaluator,
 )
@@ -61,15 +62,22 @@ def cotangent_tangent_pair(x: VarietyModel) -> tuple[Expr, Expr]:
     return x.record.cotangent_tangent(x)
 
 
-def serre_met_pair(model: Expr) -> tuple[Expr, Expr]:
+def serre_met_pair(model: Expr, bott: bool = False) -> tuple[Expr, Expr]:
     """(Omega^1, TX) on a surface from a model of Omega^1, met with its
     Serre-dual reading: TX = Omega^1(-K) is the dual of Omega^1, so
-    h^i(Omega^1(t)) = h^{2-i}(TX(K - t)) = h^{2-i}(Omega^1(-t))."""
+    h^i(Omega^1(t)) = h^{2-i}(TX(K - t)) = h^{2-i}(Omega^1(-t)).
+
+    With ``bott`` (the surface is smooth projective toric: F_e, Bl_k P^2
+    for k <= 3) Omega^1 is in closed form wherever the twist L or -L is
+    ample, by Bott-Steenbrink-Danilov vanishing (``ToricOmegaE``), and TX
+    wherever L - K or K - L is; the met model runs at every other twist."""
     mk = vneg(model.variety.canonical_class)
     tangent = TwistE(model, mk)
     if not any(tangent.by):  # F_e's model is T(K): its -K twist is T itself
         tangent = tangent.inner
     cot = MeetE([model, DualE(tangent)])
+    if bott:
+        cot = ToricOmegaE(cot)
     return cot, TwistE(cot, mk)
 
 

@@ -8,7 +8,7 @@ kind means to the engine are in ``catalog``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import TYPE_CHECKING
 
 from .errors import InputError, NotAmple, NotVeryAmple
@@ -67,11 +67,12 @@ def matrix_rank(rows) -> int:
     return rank
 
 
-def _field_hash(obj) -> int:
-    """A frozen dataclass's hash of its compared fields, which a cache key's
-    ``VarietyModel`` or ``Arrangement`` keeps from construction: valid within
-    one process only, since string hashes are seeded per process."""
-    return hash(tuple(getattr(obj, f.name) for f in fields(obj) if f.compare))
+def _compared_fields(cls):
+    """Keep on a frozen dataclass the getter of its compared fields, named
+    once per class; a model or arrangement keeps the hash of their tuple from
+    construction (valid within one process: string hashes are seeded)."""
+    cls._compared = attrgetter(*(f.name for f in fields(cls) if f.compare))
+    return cls
 
 
 def _kept_hash(obj) -> int:
@@ -86,6 +87,7 @@ KIND_SURFACE_P3 = "surface_p3"
 KIND_ABELIAN = "abelian"
 
 
+@_compared_fields
 @dataclass(frozen=True)
 class VarietyModel:
     kind: str
@@ -114,7 +116,7 @@ class VarietyModel:
     __hash__ = _kept_hash
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", _field_hash(self))
+        object.__setattr__(self, "_hash", hash(self._compared(self)))
         m = self.intersection_matrix
         pairing = tuple((i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v)
         object.__setattr__(self, "_pairing", pairing)
@@ -260,6 +262,7 @@ class Component:
         return self.self_int
 
 
+@_compared_fields
 @dataclass(frozen=True)
 class Arrangement:
     components: tuple[Component, ...]
@@ -269,7 +272,7 @@ class Arrangement:
     __hash__ = _kept_hash
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", _field_hash(self))
+        object.__setattr__(self, "_hash", hash(self._compared(self)))
 
     @property
     def size(self) -> int:

@@ -25,6 +25,7 @@ from logacm.exactseq import (
     MeetE,
     SeqE,
     SumE,
+    ToricOmegaE,
     TwistE,
     cm_regularity_certify,
     vanishing_window,
@@ -431,13 +432,23 @@ class PartnerEvaluator(Evaluator):
         return v
 
 
+def serre_met_models(x):
+    """The Omega^1/T pair of x with the closed form at (anti-)ample twists
+    taken off (on F_e and Bl_1..Bl_3): the Serre-met model and its -K
+    twist; the other pairs as the catalog builds them."""
+    cot, tan = L.cotangent_tangent_pair(x)
+    if isinstance(cot, ToricOmegaE):
+        return cot.model, TwistE(cot.model, vneg(x.canonical_class))
+    return cot, tan
+
+
 def partnered_pair(x):
     """The Omega^1/T pair of x as the partner edge paired it: a Serre-met
     pair gives up its meet and pairs the model's nodes (on F_e the tangent
     sequence and its Omega^1 view, on Bl_k two views of the blow-up
     sequence, on a surface in P^3 the conormal sequence and its twist); the
     other pairs keep their nodes."""
-    cot, tan = L.cotangent_tangent_pair(x)
+    cot, tan = serre_met_models(x)
     if not isinstance(cot, MeetE):
         return cot, tan
     model, mk = cot.parts[0], vneg(x.canonical_class)
@@ -499,11 +510,15 @@ def test_serre_meet_equals_the_partner_edge_it_replaced(monkeypatch):
     value, and both sides of every log pair, are the values the Serre
     partner edge gave: ``PartnerEvaluator`` on the pairs as they were
     partnered, asked in listed and in reversed twist order, against a plain
-    evaluator on the catalog's Serre-met pairs."""
+    evaluator on the catalog's Serre-met pairs (``serre_met_models``: the
+    closed form that F_e and Bl_1..Bl_3 take at (anti-)ample twists is
+    checked against these models in ``test_logbundles``)."""
     cases = serre_cases()
-    want = serre_tables(Evaluator(), cases, L.cotangent_tangent_pair, 1)
-    assert len(want) == 6818
+    models = {x: serre_met_models(x) for x, _, _ in cases}
     partnered = {x: partnered_pair(x) for x, _, _ in cases}
+    monkeypatch.setattr(logbundles, "cotangent_tangent_pair", models.__getitem__)
+    want = serre_tables(Evaluator(), cases, models.__getitem__, 1)
+    assert len(want) == 6818
     monkeypatch.setattr(logbundles, "cotangent_tangent_pair", partnered.__getitem__)
     for order in (1, -1):
         got = serre_tables(PartnerEvaluator(), cases, partnered.__getitem__, order)
@@ -1038,9 +1053,10 @@ def test_solve_cost_is_independent_of_rank_ranges(monkeypatch):
 
 def test_kernel_matches_rank_path_solve_on_searches(monkeypatch):
     """Every (node, twist) solved while searching F_1 at H = (1, 2), F_0
-    and the quadric at H = (1, 1), F_2 at H = (1, 3), F_3 at H = (1, 4)
-    and F_1..F_3 at H = (2, 2e + 1), on both sides, solves to the same
-    value or error with the kernel and with ``rank_path_solve``."""
+    and the quadric at H = (1, 1), F_2 at H = (1, 3), F_3 at H = (1, 4),
+    F_1..F_3 at H = (2, 2e + 1), F_0 and F_1 at H = (1, e + 2) and F_4 at
+    H = (1, 5), on both sides, solves to the same value or error with the
+    kernel and with ``rank_path_solve``."""
     seen = {}
     kernel = Evaluator._solve
 
@@ -1057,6 +1073,8 @@ def test_kernel_matches_rank_path_solve_on_searches(monkeypatch):
         (L.hirzebruch(2), (1, 3)),
         (L.hirzebruch(3), (1, 4)),
         *((L.hirzebruch(e), (2, 2 * e + 1)) for e in (1, 2, 3)),
+        *((L.hirzebruch(e), (1, e + 2)) for e in (0, 1)),
+        (L.hirzebruch(4), (1, 5)),
     )
     for x, h in searches:
         for side in ("cot", "tan"):
@@ -1099,13 +1117,15 @@ def test_raw_dispatches_on_the_node_type(monkeypatch):
 
     monkeypatch.setattr(Evaluator, "_raw", dispatched)
     monkeypatch.setattr(Evaluator, "_solve", counted)
-    got = ev.cohom(pair.tangent_log, (1, 2))
-    # the residue sequence at K - t, and T_F1 at two twists: inside it as
-    # Omega^1 = T(K), and in Omega^1's Serre-dual reading
+    got = ev.cohom(pair.tangent_log, (0, -1))
+    # the residue sequence at K - t = (-2, -2), where neither Omega^1's twist
+    # nor its negative is ample, so Omega^1 is read from its model: T_F1 at
+    # two twists, inside it as Omega^1 = T(K) and in Omega^1's Serre-dual
+    # reading
     assert calls["solves"] == calls["sequences"] >= 3, calls
     monkeypatch.undo()
     fresh = Evaluator()
-    assert got == fresh.cohom(log_pair(x, pair.arrangement, fresh).tangent_log, (1, 2))
+    assert got == fresh.cohom(log_pair(x, pair.arrangement, fresh).tangent_log, (0, -1))
 
 
 # -- the probed regularity scan against a scan from -cap ---------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import logacm as L
-from logacm import classify, logbundles
+from logacm import classify, exactseq, logbundles
 from logacm.classify import deficiency_concentrated_at_zero, is_acm
 from logacm.errors import InputError, NotRulingArrangement
 from logacm.exactseq import (
@@ -19,10 +19,11 @@ from logacm.exactseq import (
     MeetE,
     SeqE,
     SumE,
+    ToricOmegaE,
     TwistE,
     default_evaluator,
 )
-from logacm.intervals import meet_vecs, pad_vec, transpose_vec
+from logacm.intervals import Iv, meet_vecs, pad_vec, transpose_vec
 from logacm.linebundles import binom
 from logacm.logbundles import (
     cotangent_tangent_pair,
@@ -94,11 +95,14 @@ def test_blowup_sequence_meets_the_rules_soundly():
     rule met with the rules alone (the same facts, met after the solve
     instead of inside it), and every fully exact row has the Riemann-Roch
     Euler characteristic.  Pins inside the solve narrow the upper end of
-    h^1 at the counted twists."""
+    h^1 at the counted twists.  On Bl_1..Bl_3 the Serre-met model is read
+    under the closed form that Omega^1 takes at (anti-)ample twists."""
     exact, narrowed = {}, {}
     for k in (1, 2, 3, 4):
         x = L.blowup_p2(k)
         cot, _ = cotangent_tangent_pair(x)
+        if isinstance(cot, ToricOmegaE):
+            cot = cot.model
         unpinned = dataclasses.replace(cot.parts[0], rule=None)
         reference, _ = serre_met_pair(MeetE([unpinned, RulesE(x)]))
         ev, bound = RulesEvaluator(), 3 if k <= 2 else 2
@@ -113,6 +117,94 @@ def test_blowup_sequence_meets_the_rules_soundly():
                 assert pinned[0].lo - pinned[1].lo + pinned[2].lo == x.chi_cotangent_twist(tw), (k, tw, pinned)
     assert sum(exact.values()) >= 978, exact  # 822 rows with the rules alone
     assert narrowed == {1: 10, 2: 70, 3: 54, 4: 188}
+
+
+def bott_boxes():
+    """(X, twists) for the surfaces whose Omega^1 has the closed form:
+    F_0..F_3 with |a|, |b| <= 6, Bl_1 with coordinates in [-6, 6], and
+    Bl_2 and Bl_3 with coordinates in [-3, 3]."""
+    for e in range(4):
+        yield L.hirzebruch(e), list(product(range(-6, 7), repeat=2))
+    for k in (1, 2, 3):
+        x = L.blowup_p2(k)
+        bound = 6 if x.lattice_rank == 2 else 3
+        yield x, list(product(range(-bound, bound + 1), repeat=x.lattice_rank))
+
+
+def closed_form_against_models():
+    """Omega^1 and TX on the ``bott_boxes``, each variety on a fresh
+    evaluator, against the Serre-met model under the closed form evaluated
+    on its own.  Returns (mismatches, checked, exact): where the twist L of
+    Omega^1 (L = t - K for TX(t)) or -L is ample, the engine's value must
+    lie inside the model's interval, so it equals the model's value where
+    that is exact; at every other twist it must be the model's value."""
+    mismatches, checked, exact = [], 0, 0
+    for x, twists in bott_boxes():
+        ev = Evaluator()
+        cot, tan = cotangent_tangent_pair(x)
+        mk = vneg(x.canonical_class)
+        for engine, model, shift in ((cot, cot.model, (0,) * x.lattice_rank), (tan, TwistE(cot.model, mk), mk)):
+            for t in twists:
+                l = vadd(t, shift)
+                got, want = ev.cohom(engine, t), ev.cohom(model, t)
+                if x.is_ample(l) or x.is_ample(vneg(l)):
+                    checked += 1
+                    exact += all(w.exact for w in want)
+                    inside = all(w.lo <= g.lo and (w.hi is None or g.hi <= w.hi) for g, w in zip(got, want))
+                else:
+                    inside = got == want
+                if not inside:
+                    mismatches.append((x.kind, x.param, engine, t, got, want))
+    return mismatches, checked, exact
+
+
+def test_bott_closed_form_lies_inside_the_serre_met_models():
+    """On F_0..F_3 and Bl_1..Bl_3, Omega^1(L) is (chi, 0, 0) at an ample L
+    and (0, 0, chi) at an anti-ample one (Bott-Steenbrink-Danilov vanishing
+    and Serre duality), and at every such twist of Omega^1 and TX it lies
+    inside the Serre-met model's interval, exact at 284 or more of those
+    405 vectors (every one on F_e).  On Bl_2 with H = -K and D the three (-1)-curves E_1, E_2 and
+    H - E_1 - E_2, the residue sequence with h^1(Omega^1(tH)) = 0 gives
+    h^0(Omega^1(log D)(tH)) = chi(Omega^1(tH)) + 3 h^0(O_P1(t))
+    = (7t^2 - 3) + 3(t + 1) for t >= 1."""
+    mismatches, checked, exact = closed_form_against_models()
+    assert mismatches == []
+    assert checked == 405 and exact >= 284, (checked, exact)
+    for x, twists in bott_boxes():
+        cot, _ = cotangent_tangent_pair(x)
+        ev = Evaluator()
+        for t in twists:
+            chi = x.chi_cotangent_twist(t)
+            if x.is_ample(t):
+                assert ev.cohom(cot, t) == (Iv(chi, chi), Iv(0, 0), Iv(0, 0)), (x.kind, x.param, t)
+            elif x.is_ample(vneg(t)):
+                assert ev.cohom(cot, t) == (Iv(0, 0), Iv(0, 0), Iv(chi, chi)), (x.kind, x.param, t)
+
+    x = L.blowup_p2(2)
+    h = vneg(x.canonical_class)
+    arr = L.arrangement(x, [L.component_from_class(x, c) for c in ((0, 1, 0), (0, 0, 1), (1, -1, -1))])
+    ev = Evaluator()
+    sections = [ev.cohom(log_pair(x, arr, ev).cotangent_log, vscale(t, h))[0] for t in range(1, 5)]
+    assert sections == [Iv(n, n) for n in (10, 34, 72, 124)]
+    assert all(n.lo == 7 * t * t - 3 + 3 * (t + 1) for t, n in zip(range(1, 5), sections))
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_bott_closed_form_check_kills_an_off_by_one_chi(monkeypatch, delta):
+    """A closed form whose chi is one higher, or one lower (not below 0),
+    is caught by ``closed_form_against_models``."""
+    rule = exactseq._RAW[ToricOmegaE]
+
+    def mutant(ev, expr, twist):
+        v = list(rule(ev, expr, twist))
+        x = expr.variety
+        for i, anti in ((0, False), (2, True)):
+            if x.is_ample(vneg(twist) if anti else twist):
+                v[i] = Iv(max(0, v[i].lo + delta), max(0, v[i].hi + delta))
+        return tuple(v)
+
+    monkeypatch.setitem(exactseq._RAW, ToricOmegaE, mutant)
+    assert closed_form_against_models()[0]
 
 
 def test_blowup_deficiency_verdicts_take_no_coarse_solve(monkeypatch):

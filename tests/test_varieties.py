@@ -64,8 +64,10 @@ CONSTANT_MODELS = (
 )
 # (kind, constant) where a sequence rule pins the engine's value from the
 # constant itself, so that agreement there checks nothing: F_e's
-# ``_fe_tangent_rule`` at 0 (h^0(T)) and at K (T(K) = Omega^1), and Bl_k's
-# section count of Omega^1(-K) = T
+# ``_fe_tangent_rule`` at 0 (h^0(T), on F_2 and F_3 only: -K is ample on F_0
+# and F_1, so h^0(T) is Omega^1(-K) in closed form) and at K (T(K) =
+# Omega^1), and Bl_4's section count of Omega^1(-K) = T (on Bl_1..Bl_3 -K is
+# ample, and the closed form gives it)
 PINNED_CONSTANTS = {("hirzebruch", "h0_tangent"), ("hirzebruch", "h11"), ("hirzebruch", "q"), ("blowup_p2", "h0_tangent")}
 
 
@@ -99,8 +101,13 @@ def test_hand_written_constants_match_the_engine():
 
 def test_cached_hashes_keep_the_hash_and_eq_contract():
     """A model or arrangement hashes by its compared fields, taken once at
-    construction: equal values hash equal however they were built, and a
-    copy or a replace finds the same cache entries."""
+    construction: its kept hash is the hash of the tuple of every compared
+    field, so equal values hash equal however they were built, and a copy or
+    a replace finds the same cache entries."""
+
+    def compared(obj):
+        return tuple(getattr(obj, f.name) for f in fields(obj) if f.compare)
+
     for record in KINDS:
         param = {"n": 3, "e": 2, "points": 3, "degree": 4, "polarization_square": 2}.get(record.key)
         args = () if param is None else (param,)
@@ -110,11 +117,18 @@ def test_cached_hashes_keep_the_hash_and_eq_contract():
         hand = VarietyModel(**init)
         assert hand.record is None and hand == x and hash(hand) == hash(x)
         assert replace(x, param=x.param + 1) != x
+        assert hash(x) == hash(compared(x))
     x = L.hirzebruch(1)
     comps = [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))]
     arr, again = L.arrangement(x, comps), L.arrangement(x, list(comps))
     assert arr is not again and arr == again and hash(arr) == hash(again)
     assert replace(arr, snc=False) != arr
+    b3 = L.blowup_p2(3)
+    arrangements = [arr, L.arrangement(x, [])] + [
+        L.arrangement(b3, [L.component_from_class(b3, c) for c in b3.negative_curves[i:j]]) for i, j in ((0, 2), (1, 4))
+    ]
+    for a in arrangements + [replace(arr, span_asserted=False)]:
+        assert hash(a) == hash(compared(a)), a
     ev = Evaluator()
     pair = L.log_pair(x, arr, ev)
     for model, arrangement in ((copy(x), copy(arr)), (replace(x), replace(arr)), (x, again)):

@@ -631,18 +631,6 @@ def _one_sided_regularity(expr: Expr, dual: bool, h, cap: int, nu: int, ev: Eval
     return thresholds
 
 
-def _tail(expr: Expr, dual: bool, h, cap: int, nu: int, ev: Evaluator) -> tuple[dict[int, int], str]:
-    """One tail of ``vanishing_window``: (bounds, certificate line).  The
-    bounds cover degrees 1..dim-1: U_i with h^i(E(tH)) = 0 for t >= U_i, or
-    with ``dual`` L_i with h^i(E(tH)) = 0 for t <= L_i.  Raises the tail's
-    ``WindowNotFound``."""
-    n = expr.variety.dim
-    raw = _one_sided_regularity(expr, dual, h, cap, nu, ev)
-    if dual:
-        return {i: -raw[n - i] for i in range(1, n)}, f"lower tail via Serre transform, thresholds {raw}"
-    return {i: raw[i] for i in range(1, n)}, f"upper tail: h^i vanishes for t >= r-i, thresholds {raw}"
-
-
 def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -> WindowCert:
     """Two-sided certified window for the intermediate degrees 1..dim-1.
 
@@ -651,13 +639,17 @@ def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -
     through h^i(E(t)) = h^{n-i}((E^v tensor omega)(-t)).  Each side's scan
     starts above the twists where h^n is certified nonzero (top-degree
     lemma, module docstring); the thresholds are those of a scan from -cap.
-    Both sides read the values of expr itself (``_slot``).  A failing upper
-    tail raises before the lower one is scanned.
+    Both sides read the values of expr itself (``_slot``).  It raises
+    ``NotVeryAmple`` before any scan, and a failing upper tail's
+    ``WindowNotFound`` before the lower tail is scanned.
     """
     ev = ev or _DEFAULT
     x = expr.variety
+    n = x.dim
     hh = x.check_class(h)
     nu = x.very_ample_multiple(hh)
-    upper, above = _tail(expr, False, hh, cap, nu, ev)
-    lower, below = _tail(expr, True, hh, cap, nu, ev)
-    return WindowCert(upper, lower, [above, below])
+    upper = _one_sided_regularity(expr, False, hh, cap, nu, ev)
+    lower = _one_sided_regularity(expr, True, hh, cap, nu, ev)
+    above = f"upper tail: h^i vanishes for t >= r-i, thresholds {upper}"
+    below = f"lower tail via Serre transform, thresholds {lower}"
+    return WindowCert({i: upper[i] for i in range(1, n)}, {i: -lower[n - i] for i in range(1, n)}, [above, below])

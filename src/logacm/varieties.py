@@ -307,16 +307,18 @@ def component_from_degree(x: VarietyModel, deg_h: int, genus: int) -> Component:
 
 def arrangement(x: VarietyModel, components, span_rank: int | None = None, snc: bool = True) -> Arrangement:
     comps = tuple(components)
-    with_classes = [c for c in comps if c.klass is not None]
     asserted = True
-    if span_rank is None:
-        if len(with_classes) == len(comps):
-            span_rank = matrix_rank([list(c.klass) for c in comps]) if comps else 0
-        else:
-            # degree/genus components do not determine their span; record a
-            # safe default and remember that it was not asserted
-            span_rank = min(1, len(comps))
-            asserted = len(comps) == 0
+    if all(c.klass is not None for c in comps):
+        # the classes determine the span, so an asserted one must agree
+        span = matrix_rank([list(c.klass) for c in comps]) if comps else 0
+        if span_rank is not None and span_rank != span:
+            raise InputError(f"span_rank {span_rank} contradicts the component classes, which span rank {span}")
+        span_rank = span
+    elif span_rank is None:
+        # degree/genus components do not determine their span; record a
+        # safe default and remember that it was not asserted
+        span_rank = min(1, len(comps))
+        asserted = False
     if span_rank > min(len(comps), x.h11) and comps:
         raise InputError(f"span_rank {span_rank} exceeds min(m={len(comps)}, h11={x.h11})")
     if comps and span_rank < 1:
@@ -328,8 +330,7 @@ def hyperplane_arrangement(x: VarietyModel, m: int) -> Arrangement:
     """m hyperplanes in general position on P^n."""
     if x.kind != KIND_PN:
         raise InputError("hyperplane arrangements live on P^n")
-    comps = tuple(Component((1,), 0, True) for _ in range(m))
-    return Arrangement(comps, min(m, 1), True)
+    return arrangement(x, [component_from_class(x, (1,))] * m)
 
 
 def rational_classes_on_Fe(e: int, bound: int) -> list[Cls]:

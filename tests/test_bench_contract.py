@@ -12,7 +12,9 @@ check builds its unbounded flank from an open leaf of its own, evaluated by
 an ``Evaluator`` subclass that inherits the traced ``_solve``.  It also checks
 that ``reset_session`` makes the default evaluator's session cold: its log
 pairs, like every other memo, live in the cache that the reset clears, and
-the tracer still counts each ``log_pair`` call."""
+the tracer still counts each ``log_pair`` call.  Last, it checks that the
+tracer counts each window the classifier certifies: the classifier reads it
+from ``exactseq.vanishing_window``, the name the tracer wraps."""
 
 import os
 import subprocess
@@ -86,6 +88,24 @@ assert calls["logbundles.log_pair"] == 4, calls
 assert ev.serre_dual_pairs() == fresh
 """
 
+# a Yes certifies one window, and a No found by the witness probe none; a
+# private copy of the window in the classifier would read 0 here
+WINDOW_CODE = """
+import tracing
+import logacm as L
+from logacm.exactseq import Evaluator
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+x = L.hirzebruch(1)
+yes = L.arrangement(x, [L.component_from_class(x, (1, 0)), L.component_from_class(x, (0, 1))])
+no = L.arrangement(x, [L.component_from_class(x, (1, 1))])
+assert L.is_acm(x, (1, 2), yes, ev=Evaluator()).status == "Yes"
+assert L.is_acm(x, (1, 2), no, ev=Evaluator()).status == "No"
+calls, _ = tracer.summary()
+assert calls["exactseq.vanishing_window"] == 1, calls
+"""
+
 
 def run_with_bench(code: str):
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")] + sys.path)
@@ -106,3 +126,7 @@ def test_tracer_installs_on_current_sources():
 
 def test_log_pair_memo_keeps_the_reset_and_the_tracer_counts():
     run_with_bench(MEMO_CODE)
+
+
+def test_tracer_counts_the_classifiers_window():
+    run_with_bench(WINDOW_CODE)

@@ -583,7 +583,7 @@ def test_witness_probe_skips_a_failing_window(monkeypatch):
     assert want.status == NO and want.witness[:2] == (1, -1) and want.witness[2] == L.iv(1)
 
     calls = []
-    monkeypatch.setattr(C, "_tail", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(C, "vanishing_window", lambda *a, **k: calls.append(a))
     got = C._classify_expr(x, h, expr, 8, ev)
     assert calls == []
     assert (got.status, got.witness, got.certificates) == (want.status, want.witness, want.certificates)
@@ -613,28 +613,25 @@ def window_cases():
     return list(cases)
 
 
-def test_fallback_scan_skips_only_certified_zeros(monkeypatch):
-    """Where exactly one tail of the window is certified, the fallback scan
-    reads [-cap, cap] without that tail's twists, and every twist it skips
-    reads lo == 0 on a fresh evaluator: no exactly positive slot is left
-    out.  Over ``window_cases()`` on both sides, at caps 0, 1 and 8."""
+def test_certified_tails_cover_only_zero_slots():
+    """Every twist in [-cap, cap] that a certified tail of the window covers
+    reads lo == 0 on a fresh evaluator, whether or not the other tail is
+    certified; where both are, ``vanishing_window`` reports those tails.
+    Over ``window_cases()`` on both sides, at caps 0, 1 and 8."""
     from collections import Counter
 
-    import logacm.classify as C
     from logacm.errors import NotVeryAmple, WindowNotFound
-    from logacm.exactseq import _tail
+    from logacm.exactseq import _one_sided_regularity, vanishing_window
     from logacm.intervals import pad_vec
     from logacm.logbundles import log_pair
 
-    scans = []
-    scan = C._scan_slots
-    monkeypatch.setattr(C, "_scan_slots", lambda ev, expr, h, n, twists: scans.append(twists) or scan(ev, expr, h, n, twists))
-    windows, skipped, scanned = Counter(), 0, 0
+    windows, covered = Counter(), 0
     for x, h, arr in window_cases():
         try:
             nu = x.very_ample_multiple(h)
         except NotVeryAmple:
             continue
+        n = x.dim
         for cap in (0, 1, 8):
             ev = Evaluator()
             for side in ("cot", "tan"):
@@ -642,27 +639,25 @@ def test_fallback_scan_skips_only_certified_zeros(monkeypatch):
                 tails = {}
                 for dual in (False, True):
                     try:
-                        tails[dual] = _tail(expr, dual, h, cap, nu, ev)[0]
+                        raw = _one_sided_regularity(expr, dual, h, cap, nu, ev)
                     except WindowNotFound:
-                        pass
-                if len(tails) != 1:
-                    continue
-                ((dual, bounds),) = tails.items()
-                windows[dual] += 1
-                skip = {i: [t for t in range(-cap, cap + 1) if (t <= b if dual else t >= b)] for i, b in bounds.items()}
-                scans.clear()
-                C._classify_expr(x, h, expr, cap, ev)
-                if scans:  # the probe may answer No first
-                    scanned += 1
-                    for i, ts in skip.items():
-                        assert sorted(scans[0](i)) == [t for t in range(-cap, cap + 1) if t not in ts]
+                        continue
+                    tails[dual] = {i: -raw[n - i] if dual else raw[i] for i in range(1, n)}
+                windows[tuple(tails)] += 1
+                if len(tails) == 2:
+                    window = vanishing_window(expr, h, cap=cap, ev=ev)
+                    assert (window.upper_from, window.lower_upto) == (tails[False], tails[True])
                 fresh = Evaluator()
                 reread = log_pair(x, arr, fresh).for_side(side)
-                for i, ts in skip.items():
-                    skipped += len(ts)
-                    for t in ts:
-                        assert pad_vec(fresh.cohom(reread, vscale(t, h)), x.dim + 1)[i].lo == 0, (x, h, arr, side, cap, i, t)
-    assert windows[False] > 100 and windows[True] > 100 and scanned > 100 and skipped > 1000, (windows, scanned, skipped)
+                for dual, bounds in tails.items():
+                    for i, b in bounds.items():
+                        for t in range(-cap, cap + 1):
+                            if t <= b if dual else t >= b:
+                                covered += 1
+                                v = pad_vec(fresh.cohom(reread, vscale(t, h)), n + 1)[i]
+                                assert v.lo == 0, (x, h, arr, side, cap, i, t)
+    alone = windows[(False,)] > 100 and windows[(True,)] > 100  # one tail certified, the other failing
+    assert alone and windows[(False, True)] > 100 and covered > 1000, (windows, covered)
 
 
 def test_window_raises_the_upper_tail_when_both_fail(monkeypatch):
@@ -671,19 +666,19 @@ def test_window_raises_the_upper_tail_when_both_fail(monkeypatch):
     the lower tail."""
     from logacm import exactseq
     from logacm.errors import WindowNotFound
-    from logacm.exactseq import _tail, vanishing_window
+    from logacm.exactseq import vanishing_window
     from logacm.logbundles import log_pair
 
     q, h = L.quadric_surface(), (1, 1)
     expr = log_pair(q, L.arrangement(q, []), Evaluator()).cotangent_log
     messages = []
+    scan = exactseq._one_sided_regularity
     for dual in (False, True):
         with pytest.raises(WindowNotFound) as exc:
-            _tail(expr, dual, h, 0, 1, Evaluator())
+            scan(expr, dual, h, 0, 1, Evaluator())
         messages.append(str(exc.value))
     assert messages[0] != messages[1]
     duals = []
-    scan = exactseq._one_sided_regularity
     monkeypatch.setattr(exactseq, "_one_sided_regularity", lambda e, dual, *a: duals.append(dual) or scan(e, dual, *a))
     with pytest.raises(WindowNotFound) as exc:
         vanishing_window(expr, h, cap=0, ev=Evaluator())

@@ -545,6 +545,23 @@ def test_non_integers_and_a_reversed_window_exit_2(tmp_path, capsys):
     assert run(capsys, "cohom", str(ok), "--window", "3", "3")[0] == 0
 
 
+def test_a_span_rank_the_classes_contradict_exits_2(tmp_path, capsys):
+    """Components given by class fix their span, so an asserted span_rank
+    that differs is a mismatched document."""
+    docs = [
+        "variety: {kind: blowup_p2, points: 2}\npolarization: [3, -1, -1]\n"
+        "arrangement: {components: [[0, 1, 0], [0, 0, 1]], span_rank: 1}\n",
+        "variety: {kind: hirzebruch, e: 2}\npolarization: [1, 3]\n"
+        "arrangement: {components: [[1, 0], [1, 2]], span_rank: 1}\n",
+    ]
+    for text in docs:
+        p = write(tmp_path, "span.yaml", text)
+        for command in ("cohom", "classify"):
+            assert "span_rank 1 contradicts" in (refused(capsys, command, str(p)) or ""), (text, command)
+        ok = write(tmp_path, "ok.yaml", text.replace("span_rank: 1", "span_rank: 2"))
+        assert refused(capsys, "classify", str(ok)) is None, text
+
+
 def test_snc_must_be_a_yaml_bool(tmp_path, capsys):
     quadric = "variety: {kind: quadric}\npolarization: [1, 1]\narrangement: {components: [[1, 0], [0, 1]], snc: "
     for value in ('"no"', "'false'", "0", "1", "null"):

@@ -308,6 +308,11 @@ def test_class_length_validation():
 
 
 def test_arrangement_span_rank():
+    """Where every component has a class, the classes fix the span, and an
+    asserted span_rank that differs is refused: the residue sequence would
+    pin the coboundary rank to it.  On Bl_2 with D = E_1 + E_2 a span of 1
+    gave Omega^1(log D) = (1, 2, 0) at t = 0, and on F_2 with D = (1, 0) +
+    (1, 2) it made H = (1, 3) read No; the classes give (0, 1, 0) and Yes."""
     x = L.blowup_p2(2)
     comps = [L.component_from_class(x, c) for c in [(0, 1, 0), (0, 0, 1), (1, -1, -1)]]
     arr = L.arrangement(x, comps)
@@ -316,6 +321,16 @@ def test_arrangement_span_rank():
     assert arr2.span_rank == 2
     with pytest.raises(InputError):
         L.arrangement(x, comps, span_rank=4)
+    f2 = L.hirzebruch(2)
+    sections = [L.component_from_class(f2, c) for c in [(1, 0), (1, 2)]]
+    for y, classes in ((x, comps[:2]), (f2, sections), (x, [])):
+        with pytest.raises(InputError, match="span_rank 1 contradicts"):
+            L.arrangement(y, classes, span_rank=1)
+    assert L.arrangement(x, comps[:2], span_rank=2) == arr2
+    ev = Evaluator()
+    log = L.log_pair(x, arr2, ev).cotangent_log
+    assert ev.cohom(log, (0, 0, 0)) == (L.iv(0), L.iv(1), L.iv(0))
+    assert L.is_acm(f2, (1, 3), L.arrangement(f2, sections), ev=ev).status == "Yes"
 
 
 def fraction_rank(rows) -> int:

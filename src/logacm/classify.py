@@ -17,11 +17,11 @@ fails, the scan covers all of [-cap, cap].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import EngineError, InputError, IntervalPresent, NotVeryAmple, OutOfScope, WindowNotFound
-from .exactseq import Evaluator, Expr, default_evaluator, vanishing_window
+from .exactseq import Evaluator, Expr, check_cap, default_evaluator, vanishing_window
 from .intervals import Iv, iv, pad_vec
 from .linebundles import cohom_ci, cohom_line_curve, line_cohom
 from .logbundles import check_side, cotangent_tangent_pair, log_pair, repeated_rigid_class
@@ -41,11 +41,14 @@ from .varieties import (
 YES, NO, UNKNOWN = "Yes", "No", "Unknown"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Verdict:
+    """An answer and what decided it: an immutable value, so the session
+    memo keeps one and returns it to every caller (``_remembered``)."""
+
     status: str
     witness: tuple | None = None  # (degree, twist multiple t, Iv)
-    certificates: list[str] = field(default_factory=list)
+    certificates: tuple[str, ...] = ()
 
     def __bool__(self):
         return self.status == YES
@@ -247,7 +250,7 @@ def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> V
     probe = [t for t in (0, -1, 1) if abs(t) <= cap]
     witness, _ = _first_positive(ev, expr, h, n, 1, probe)
     if witness is not None:
-        return Verdict(NO, witness, [_WITNESS_NOTE])
+        return Verdict(NO, witness, (_WITNESS_NOTE,))
     try:
         window = vanishing_window(expr, h, cap=cap, ev=ev)
     except (NotVeryAmple, WindowNotFound) as exc:
@@ -255,15 +258,13 @@ def _classify_expr(x: VarietyModel, h, expr: Expr, cap: int, ev: Evaluator) -> V
     twists = window.residual if window is not None else lambda i: range(-cap, cap + 1)
     witness, blocking = _scan_slots(ev, expr, h, n, twists)
     if witness is not None:
-        return Verdict(NO, witness, [_WITNESS_NOTE])
+        return Verdict(NO, witness, (_WITNESS_NOTE,))
     if window is None:
-        return Verdict(UNKNOWN, None, [f"window uncertified ({failure})", "no exact nonzero slot found in the scanned range"])
+        return Verdict(UNKNOWN, None, (f"window uncertified ({failure})", "no exact nonzero slot found in the scanned range"))
     if blocking is not None:
-        return Verdict(UNKNOWN, blocking, window.certificates + ["undecided interval at the reported slot"])
-    certs = window.certificates + [
-        f"all residual slots vanish: " + ", ".join(f"h^{i} on {list(window.residual(i))}" for i in range(1, n))
-    ]
-    return Verdict(YES, None, certs)
+        return Verdict(UNKNOWN, blocking, (*window.certificates, "undecided interval at the reported slot"))
+    vanish = "all residual slots vanish: " + ", ".join(f"h^{i} on {list(window.residual(i))}" for i in range(1, n))
+    return Verdict(YES, None, (*window.certificates, vanish))
 
 
 def is_acm(x: VarietyModel, h, arr: Arrangement, cap: int = 8, ev: Evaluator | None = None) -> Verdict:
@@ -276,53 +277,56 @@ def is_tacm(x: VarietyModel, h, arr: Arrangement, cap: int = 8, ev: Evaluator | 
     return _classify(x, h, arr, "tan", cap, ev)[0]
 
 
-def _remembered(ev: Evaluator, key: tuple, compute) -> tuple[Verdict, str]:
-    """compute()'s (verdict, first rule), kept in ``ev.cache`` under key as
-    an immutable snapshot.  Every call returns a fresh ``Verdict``, since
-    callers extend its certificates.  An exception is not kept: it raises
-    again on every call."""
-    snap = ev.cache.get(key)
-    if snap is None:
-        verdict, first = compute()
-        snap = ev.cache[key] = (verdict.status, verdict.witness, tuple(verdict.certificates), first)
-    status, witness, certificates, first = snap
-    return Verdict(status, witness, list(certificates)), first
+def _remembered(ev: Evaluator, key: tuple, compute, *args):
+    """compute(*args), kept in ``ev.cache`` under key: the first call keeps
+    what it returns and every later call returns that same object, which
+    is immutable (a ``Verdict``, or a (verdict, first rule) pair).  An
+    exception is not kept: it raises again on every call."""
+    kept = ev.cache.get(key)
+    if kept is None:
+        kept = ev.cache[key] = compute(*args)
+    return kept
 
 
 def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator | None) -> tuple[Verdict, str]:
-    """(verdict, first failing rule): the rule is the first filter that
-    fails, else the first certificate of a No, else "".  Each verdict is
-    computed once per evaluator, for the Weyl-orbit representative of arr
-    (``_remembered``)."""
+    """(verdict, first failing rule) after checking cap and H; the rule is
+    the first filter that fails, else the first certificate of a No, else
+    ""."""
+    check_cap(cap)
     ev = ev or default_evaluator()
-    h = x.check_class(h)
+    return _verdict(x, x.check_class(h), arr, side, cap, ev)
+
+
+def _verdict(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> tuple[Verdict, str]:
+    """``_classify``'s answer for a checked H and cap, computed once per
+    evaluator for the Weyl-orbit representative of arr (``_remembered``)."""
     arr = _orbit_rep(x, h, arr, ev)
-    return _remembered(ev, ("verdict", x, h, arr, side, cap), lambda: _decide(x, h, arr, side, cap, ev))
+    return _remembered(ev, ("verdict", x, h, arr, side, cap), _decide, x, h, arr, side, cap, ev)
 
 
 def _decide(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> tuple[Verdict, str]:
-    """``_classify``'s verdict, computed."""
+    """``_classify``'s answer, computed."""
     violations, skipped = necessary_conditions(x, h, arr, side, ev)
     if violations:
         # the first witness any violation carries, every rule with its
         # detail, then the skipped-slot log
         witness = next((w.witness for w in violations if w.witness is not None), None)
-        certificates = [f"{w.rule}: {w.detail}" for w in violations] + skipped
+        certificates = (*(f"{w.rule}: {w.detail}" for w in violations), *skipped)
         return Verdict(NO, witness, certificates), violations[0].rule
 
     pair = log_pair(x, arr, ev)
     verdict = _classify_expr(x, h, pair.for_side(side), cap, ev)
-    verdict.certificates = [*pair.notes, *verdict.certificates]
+    certificates = (*pair.notes, *verdict.certificates)
     if x.is_subcanonical(h) is not None:
         other = pair.for_side("tan" if side == "cot" else "cot")
         cross = _classify_expr(x, h, other, cap, ev)
         if {verdict.status, cross.status} == {YES, NO}:
             raise EngineError("subcanonical cross-check failed: aCM and T-aCM verdicts disagree")
         if verdict.status == UNKNOWN and cross.status != UNKNOWN:
-            cross.certificates.append("decided on the Serre-dual side (subcanonical pair)")
             verdict = cross
-    first = verdict.certificates[0] if verdict.status == NO and verdict.certificates else ""
-    return verdict, first
+            certificates = (*cross.certificates, "decided on the Serre-dual side (subcanonical pair)")
+    first = certificates[0] if verdict.status == NO and certificates else ""
+    return Verdict(verdict.status, verdict.witness, certificates), first
 
 
 # -- Weyl-group orbits of (-1)-curve arrangements on Bl_k P^2 ----------------
@@ -446,6 +450,7 @@ def deficiency_table(
     """Graded dimensions of H^i_* over the certified window; entries outside
     the window are zero by the regularity certificates; a non-ample H
     raises ``NotAmple`` first."""
+    check_cap(cap)
     ev = ev or default_evaluator()
     if not 1 <= degree <= x.dim - 1:
         raise InputError(f"deficiency degree must be in 1..{x.dim - 1}")
@@ -481,11 +486,11 @@ def deficiency_concentrated_at_zero(
     ``NotAmple`` before anything is built (``deficiency_table``), as in
     ``is_acm``.
     """
+    check_cap(cap)
     ev = ev or default_evaluator()
     h = x.check_class(h)
     arr = _orbit_rep(x, h, arr, ev)
-    key = ("deficiency", x, h, arr, side, cap)
-    return _remembered(ev, key, lambda: (_concentration(x, h, arr, cap, side, ev), ""))[0]
+    return _remembered(ev, ("deficiency", x, h, arr, side, cap), _concentration, x, h, arr, cap, side, ev)
 
 
 def _concentration(x: VarietyModel, h, arr: Arrangement, cap: int, side: str, ev: Evaluator) -> Verdict:
@@ -497,12 +502,12 @@ def _concentration(x: VarietyModel, h, arr: Arrangement, cap: int, side: str, ev
             if t == 0:
                 continue
             if v.lo >= 1:
-                return Verdict(NO, (i, t, v), ["nonzero graded piece away from twist zero"])
+                return Verdict(NO, (i, t, v), ("nonzero graded piece away from twist zero",))
             if not v.is_zero:
-                return Verdict(UNKNOWN, (i, t, v), ["undecided slot away from twist zero"])
+                return Verdict(UNKNOWN, (i, t, v), ("undecided slot away from twist zero",))
         certs.extend(table.certificates)
         certs.append(f"degree {i}: support inside {{0}}, table {table.entries}")
-    return Verdict(YES, None, certs)
+    return Verdict(YES, None, tuple(certs))
 
 
 # -- arrangement search -------------------------------------------------------
@@ -535,13 +540,20 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
     depend only on (x, class_bound, m_bound), so each evaluator builds them
     once: ``ev.cache`` keeps them under ("candidates", x, class_bound,
     m_bound), shared by every polarization and side, once a search on them
-    has returned.  A search that raises keeps nothing."""
+    has returned.  H is checked once per call, and every candidate takes
+    ``_classify``'s step for a checked H (``_verdict``), so a remembered
+    search returns the kept verdicts.  A search that raises keeps nothing."""
     check_side(side)
+    check_cap(cap)
+    for name, bound in (("class_bound", class_bound), ("m_bound", m_bound)):
+        if bound < 0:
+            raise InputError(f"{name} must be a non-negative integer, got {bound!r}")
     ev = ev or default_evaluator()
     key = ("candidates", x, class_bound, m_bound)
     cands = ev.cache.get(key)
     if cands is None:
         cands = _candidates(x, class_bound, m_bound)
-    results = [(combo, *_classify(x, h, arr, side, cap, ev)) for combo, arr in cands]
+    h = x.check_class(h)
+    results = [(combo, *_verdict(x, h, arr, side, cap, ev)) for combo, arr in cands]
     ev.cache[key] = cands
     return results

@@ -339,9 +339,11 @@ class Evaluator:
       orbit memo and kept representatives;
     * ("candidates", variety, class_bound, m_bound): ``classify.search``'s
       (combo, arrangement) pairs, kept once a search on them has returned;
-    * ("verdict", variety, H, arrangement, side, cap) and ("deficiency",
-      variety, H, arrangement, side, cap): snapshots of the verdicts of
-      ``classify._classify`` and ``deficiency_concentrated_at_zero``.
+    * ("verdict", variety, H, arrangement, side, cap): the (verdict, first
+      rule) pair ``classify._decide`` returned, and ("deficiency", variety,
+      H, arrangement, side, cap): the verdict ``classify._concentration``
+      returned.  A ``Verdict`` is immutable, so every later ask returns
+      the kept object itself.
 
     ``partners`` maps each side of an Omega^1/T pair that ``log_pair``
     applied here to the other side, and ``partner_names`` lists each pair
@@ -631,6 +633,12 @@ def _one_sided_regularity(expr: Expr, dual: bool, h, cap: int, nu: int, ev: Eval
     return thresholds
 
 
+def check_cap(cap: int) -> None:
+    """Refuse a negative scan bound: twists run over [-cap, cap]."""
+    if cap < 0:
+        raise InputError(f"cap must be a non-negative integer, got {cap!r}")
+
+
 def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -> WindowCert:
     """Two-sided certified window for the intermediate degrees 1..dim-1.
 
@@ -641,8 +649,10 @@ def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -
     lemma, module docstring); the thresholds are those of a scan from -cap.
     Both sides read the values of expr itself (``_slot``).  It raises
     ``NotVeryAmple`` before any scan, and a failing upper tail's
-    ``WindowNotFound`` before the lower tail is scanned.
+    ``WindowNotFound`` before the lower tail is scanned; a negative cap
+    raises ``InputError`` first.
     """
+    check_cap(cap)
     ev = ev or _DEFAULT
     x = expr.variety
     n = x.dim

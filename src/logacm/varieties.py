@@ -69,8 +69,9 @@ def matrix_rank(rows) -> int:
 
 def _compared_fields(cls):
     """Keep on a frozen dataclass the getter of its compared fields, named
-    once per class; a model or arrangement keeps the hash of their tuple from
-    construction (valid within one process: string hashes are seeded)."""
+    once per class; a model, component or arrangement keeps the hash of
+    their tuple from construction (valid within one process: string hashes
+    are seeded)."""
     cls._compared = attrgetter(*(f.name for f in fields(cls) if f.compare))
     return cls
 
@@ -234,6 +235,7 @@ class VarietyModel:
 # -- arrangements -----------------------------------------------------------
 
 
+@_compared_fields
 @dataclass(frozen=True)
 class Component:
     """One smooth irreducible member of an arrangement.
@@ -248,6 +250,10 @@ class Component:
     rational: bool
     deg_h: int | None = None
     self_int: int | None = None
+    __hash__ = _kept_hash
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._compared(self)))
 
     def degree_along(self, x: VarietyModel, twist: Cls) -> int:
         """D.twist on the surface x, for a twist already checked against
@@ -330,6 +336,8 @@ def hyperplane_arrangement(x: VarietyModel, m: int) -> Arrangement:
     """m hyperplanes in general position on P^n."""
     if x.kind != KIND_PN:
         raise InputError("hyperplane arrangements live on P^n")
+    if m < 0:
+        raise InputError(f"the number of hyperplanes m must be non-negative, got m = {m}")
     return arrangement(x, [component_from_class(x, (1,))] * m)
 
 

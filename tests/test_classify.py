@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import logacm as L
@@ -500,14 +502,15 @@ def window_first_classify_expr(x, h, expr, cap, ev):
     full = range(-cap, cap + 1)
     witness, blocking = _scan_slots(ev, expr, h, n, window.residual if window is not None else lambda i: full)
     if witness is not None:
-        return Verdict(NO, witness, ["nonzero intermediate cohomology at the witness slot"])
+        return Verdict(NO, witness, ("nonzero intermediate cohomology at the witness slot",))
     if window is None:
-        return Verdict(UNKNOWN, None, [window_note, "no exact nonzero slot found in the scanned range"])
+        return Verdict(UNKNOWN, None, (window_note, "no exact nonzero slot found in the scanned range"))
     if blocking is not None:
-        return Verdict(UNKNOWN, blocking, window.certificates + ["undecided interval at the reported slot"])
-    certs = window.certificates + [
-        f"all residual slots vanish: " + ", ".join(f"h^{i} on {list(window.residual(i))}" for i in range(1, n))
-    ]
+        return Verdict(UNKNOWN, blocking, (*window.certificates, "undecided interval at the reported slot"))
+    certs = (
+        *window.certificates,
+        "all residual slots vanish: " + ", ".join(f"h^{i} on {list(window.residual(i))}" for i in range(1, n)),
+    )
     return Verdict(YES, None, certs)
 
 
@@ -975,8 +978,10 @@ def test_a_sweep_pass_keeps_no_zero_twist_view():
     assert views and [key for key in views if not any(key[0].by)] == []
 
 
-def test_remembered_verdicts_are_fresh_copies():
-    """Extending a returned verdict's certificates changes no later answer."""
+def test_remembered_verdicts_are_immutable():
+    """A caller cannot change a later answer: a verdict refuses assignment
+    and its certificates refuse append, and the next ask returns the same
+    object, with the same status, witness and certificates."""
     ev = Evaluator()
     q = L.quadric_surface()
     arr = L.arrangement(q, [L.component_from_class(q, (1, 0)), L.component_from_class(q, (0, 1))])
@@ -988,11 +993,76 @@ def test_remembered_verdicts_are_fresh_copies():
         lambda: deficiency_concentrated_at_zero(bl3, mk, exceptional_arrangement(bl3), ev=ev),
     ):
         first = ask()
-        want = (first.status, first.witness, list(first.certificates))
-        first.certificates.append("changed by the caller")
+        want = (first.status, first.witness, first.certificates)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.status = "changed by the caller"
+        with pytest.raises(AttributeError):
+            first.certificates.append("changed by the caller")
         again = ask()
+        assert again is first
         assert (again.status, again.witness, again.certificates) == want
-        assert again is not first and again.certificates is not first.certificates
+
+
+def test_a_remembered_search_returns_the_kept_verdicts():
+    """Asking a search again costs one lookup per candidate: each result is
+    the (verdict, first rule) pair kept under ("verdict", ...), the objects
+    themselves, and a second ``is_acm`` returns the first call's verdict."""
+    from logacm.classify import Verdict, _candidates
+
+    x, h = L.hirzebruch(2), (2, 5)
+    ev = Evaluator()
+    first = L.search(x, h, 2, 2, ev=ev)
+    again = L.search(x, h, 2, 2, ev=ev)
+    cands = _candidates(x, 2, 2)
+    assert len(again) == len(first) == len(cands) == 8
+    assert {v.status for _, v, _ in again} == {YES, NO}
+    for (_, v1, rule1), (_, verdict, rule), (_, arr) in zip(first, again, cands):
+        kept = ev.cache[("verdict", x, h, arr, "cot", 8)]
+        assert type(kept) is tuple and len(kept) == 2
+        assert type(kept[0]) is Verdict and type(kept[1]) is str
+        assert verdict is kept[0] is v1 and rule is kept[1] is rule1
+    arr = cands[-1][1]
+    verdict = L.is_acm(x, h, arr, ev=ev)
+    assert verdict is ev.cache[("verdict", x, h, arr, "cot", 8)][0]
+    assert L.is_acm(x, h, arr, ev=ev) is verdict
+    bl3 = L.blowup_p2(3)
+    concentrated = deficiency_concentrated_at_zero(bl3, vneg(bl3.canonical_class), exceptional_arrangement(bl3), ev=ev)
+    assert [v for k, v in ev.cache.items() if k[0] == "deficiency"] == [concentrated]
+    assert deficiency_concentrated_at_zero(bl3, vneg(bl3.canonical_class), exceptional_arrangement(bl3), ev=ev) is concentrated
+
+
+def test_out_of_range_bounds_raise_before_anything_is_kept():
+    """A negative cap, class bound or m is refused with ``InputError`` by
+    every library entry point that takes it, as the CLI refuses it, and
+    the session keeps nothing."""
+    from logacm.exactseq import vanishing_window
+
+    q = L.quadric_surface()
+    arr = L.arrangement(q, [L.component_from_class(q, (1, 0)), L.component_from_class(q, (0, 1))])
+    ev = Evaluator()
+    pair = L.log_pair(q, arr, ev)
+    ev.cache.clear()
+    asks = [
+        lambda: L.is_acm(q, (1, 1), arr, cap=-1, ev=ev),
+        lambda: L.is_tacm(q, (1, 1), arr, cap=-1, ev=ev),
+        lambda: L.search(q, (1, 1), 1, 2, cap=-1, ev=ev),
+        lambda: L.deficiency_table(q, (1, 1), arr, cap=-1, ev=ev),
+        lambda: deficiency_concentrated_at_zero(q, (1, 1), arr, cap=-1, ev=ev),
+        lambda: vanishing_window(pair.cotangent_log, (1, 1), cap=-1, ev=ev),
+    ]
+    for ask in asks:
+        with pytest.raises(InputError, match="cap must be a non-negative integer, got -1"):
+            ask()
+    bl2 = L.blowup_p2(2)
+    for x, h in ((q, (1, 1)), (L.hirzebruch(1), (1, 2)), (L.projective_space(2), (1,)), (bl2, vneg(bl2.canonical_class))):
+        for bounds, name in (((-1, 2), "class_bound"), ((1, -1), "m_bound")):
+            with pytest.raises(InputError, match=f"{name} must be a non-negative integer, got -1"):
+                L.search(x, h, *bounds, ev=ev)
+    assert ev.cache == {}
+    for m in (-1, -2):
+        with pytest.raises(InputError, match=f"m = {m}"):
+            L.hyperplane_arrangement(L.projective_space(3), m)
+    assert L.hyperplane_arrangement(L.projective_space(3), 0).size == 0
 
 
 def test_failed_verdicts_raise_again_and_are_not_kept():

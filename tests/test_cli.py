@@ -545,6 +545,21 @@ def test_non_integers_and_a_reversed_window_exit_2(tmp_path, capsys):
     assert run(capsys, "cohom", str(ok), "--window", "3", "3")[0] == 0
 
 
+def test_a_negative_search_bound_exits_2(tmp_path, capsys):
+    """search refuses a negative class_bound or m_bound on every kind, as it
+    refuses a negative cap."""
+    docs = [
+        "variety: {kind: quadric}\npolarization: [1, 1]\n",
+        "variety: {kind: hirzebruch, e: 1}\npolarization: [1, 2]\n",
+        "variety: {kind: projective_space, n: 2}\npolarization: 1\n",
+        "variety: {kind: blowup_p2, points: 2}\npolarization: [3, -1, -1]\n",
+    ]
+    for text in docs:
+        for field in ("class_bound", "m_bound"):
+            p = write(tmp_path, "neg.yaml", text + f"{field}: -1\n")
+            assert f"{field} must be a non-negative integer" in (refused(capsys, "search", str(p)) or ""), (text, field)
+
+
 def test_a_span_rank_the_classes_contradict_exits_2(tmp_path, capsys):
     """Components given by class fix their span, so an asserted span_rank
     that differs is a mismatched document."""

@@ -662,7 +662,7 @@ def test_log_pair_hit_restores_a_cleared_partner_record():
 
 def test_shared_log_pair_cannot_be_mutated():
     """Every caller on one evaluator gets the same pair, so its notes are a
-    tuple, the pair is frozen, and a verdict's certificates are its own list."""
+    tuple, the pair is frozen, and so are a verdict and its certificates."""
     x = L.projective_space(2)
     arr = L.hyperplane_arrangement(x, 3)
     ev = Evaluator()
@@ -674,7 +674,8 @@ def test_shared_log_pair_cannot_be_mutated():
         pair.notes = ()
     verdict = is_acm(x, (1,), arr, ev=ev)
     assert verdict.certificates[0] == pair.notes[0]
-    verdict.certificates.append("changed")
+    with pytest.raises(AttributeError):
+        verdict.certificates.append("changed")
     assert log_pair(x, arr, ev).notes == ("hyperplane arrangement: split/Steiner model installed",)
 
 

@@ -100,10 +100,10 @@ def test_hand_written_constants_match_the_engine():
 
 
 def test_cached_hashes_keep_the_hash_and_eq_contract():
-    """A model or arrangement hashes by its compared fields, taken once at
-    construction: its kept hash is the hash of the tuple of every compared
-    field, so equal values hash equal however they were built, and a copy or
-    a replace finds the same cache entries."""
+    """A model, component or arrangement hashes by its compared fields,
+    taken once at construction: its kept hash is the hash of the tuple of
+    every compared field, so equal values hash equal however they were
+    built, and a copy or a replace finds the same cache entries."""
 
     def compared(obj):
         return tuple(getattr(obj, f.name) for f in fields(obj) if f.compare)
@@ -129,6 +129,12 @@ def test_cached_hashes_keep_the_hash_and_eq_contract():
     ]
     for a in arrangements + [replace(arr, span_asserted=False)]:
         assert hash(a) == hash(compared(a)), a
+    degree_comp = L.component_from_degree(L.surface_in_p3(4), 1, 0)
+    for c in [comp for a in arrangements for comp in a.components] + [degree_comp]:
+        built = Component(*compared(c))
+        assert c is not built and c == built and hash(c) == hash(built) == hash(compared(c)), c
+        assert copy(c) == c and hash(copy(c)) == hash(c) and hash(replace(c)) == hash(c)
+    assert replace(comps[0], genus=1) != comps[0]
     ev = Evaluator()
     pair = L.log_pair(x, arr, ev)
     for model, arrangement in ((copy(x), copy(arr)), (replace(x), replace(arr)), (x, again)):

@@ -15,14 +15,7 @@ from .classify import (
     one_degree_buchsbaum,
     search,
 )
-from .exactseq import (
-    Evaluator,
-    cm_regularity_certify,
-    cohom,
-    default_evaluator,
-    serre_dual_pairs,
-    vanishing_window,
-)
+from .exactseq import Evaluator, cm_regularity_certify, default_evaluator, vanishing_window
 from .intervals import Iv, iv
 from .linebundles import (
     cohom_bott,

@@ -44,7 +44,7 @@ YES, NO, UNKNOWN = "Yes", "No", "Unknown"
 @dataclass(frozen=True, slots=True)
 class Verdict:
     """An answer and what decided it: an immutable value, so the session
-    memo keeps one and returns it to every caller (``_remembered``)."""
+    memo keeps one and returns it to every caller (``Evaluator.remember``)."""
 
     status: str
     witness: tuple | None = None  # (degree, twist multiple t, Iv)
@@ -277,17 +277,6 @@ def is_tacm(x: VarietyModel, h, arr: Arrangement, cap: int = 8, ev: Evaluator | 
     return _classify(x, h, arr, "tan", cap, ev)[0]
 
 
-def _remembered(ev: Evaluator, key: tuple, compute, *args):
-    """compute(*args), kept in ``ev.cache`` under key: the first call keeps
-    what it returns and every later call returns that same object, which
-    is immutable (a ``Verdict``, or a (verdict, first rule) pair).  An
-    exception is not kept: it raises again on every call."""
-    kept = ev.cache.get(key)
-    if kept is None:
-        kept = ev.cache[key] = compute(*args)
-    return kept
-
-
 def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator | None) -> tuple[Verdict, str]:
     """(verdict, first failing rule) after checking cap and H; the rule is
     the first filter that fails, else the first certificate of a No, else
@@ -299,9 +288,9 @@ def _classify(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Eva
 
 def _verdict(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> tuple[Verdict, str]:
     """``_classify``'s answer for a checked H and cap, computed once per
-    evaluator for the Weyl-orbit representative of arr (``_remembered``)."""
+    evaluator for the Weyl-orbit representative of arr (``Evaluator.remember``)."""
     arr = _orbit_rep(x, h, arr, ev)
-    return _remembered(ev, ("verdict", x, h, arr, side, cap), _decide, x, h, arr, side, cap, ev)
+    return ev.remember(("verdict", x, h, arr, side, cap), _decide, x, h, arr, side, cap, ev)
 
 
 def _decide(x: VarietyModel, h, arr: Arrangement, side: str, cap: int, ev: Evaluator) -> tuple[Verdict, str]:
@@ -394,10 +383,7 @@ def _orbit_rep(x: VarietyModel, h, arr: Arrangement, ev: Evaluator) -> Arrangeme
     c = h[0] // -canon[0]
     if c < 1 or h != vscale(-c, canon):
         return arr
-    key = ("orbits", x)
-    table = ev.cache.get(key)
-    if table is None:
-        table = ev.cache.setdefault(key, _WeylOrbits(x))
+    table = ev.remember(("orbits", x), _WeylOrbits, x)
     mask = 0
     for comp in arr.components:
         i = table.index.get(comp)
@@ -490,7 +476,7 @@ def deficiency_concentrated_at_zero(
     ev = ev or default_evaluator()
     h = x.check_class(h)
     arr = _orbit_rep(x, h, arr, ev)
-    return _remembered(ev, ("deficiency", x, h, arr, side, cap), _concentration, x, h, arr, cap, side, ev)
+    return ev.remember(("deficiency", x, h, arr, side, cap), _concentration, x, h, arr, cap, side, ev)
 
 
 def _concentration(x: VarietyModel, h, arr: Arrangement, cap: int, side: str, ev: Evaluator) -> Verdict:
@@ -542,7 +528,9 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
     m_bound), shared by every polarization and side, once a search on them
     has returned.  H is checked once per call, and every candidate takes
     ``_classify``'s step for a checked H (``_verdict``), so a remembered
-    search returns the kept verdicts.  A search that raises keeps nothing."""
+    search returns the kept verdicts.  A search that raises keeps no
+    candidates, so it stores them itself after the verdicts, not through
+    ``Evaluator.remember``."""
     check_side(side)
     check_cap(cap)
     for name, bound in (("class_bound", class_bound), ("m_bound", m_bound)):

@@ -141,6 +141,8 @@ def build_arrangement(x: VarietyModel, spec: ProblemSpec) -> Arrangement:
             if bad:
                 raise InputError(f"unknown component fields: {sorted(bad, key=str)}")
             if "class" in entry:
+                if "degree" in entry or "genus" in entry:
+                    raise InputError("a component takes a class, or a degree and genus, not both")
                 comps.append(component_from_class(x, _as_class(x, entry["class"], "component class")))
             elif "degree" not in entry:
                 raise InputError(f"a component needs a degree or a class, got {entry!r}")

@@ -345,6 +345,10 @@ class Evaluator:
       returned.  A ``Verdict`` is immutable, so every later ask returns
       the kept object itself.
 
+    ``remember`` writes every tagged key but "candidates", which ``search``
+    stores itself once it has returned; ``_cohom`` writes the cohomology
+    vectors, with the same step inlined on the hot path.
+
     ``partners`` maps each side of an Omega^1/T pair that ``log_pair``
     applied here to the other side, and ``partner_names`` lists each pair
     once.  They are a record only: evaluation never reads them, since the
@@ -368,6 +372,17 @@ class Evaluator:
 
     def serre_dual_pairs(self) -> list[tuple[str, str]]:
         return list(self.partner_names)
+
+    # -- the session memo ---------------------------------------------------
+
+    def remember(self, key: tuple, build, *args):
+        """build(*args), kept in ``cache`` under key: the first call keeps
+        what build returns and every later call returns that same object.
+        An exception keeps nothing: it raises again on every call."""
+        kept = self.cache.get(key)
+        if kept is None:
+            kept = self.cache[key] = build(*args)
+        return kept
 
     # -- evaluation ---------------------------------------------------------
 
@@ -528,14 +543,6 @@ def default_evaluator() -> Evaluator:
     return _DEFAULT
 
 
-def cohom(expr: Expr, twist) -> tuple[Iv, ...]:
-    return _DEFAULT.cohom(expr, twist)
-
-
-def serre_dual_pairs() -> list[tuple[str, str]]:
-    return _DEFAULT.serre_dual_pairs()
-
-
 # -- Castelnuovo-Mumford regularity and vanishing windows --------------------
 
 
@@ -547,7 +554,7 @@ def cm_regularity_certify(expr: Expr, r: int, h, ev: Evaluator | None = None) ->
     """
     hh = expr.variety.check_class(h)
     expr.variety.very_ample_multiple(hh)  # raises NotVeryAmple
-    return _is_regular(expr, False, 0, 1, r, hh, ev or _DEFAULT)
+    return _is_regular(expr, False, 0, 1, r, hh, ev or default_evaluator())
 
 
 def _slot(ev: Evaluator, expr: Expr, dual: bool, t: int, h, i: int) -> Iv:
@@ -653,7 +660,7 @@ def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -
     raises ``InputError`` first.
     """
     check_cap(cap)
-    ev = ev or _DEFAULT
+    ev = ev or default_evaluator()
     x = expr.variety
     n = x.dim
     hh = x.check_class(h)

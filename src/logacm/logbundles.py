@@ -4,11 +4,11 @@ Builds the residue sequence of an arrangement, gives each sequence its rule
 of known facts (Hodge numbers and tangent-section counts on F_e, section
 counts on the del Pezzo blow-ups, the Jacobian-ring rank on surfaces in
 P^3, the coboundary span rank) and installs the split-bundle upgrades for
-hyperplane arrangements on P^n and ruling arrangements on the quadric, and
-on F_e the relative log-tangent sequence of a ruling for fibres and
-disjoint sections (``ruling_log_tangent``).  Each model is met with the
-residue sequence: both are sound, so the meet only narrows intervals (a
-conflict raises), and no decided verdict changes.
+hyperplane arrangements on P^n and ruling arrangements on the quadric and
+F_0, and elsewhere on F_e the relative log-tangent sequence of a ruling
+for fibres and disjoint sections (``ruling_log_tangent``).  Each model is
+met with the residue sequence: both are sound, so the meet only narrows
+intervals (a conflict raises), and no decided verdict changes.
 T_X(-log D) is the dual of Omega^1_X(log D) for an SNC divisor (Esnault and
 Viehweg, *Lectures on Vanishing Theorems*, 1992, Section 2), so the
 log-tangent side is a ``DualE`` of the residue side and one solve serves
@@ -183,18 +183,10 @@ class LogPair:
 def structure_leaves(x: VarietyModel, arr: Arrangement, ev: Evaluator) -> list[Expr]:
     """The O_{D_i}, the residue sequence's right term.
 
-    Each leaf is built once per evaluator, kept in ``ev.cache`` under
-    ("leaf", x, component), so arrangements that share a component share its
-    leaf and the leaf's cache entries."""
-    cache = ev.cache
-    leaves = []
-    for c in arr.components:
-        key = ("leaf", x, c)
-        leaf = cache.get(key)
-        if leaf is None:
-            leaf = cache[key] = _leaf(x, c)
-        leaves.append(leaf)
-    return leaves
+    Each leaf is built once per evaluator, kept under ("leaf", x,
+    component) (``Evaluator.remember``), so arrangements that share a
+    component share its leaf and the leaf's cache entries."""
+    return [ev.remember(("leaf", x, c), _leaf, x, c) for c in arr.components]
 
 
 def _leaf(x: VarietyModel, c) -> Expr:
@@ -266,18 +258,15 @@ def log_pair(x: VarietyModel, arr: Arrangement, ev: Evaluator | None = None) -> 
     """The residue sequence model of Omega^1(log D) and its dual view
     T(-log D), for (X, D).
 
-    Built once per evaluator: ``ev.cache`` keeps each pair built under
-    ("log_pair", x, arr), and a later call returns it, until the cache is
-    cleared.  Every call registers the Omega^1/T pair on ``ev`` (a no-op
-    once recorded), so a cleared partner record is filled again as a fresh
-    build would fill it.  An invalid arrangement raises on every call and
-    leaves nothing in the cache."""
+    Built once per evaluator: ``Evaluator.remember`` keeps each pair
+    built under ("log_pair", x, arr), and a later call returns it, until
+    the cache is cleared.  Every call registers the Omega^1/T pair on
+    ``ev`` (a no-op once recorded), so a cleared partner record is filled
+    again as a fresh build would fill it.  An invalid arrangement raises on
+    every call and leaves nothing in the cache."""
     ev = ev or default_evaluator()
     cot, tan = cotangent_tangent_pair(x)
-    key = ("log_pair", x, arr)
-    pair = ev.cache.get(key)
-    if pair is None:
-        pair = ev.cache.setdefault(key, _build_log_pair(x, arr, cot, tan, ev))
+    pair = ev.remember(("log_pair", x, arr), _build_log_pair, x, arr, cot, tan, ev)
     ev.register_dual(cot, tan)  # the Omega^1/T pair, on the caller's evaluator
     return pair
 
@@ -318,13 +307,12 @@ def _build_log_pair(x: VarietyModel, arr: Arrangement, cot: Expr, tan: Expr, ev:
         model = dk_split_model(x, m) if m <= n + 1 else steiner_model(x, m)
         notes.append("hyperplane arrangement: split/Steiner model installed")
         cot_log = MeetE([model, cot_log])
-    fit = ruling_fit(x, arr)
-    if fit is not None:  # a conflict between the two models raises InconsistentHints
-        cot_log = MeetE([cot_log, DualE(ruling_log_tangent(x, *fit))])
     rc = ruling_counts(x, arr)
-    if rc is not None:
+    if rc is not None:  # exact, so a ruling model on F_0 could only agree with it
         notes.append(f"quadric ruling arrangement ({rc[0]},{rc[1]}): split model installed")
         cot_log = MeetE([_ruling_split(x, *rc), cot_log])
+    elif (fit := ruling_fit(x, arr)) is not None:  # a conflict between the two models raises InconsistentHints
+        cot_log = MeetE([cot_log, DualE(ruling_log_tangent(x, *fit))])
 
     return LogPair(x, arr, cot_log, DualE(cot_log), tuple(notes))
 

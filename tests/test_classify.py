@@ -1031,6 +1031,49 @@ def test_a_remembered_search_returns_the_kept_verdicts():
     assert deficiency_concentrated_at_zero(bl3, vneg(bl3.canonical_class), exceptional_arrangement(bl3), ev=ev) is concentrated
 
 
+def test_every_reusable_result_goes_through_remember(monkeypatch):
+    """``Evaluator.remember`` is the one door into the session memo: after a
+    search on the quadric and on F_1, a deficiency verdict on Bl_3 and a
+    log pair on P^3, every key in ``ev.cache`` is an (expression, twist)
+    pair, ``search``'s ("candidates", ...) or a key ``remember`` wrote.
+    Its contract: a repeat returns the kept object, and a build that raises
+    keeps nothing and raises again."""
+    from logacm.exactseq import Expr
+
+    written = set()
+    door = Evaluator.remember
+
+    def recorded(self, key, build, *args):
+        kept = door(self, key, build, *args)
+        written.add(key)
+        return kept
+
+    monkeypatch.setattr(Evaluator, "remember", recorded)
+    ev = Evaluator()
+    L.search(L.quadric_surface(), (1, 1), 2, 2, ev=ev)
+    L.search(L.hirzebruch(1), (1, 2), 2, 2, ev=ev)
+    bl3 = L.blowup_p2(3)
+    deficiency_concentrated_at_zero(bl3, vneg(bl3.canonical_class), exceptional_arrangement(bl3), ev=ev)
+    p3 = L.projective_space(3)
+    L.log_pair(p3, L.hyperplane_arrangement(p3, 3), ev)
+    for key in ev.cache:
+        cohomology = len(key) == 2 and isinstance(key[0], Expr)
+        assert cohomology or key[0] == "candidates" or key in written, key
+    assert {key[0] for key in written} == {"leaf", "log_pair", "orbits", "verdict", "deficiency"}
+
+    builds = []
+    first = ev.remember(("probe",), lambda: builds.append(1) or object())
+    assert ev.remember(("probe",), lambda: builds.append(2) or object()) is first and builds == [1]
+
+    def failing():
+        raise InputError("no value")
+
+    for _ in range(2):
+        with pytest.raises(InputError, match="no value"):
+            ev.remember(("failed",), failing)
+        assert ("failed",) not in ev.cache
+
+
 def test_out_of_range_bounds_raise_before_anything_is_kept():
     """A negative cap, class bound or m is refused with ``InputError`` by
     every library entry point that takes it, as the CLI refuses it, and

@@ -522,6 +522,19 @@ def test_components_the_engine_cannot_model_exit_2(tmp_path, capsys):
             assert field in (refused(capsys, command, str(path)) or ""), (path.name, command)
 
 
+def test_a_component_with_a_class_and_a_degree_or_genus_exits_2(tmp_path, capsys):
+    """A class fixes the degree and genus, so a component that also gives
+    either one is a mismatched document, not a class with a field dropped
+    (the ruling class [0, 1] has degree 1, not 3)."""
+    quadric = "variety: {kind: quadric}\npolarization: [1, 1]\narrangement: {components: [{class: [0, 1]%s}]}\n"
+    for extra in (", degree: 3", ", genus: 0"):
+        p = write(tmp_path, "mixed.yaml", quadric % extra)
+        for command in ("classify", "cohom"):
+            refusal = refused(capsys, command, str(p)) or ""
+            assert "a component takes a class, or a degree and genus, not both" in refusal, (extra, command)
+    assert refused(capsys, "classify", str(write(tmp_path, "ok.yaml", quadric % ""))) is None
+
+
 def test_non_integers_and_a_reversed_window_exit_2(tmp_path, capsys):
     f1 = "variety: {kind: hirzebruch, e: 1}\npolarization: [1, 2]\n"
     cases = [

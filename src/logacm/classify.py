@@ -533,9 +533,8 @@ def search(x: VarietyModel, h, class_bound: int, m_bound: int, side: str = "cot"
     ``Evaluator.remember``."""
     check_side(side)
     check_cap(cap)
-    for name, bound in (("class_bound", class_bound), ("m_bound", m_bound)):
-        if bound < 0:
-            raise InputError(f"{name} must be a non-negative integer, got {bound!r}")
+    check_cap(class_bound, "class_bound")
+    check_cap(m_bound, "m_bound")
     ev = ev or default_evaluator()
     key = ("candidates", x, class_bound, m_bound)
     cands = ev.cache.get(key)

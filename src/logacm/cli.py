@@ -3,10 +3,12 @@ search, deficiency and ledger commands, emit deterministic tables.
 
 A problem is one declarative YAML document (key-value with nested lists),
 read by a strict reader of the YAML subset problem documents use; unknown
-fields are rejected.  Every command takes the same flags, before or after
-the problem; a given --window, --cap or --format overrides the document's
-window:, cap: or format:.  Exit codes: 0 for success/Yes, 1 for a No
-verdict, 3 for Unknown, 2 for parse errors.
+fields are rejected.  A document's text is parsed once per session: the
+session memo keeps its frozen spec.  Every command takes the same flags,
+before or after the problem; a given --window, --cap or --format overrides
+the document's window:, cap: or format: on a copy of that spec.  Exit
+codes: 0 for success/Yes, 1 for a No verdict, 3 for Unknown, 2 for parse
+errors.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .classify import (
     search,
 )
 from .errors import EngineError, InputError, IntervalPresent, WindowNotFound
-from .exactseq import LineE, default_evaluator
+from .exactseq import LineE, check_cap, default_evaluator
 from .intervals import pad_vec
 from .logbundles import check_side, cotangent_tangent_pair, ledger_checks, log_pair
 from .varieties import Arrangement, VarietyModel, arrangement, component_from_class, component_from_degree, vscale
@@ -40,8 +42,13 @@ _LOG_SIDES = {"log_cotangent": "cot", "log_tangent": "tan"}
 _FORMATS = ("csv", "md")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
+    """One problem document's fields.  Frozen: ``load_problem`` hands every
+    caller in a session the same spec, and a flag makes a copy
+    (``dataclasses.replace``).  The nested dicts and lists are the reader's
+    values, which no command changes."""
+
     variety: dict = field(default_factory=dict)
     polarization: list | int | None = None
     arrangement: dict | None = None
@@ -84,9 +91,7 @@ class ProblemSpec:
         if data.get("format") not in (None, *_FORMATS):
             raise InputError(f"format must be one of {_FORMATS}")
         check_side(data.get("side", "cot"))
-        cap = data.get("cap", 8)
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-            raise InputError(f"cap must be a non-negative integer, got {cap!r}")
+        check_cap(data.get("cap", 8))
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -320,8 +325,17 @@ def read_document(text: str):
 
 
 def load_problem(path: Path) -> ProblemSpec:
+    """The spec of the document at path.  The file is read on every call,
+    and its text parsed once per session: the default evaluator's memo
+    keeps the spec under ("document", text), so two paths with one text
+    share one spec.  A refused document keeps nothing."""
+    text = path.read_text()
+    return default_evaluator().remember(("document", text), _parse, path, text)
+
+
+def _parse(path: Path, text: str) -> ProblemSpec:
     try:
-        data = read_document(path.read_text())
+        data = read_document(text)
     except InputError as exc:
         raise InputError(f"{path}: bad YAML ({exc})")
     return ProblemSpec.from_dict(data or {})
@@ -462,9 +476,16 @@ def cmd_ledger(spec: ProblemSpec, out) -> int:
 _USER_ERRORS = (EngineError, OSError, KeyError, TypeError, ValueError)
 
 
+def _flagged(path: Path, flags: dict) -> ProblemSpec:
+    """The document's spec with the given flags' fields: a copy when a flag
+    was given, else the kept spec itself."""
+    spec = load_problem(path)
+    return replace(spec, **flags) if flags else spec
+
+
 def _classify_file(path: Path, flags: dict):
     try:
-        verdict = classify_one(replace(load_problem(path), **flags))
+        verdict = classify_one(_flagged(path, flags))
     except _USER_ERRORS as exc:
         return [path.name, "Error", "", str(exc)]
     wit = ""
@@ -518,7 +539,7 @@ def main(argv=None) -> int:
         if args.command == "classify" and path.is_dir():
             _banner(out, args)
             return cmd_classify_dir(path, flags, out)
-        spec = replace(load_problem(path), **flags)
+        spec = _flagged(path, flags)
         _banner(out, args)
         return COMMANDS[args.command](spec, out)
     except _USER_ERRORS as exc:

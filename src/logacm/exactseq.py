@@ -343,7 +343,9 @@ class Evaluator:
       rule) pair ``classify._decide`` returned, and ("deficiency", variety,
       H, arrangement, side, cap): the verdict ``classify._concentration``
       returned.  A ``Verdict`` is immutable, so every later ask returns
-      the kept object itself.
+      the kept object itself;
+    * ("document", text): ``cli.load_problem``'s frozen ``ProblemSpec`` of a
+      problem document's text, so each text is parsed once per session.
 
     ``remember`` writes every tagged key but "candidates", which ``search``
     stores itself once it has returned; ``_cohom`` writes the cohomology
@@ -640,10 +642,12 @@ def _one_sided_regularity(expr: Expr, dual: bool, h, cap: int, nu: int, ev: Eval
     return thresholds
 
 
-def check_cap(cap: int) -> None:
-    """Refuse a negative scan bound: twists run over [-cap, cap]."""
-    if cap < 0:
-        raise InputError(f"cap must be a non-negative integer, got {cap!r}")
+def check_cap(cap: int, name: str = "cap") -> None:
+    """Refuse a scan bound that is not an int >= 0: twists run over
+    [-cap, cap].  A bool is refused too, since True == 1 would share 1's
+    memo keys; name is the bound's field, for search's bounds."""
+    if type(cap) is not int or cap < 0:
+        raise InputError(f"{name} must be a non-negative integer, got {cap!r}")
 
 
 def vanishing_window(expr: Expr, h, cap: int = 8, ev: Evaluator | None = None) -> WindowCert:

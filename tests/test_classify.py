@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from logacm.exactseq import Evaluator, TwistE
 from logacm.varieties import vneg, vscale
 
 from conftest import F0_SPLIT_YES, F0_STATED_YES, bench_workloads, f0_split_grid, twist_zero_h1
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def exceptional_arrangement(x, count=None):
@@ -1031,13 +1034,16 @@ def test_a_remembered_search_returns_the_kept_verdicts():
     assert deficiency_concentrated_at_zero(bl3, vneg(bl3.canonical_class), exceptional_arrangement(bl3), ev=ev) is concentrated
 
 
-def test_every_reusable_result_goes_through_remember(monkeypatch):
+def test_every_reusable_result_goes_through_remember(monkeypatch, capsys):
     """``Evaluator.remember`` is the one door into the session memo: after a
-    search on the quadric and on F_1, a deficiency verdict on Bl_3 and a
-    log pair on P^3, every key in ``ev.cache`` is an (expression, twist)
-    pair, ``search``'s ("candidates", ...) or a key ``remember`` wrote.
-    Its contract: a repeat returns the kept object, and a build that raises
-    keeps nothing and raises again."""
+    search on the quadric and on F_1, a deficiency verdict on Bl_3, a log
+    pair on P^3 and one CLI command run with ev as the default evaluator,
+    every key in ``ev.cache`` is an (expression, twist) pair, ``search``'s
+    ("candidates", ...) or a key ``remember`` wrote.  Its contract: a
+    repeat returns the kept object, and a build that raises keeps nothing
+    and raises again."""
+    from logacm import exactseq
+    from logacm.cli import main
     from logacm.exactseq import Expr
 
     written = set()
@@ -1056,10 +1062,13 @@ def test_every_reusable_result_goes_through_remember(monkeypatch):
     deficiency_concentrated_at_zero(bl3, vneg(bl3.canonical_class), exceptional_arrangement(bl3), ev=ev)
     p3 = L.projective_space(3)
     L.log_pair(p3, L.hyperplane_arrangement(p3, 3), ev)
+    monkeypatch.setattr(exactseq, "_DEFAULT", ev)
+    assert main(["classify", str(PROBLEMS / "quadric_3_3_rulings.yaml"), "--no-header"]) == 0
+    assert "verdict: Yes" in capsys.readouterr().out
     for key in ev.cache:
         cohomology = len(key) == 2 and isinstance(key[0], Expr)
         assert cohomology or key[0] == "candidates" or key in written, key
-    assert {key[0] for key in written} == {"leaf", "log_pair", "orbits", "verdict", "deficiency"}
+    assert {key[0] for key in written} == {"leaf", "log_pair", "orbits", "verdict", "deficiency", "document"}
 
     builds = []
     first = ev.remember(("probe",), lambda: builds.append(1) or object())
@@ -1106,6 +1115,27 @@ def test_out_of_range_bounds_raise_before_anything_is_kept():
         with pytest.raises(InputError, match=f"m = {m}"):
             L.hyperplane_arrangement(L.projective_space(3), m)
     assert L.hyperplane_arrangement(L.projective_space(3), 0).size == 0
+
+
+def test_a_bool_or_non_integer_bound_is_refused_and_keeps_nothing():
+    """cap, class_bound and m_bound take a non-bool int only, in the CLI's
+    words.  True == 1 and both hash alike, so a kept cap=True verdict would
+    also answer cap=1, with certificates reading "cap=True"."""
+    q = L.quadric_surface()
+    arr = L.arrangement(q, [L.component_from_class(q, (1, 0)), L.component_from_class(q, (0, 1))])
+    ev = Evaluator()
+    for bad in (True, False, 2.5, "3", None):
+        with pytest.raises(InputError, match=f"cap must be a non-negative integer, got {bad!r}"):
+            L.is_acm(q, (1, 1), arr, cap=bad, ev=ev)
+        with pytest.raises(InputError, match=f"cap must be a non-negative integer, got {bad!r}"):
+            deficiency_concentrated_at_zero(q, (1, 1), arr, cap=bad, ev=ev)
+        for bounds, name in (((bad, 2), "class_bound"), ((1, bad), "m_bound")):
+            with pytest.raises(InputError, match=f"{name} must be a non-negative integer, got {bad!r}"):
+                L.search(q, (1, 1), *bounds, ev=ev)
+    assert ev.cache == {}
+    verdict = L.is_acm(q, (1, 1), arr, cap=1, ev=ev)
+    assert verdict.status == UNKNOWN
+    assert any("within cap=1:" in c for c in verdict.certificates), verdict.certificates
 
 
 def test_failed_verdicts_raise_again_and_are_not_kept():

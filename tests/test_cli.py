@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -621,3 +623,86 @@ def test_malformed_variety_and_arrangement_documents_exit_2(tmp_path, capsys):
         p = write(tmp_path, "bad.yaml", text)
         for command in ("classify", "cohom"):
             assert field in (refused(capsys, command, str(p)) or ""), (text, command)
+
+
+# -- documents in the session memo ------------------------------------------------
+
+
+@pytest.fixture
+def session(monkeypatch):
+    """A fresh evaluator as the default one, and the list of texts the
+    reader parses while the test runs."""
+    from logacm import cli, exactseq
+
+    ev = exactseq.Evaluator()
+    monkeypatch.setattr(exactseq, "_DEFAULT", ev)
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return read_document(text)
+
+    monkeypatch.setattr(cli, "read_document", counted)
+    return ev, parsed
+
+
+def documents(ev) -> list:
+    return [key for key in ev.cache if key[0] == "document"]
+
+
+def test_a_document_text_is_parsed_once_per_session(tmp_path, session):
+    """Two paths with one text share one kept spec, under one
+    ("document", text) entry; clearing the memo makes the text parse again."""
+    ev, parsed = session
+    a, b = write(tmp_path, "a.yaml", P3_FOUR), write(tmp_path, "b.yaml", P3_FOUR)
+    spec = load_problem(a)
+    assert load_problem(b) is spec and load_problem(a) is spec
+    assert parsed == [P3_FOUR] and documents(ev) == [("document", P3_FOUR)]
+    assert spec == ProblemSpec.from_dict(read_document(P3_FOUR))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.cap = 0
+    ev.cache.clear()
+    again = load_problem(b)
+    assert again == spec and again is not spec and parsed == [P3_FOUR] * 2
+
+
+def test_a_refused_document_keeps_nothing(tmp_path, session):
+    """A reader refusal names the path of each call; a from_dict refusal
+    keeps its own text.  Either raises again on every call."""
+    ev, parsed = session
+    anchor = "variety: {kind: quadric}\npolarization: &h [1, 1]\n"
+    unknown = "variety: {kind: quadric}\nbogus: 1\n"
+    for text, name in ((anchor, "bad YAML (line 2: "), (unknown, "unknown fields: ['bogus']")):
+        for path in (write(tmp_path, "a.yaml", text), write(tmp_path, "b.yaml", text)) * 2:
+            with pytest.raises(InputError) as exc:
+                load_problem(path)
+            assert name in str(exc.value)
+            assert str(exc.value).startswith(f"{path}: ") == (text == anchor)
+    assert documents(ev) == [] and len(parsed) == 8
+
+
+def test_a_flag_reaches_the_command_but_not_the_kept_spec(tmp_path, capsys, session):
+    ev, parsed = session
+    p = write(tmp_path, "p3.yaml", P3_FOUR)
+    kept = load_problem(p)
+    code, out = run(capsys, "cohom", str(p), "--window", "0", "0", "--cap", "3", "--format", "csv", "--no-header")
+    assert code == 0 and out == "t,h0,h1,h2,h3\n0,3,0,0,0\n"
+    assert load_problem(p) is kept and (kept.window, kept.cap, kept.format) == ([-4, 4], 8, "md")
+    code, out = run(capsys, "cohom", str(p), "--no-header")
+    assert code == 0 and out.splitlines()[0].split() == ["t", "h0", "h1", "h2", "h3"] and len(out.splitlines()) == 10
+    assert parsed == [P3_FOUR] and documents(ev) == [("document", P3_FOUR)]
+
+
+def test_no_command_changes_a_kept_spec(capsys):
+    """Every command, with no flags and with all three, leaves the kept spec
+    of every problem document equal to a deep copy taken before: the spec
+    is frozen, and this guards the reader's nested dicts and lists in it."""
+    flags = ["--window", "-2", "2", "--cap", "3", "--format", "csv"]
+    for path in sorted(PROBLEMS.glob("*.yaml")):
+        kept = load_problem(path)
+        before = copy.deepcopy(kept)
+        for command in ("cohom", "classify", "search", "deficiency", "ledger"):
+            for given in ([], flags):
+                assert main([command, str(path), "--no-header", *given]) in (0, 1, 2, 3), (path.name, command, given)
+        capsys.readouterr()
+        assert load_problem(path) is kept and kept == before, path.name

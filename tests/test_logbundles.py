@@ -296,6 +296,43 @@ def test_f1_and_bl1_agree_through_the_lattice_map():
     assert exact >= 895, exact
 
 
+def test_f0_and_the_quadric_agree_through_the_identity_map():
+    """F_0 is the quadric, class for class: both have intersection matrix
+    ((0, 1), (1, 0)) and K = (-2, -2).  At every twist |a|, |b| <= 4,
+    Omega^1, T and both sides of the log pairs of (1,0), (0,1),
+    (1,0) + (0,1), (1,1) and (1,0) + (1,1) meet on the two models, and
+    every fully exact row of either lies inside the other's intervals.
+    F_0 reads them through its ruling sequences and Hirzebruch backend, the
+    quadric through its split models and Kunneth, so a wrong value on
+    either shows here."""
+    f0, q = L.hirzebruch(0), L.quadric_surface()
+    for x in (f0, q):
+        assert x.intersection_matrix == ((0, 1), (1, 0)) and x.canonical_class == (-2, -2)
+    e_f0, e_q = Evaluator(), Evaluator()
+    arrangements = [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)], [(1, 1)], [(1, 0), (1, 1)]]
+
+    def exprs(x, ev):
+        out = list(cotangent_tangent_pair(x))
+        for arr in arrangements:
+            pair = log_pair(x, L.arrangement(x, [L.component_from_class(x, c) for c in arr]), ev)
+            out += [pair.for_side("cot"), pair.for_side("tan")]
+        return out
+
+    rows = list(zip(exprs(f0, e_f0), exprs(q, e_q)))
+    compared, exact = 0, {"F_0": 0, "quadric": 0}
+    for twist in product(range(-4, 5), repeat=2):
+        for on_f0, on_q in rows:
+            v, w = e_f0.cohom(on_f0, twist), e_q.cohom(on_q, twist)
+            meet_vecs(v, w)  # raises on an empty meet
+            compared += 1
+            for name, mine, other in (("F_0", v, w), ("quadric", w, v)):
+                if all(p.exact for p in mine):
+                    exact[name] += 1
+                    assert all(r.lo <= p.lo and (r.hi is None or p.lo <= r.hi) for p, r in zip(mine, other)), (twist, name, on_f0, v, w)
+    assert compared == 81 * 12
+    assert exact["F_0"] >= 918 and exact["quadric"] >= 747, exact
+
+
 def test_cotangent_abelian():
     x = L.abelian_surface(2)
     cot, tan = L.cotangent_tangent_pair(x)
